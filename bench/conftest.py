@@ -1,0 +1,9 @@
+"""Make ``src`` and the benchmark's own modules importable for its tests."""
+
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+for path in (os.path.join(os.path.dirname(BENCH_DIR), "src"), BENCH_DIR):
+    if path not in sys.path:
+        sys.path.insert(0, path)
