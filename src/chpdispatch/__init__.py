@@ -37,7 +37,15 @@ from .heatnet import (
     propagate_pipe,
     temperature_maps,
 )
-from .lp import KktReport, LinearProgram, LpSolution, check_kkt, solve_lp, write_lp_text
+from .lp import (
+    KktReport,
+    LinearProgram,
+    LpSolution,
+    check_kkt,
+    solve_lp,
+    solve_lp_simplex,
+    write_lp_text,
+)
 from .model import (
     BatteryUnit,
     Branch,

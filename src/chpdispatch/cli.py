@@ -245,14 +245,23 @@ def _dispatch_command(args) -> int:
             "lp_variables": problem.lp.n_vars,
             "lp_inequalities": problem.lp.n_ineq,
             "lp_equalities": problem.lp.n_eq,
+            "lp_nonzeros": int(
+                np.count_nonzero(problem.lp.g) + np.count_nonzero(problem.lp.a_eq)
+            ),
             "kkt_gap": sol.kkt.gap,
+            "kkt_primal_residual": sol.kkt.primal_residual,
+            "kkt_dual_residual": sol.kkt.dual_residual,
+            "kkt_complementarity": sol.kkt.complementarity,
         }
         _write(os.path.join(out, "summary.json"), _json_text(summary))
-        # wall-clock diagnostics stay out of the deterministic summary
-        _write(
-            os.path.join(out, "timings.json"),
-            _json_text({"build_seconds": t_build, "solve_seconds": t_solve}),
-        )
+        # wall-clock diagnostics and solver internals stay out of the deterministic summary
+        timings = {
+            "build_seconds": t_build,
+            "solve_seconds": t_solve,
+            "solver": "highs",
+            "iterations": sol.iterations,
+        }
+        _write(os.path.join(out, "timings.json"), _json_text(timings))
         if getattr(args, "plot_data", False):
             _plot_data(out, ssm, sol, schedule)
         print(f"objective {sol.objective:.6f}, status {sol.status}")

@@ -1,11 +1,11 @@
-"""Bundled dense linear-program solver.
+"""Linear programs: the dispatch solver, the bundled oracle and the KKT audit.
 
-A bounded-variable revised simplex (two-phase, Dantzig pricing with a
-Bland's-rule fallback against cycling) behind a small problem/solution
-interface.  Row-heavy problems are transposed and solved through their
-dual, which keeps the working basis at the size of the variable count;
-the primal solution is then read off the dual multipliers.  Nothing here
-depends on an external solver.
+``solve_lp`` hands the problem to HiGHS through ``scipy.optimize.linprog``
+(dual revised simplex, Huangfu & Hall 2018).  ``solve_lp_simplex`` is a
+bundled bounded-variable revised simplex (two-phase, Dantzig pricing with a
+Bland's-rule fallback against cycling) that shares no code with HiGHS; it
+is the independent oracle behind the iterative tightening baseline and the
+tests.  ``check_kkt`` audits a point from either solver.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "LpSolution",
     "KktReport",
     "solve_lp",
+    "solve_lp_simplex",
     "check_kkt",
     "write_lp_text",
 ]
@@ -27,6 +28,10 @@ FEAS_TOL = 1e-8
 COST_TOL = 1e-9
 REFACTOR_EVERY = 100
 STALL_LIMIT = 60
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}   # linprog status codes
+# HiGHS's own primal feasibility tolerance: elastic slack below it is zero
+ELASTIC_TOL = 1e-7
+MAX_BLOCKING_ROWS = 20
 
 
 @dataclass(frozen=True)
@@ -130,10 +135,8 @@ class _Simplex:
         self.b = b
         self.lower = lower
         self.upper = upper
-        self.m, self.n = a.shape
         self.iterations = 0
         self.free_mask = ~np.isfinite(lower) & ~np.isfinite(upper)
-        self.ray: np.ndarray | None = None
 
     def _nonbasic_values(self) -> np.ndarray:
         vals = np.where(
@@ -217,10 +220,6 @@ class _Simplex:
                     leaving = k
                     leaving_to = at_upper_state if t_up[k] <= t_lo[k] else at_lower_state
             if not np.isfinite(theta):
-                ray = np.zeros(self.n)
-                ray[entering] = direction
-                ray[basis_arr] = -direction * col
-                self.ray = ray
                 return "unbounded", None, duals, reduced
             if theta < 1e-10:
                 stall += 1
@@ -268,16 +267,8 @@ def _solve_standard(
     lower: np.ndarray,
     upper: np.ndarray,
 ):
-    """Two-phase bounded simplex.
-
-    Returns (status, x, duals, reduced, iterations, certificate) where the
-    certificate is the phase-1 duals on infeasibility or the unbounded ray.
-    """
+    """Two-phase bounded simplex; returns (status, x, duals, reduced, iterations)."""
     m, n = a.shape
-    if m == 0:
-        x, status = _solve_boxed(c, lower, upper)
-        return status, x, np.zeros(0), c.copy(), 0, None
-
     x_start = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
     resid = b - a @ x_start
     sign = np.where(resid >= 0, 1.0, -1.0)
@@ -292,12 +283,12 @@ def _solve_standard(
 
     max_iter = 200 * (m + n) + 10000
     sx = _Simplex(a1, b, lower1, upper1)
-    status, x1, duals1, _ = sx.run(c1, basis, state, max_iter)
+    status, x1, _, _ = sx.run(c1, basis, state, max_iter)
     iters = sx.iterations
     if status == "failed" or status == "unbounded":
-        return "failed", None, None, None, iters, None
+        return "failed", None, None, None, iters
     if float(c1 @ x1) > 1e-7:
-        return "infeasible", None, None, None, iters, duals1
+        return "infeasible", None, None, None, iters
 
     lower1[n:] = 0.0
     upper1[n:] = 0.0
@@ -308,11 +299,8 @@ def _solve_standard(
     status, x2, duals2, reduced2 = sx2.run(c2, sx.basis, state, max_iter)
     iters += sx2.iterations
     if status == "optimal":
-        return "optimal", x2[:n], duals2, reduced2[:n], iters, None
-    if status == "unbounded":
-        ray = sx2.ray[:n] if sx2.ray is not None else None
-        return "unbounded", None, duals2, None, iters, ray
-    return "failed", None, None, None, iters, None
+        return "optimal", x2[:n], duals2, reduced2[:n], iters
+    return status, None, None, None, iters
 
 
 def _solve_boxed(c: np.ndarray, lower: np.ndarray, upper: np.ndarray):
@@ -329,15 +317,15 @@ def _solve_boxed(c: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     return x, "optimal"
 
 
-def solve_lp(lp: LinearProgram, force_primal: bool = False) -> LpSolution:
-    """Solve the LP; deterministic for identical inputs.
+def solve_lp_simplex(lp: LinearProgram) -> LpSolution:
+    """Solve with the bundled dense simplex; deterministic for identical inputs.
 
-    Problems with many more rows than variables are solved through their
-    dual so the working basis stays small; the primal solution and row
-    duals are recovered from the dual solve.
+    This is the oracle: it shares no code with HiGHS or with the closed-form
+    tightening it checks.  Its dense basis inverse is (rows x rows), so it
+    suits LPs of a few hundred rows.  Infeasible results name no rows.
     """
-    m_total = lp.n_ineq + lp.n_eq
-    if m_total == 0:
+    n, m1, m2 = lp.n_vars, lp.n_ineq, lp.n_eq
+    if m1 + m2 == 0:
         x, status = _solve_boxed(lp.c, lp.lower, lp.upper)
         if status != "optimal":
             return LpSolution(status=status)
@@ -349,13 +337,6 @@ def solve_lp(lp: LinearProgram, force_primal: bool = False) -> LpSolution:
             duals_eq=np.zeros(0),
             reduced_costs=lp.c.copy(),
         )
-    if not force_primal and m_total > max(2 * lp.n_vars, 200):
-        return _solve_via_dual(lp)
-    return _solve_primal(lp)
-
-
-def _solve_primal(lp: LinearProgram) -> LpSolution:
-    n, m1, m2 = lp.n_vars, lp.n_ineq, lp.n_eq
     a = np.zeros((m1 + m2, n + m1))
     a[:m1, :n] = lp.g
     a[:m1, n:] = np.eye(m1)
@@ -364,19 +345,12 @@ def _solve_primal(lp: LinearProgram) -> LpSolution:
     lower = np.concatenate([lp.lower, np.zeros(m1)])
     upper = np.concatenate([lp.upper, np.full(m1, np.inf)])
     c = np.concatenate([lp.c, np.zeros(m1)])
-    status, x, duals, reduced, iters, cert = _solve_standard(a, b, c, lower, upper)
-    if status == "infeasible":
-        return LpSolution(
-            status="infeasible",
-            iterations=iters,
-            blocking_rows=_rows_from_weights(lp, cert),
-        )
+    status, x, duals, reduced, iters = _solve_standard(a, b, c, lower, upper)
     if status != "optimal":
         return LpSolution(status=status, iterations=iters)
     z = x[:n]
-    lam = -duals[:m1] if m1 else np.zeros(0)
+    lam = np.maximum(-duals[:m1], 0.0) if m1 else np.zeros(0)
     nu = -duals[m1:] if m2 else np.zeros(0)
-    lam = np.maximum(lam, 0.0)
     return LpSolution(
         status="optimal",
         z=z,
@@ -388,84 +362,84 @@ def _solve_primal(lp: LinearProgram) -> LpSolution:
     )
 
 
-def _solve_via_dual(lp: LinearProgram) -> LpSolution:
-    n, m1, m2 = lp.n_vars, lp.n_ineq, lp.n_eq
-    fin_lo = np.where(np.isfinite(lp.lower))[0]
-    fin_up = np.where(np.isfinite(lp.upper))[0]
-    nl, nu_count = len(fin_lo), len(fin_up)
+def _highs(c, g, h, a_eq, b_eq, lower, upper):
+    """One ``linprog`` call; scipy.optimize is imported here, never at package import."""
+    from scipy.optimize import linprog
 
-    # dual in min form: min h^T lam + b^T nu - l^T mu_l + u^T mu_u
-    #   s.t. G^T lam + A^T nu - mu_l + mu_u = -c;  lam, mu >= 0, nu free
-    cols = m1 + m2 + nl + nu_count
-    a_d = np.zeros((n, cols))
-    if m1:
-        a_d[:, :m1] = lp.g.T
-    if m2:
-        a_d[:, m1 : m1 + m2] = lp.a_eq.T
-    a_d[fin_lo, m1 + m2 + np.arange(nl)] = -1.0
-    a_d[fin_up, m1 + m2 + nl + np.arange(nu_count)] = 1.0
-    b_d = -lp.c
-    c_d = np.concatenate([lp.h, lp.b_eq, -lp.lower[fin_lo], lp.upper[fin_up]])
-    lower_d = np.concatenate([np.zeros(m1), np.full(m2, -np.inf), np.zeros(nl + nu_count)])
-    upper_d = np.full(cols, np.inf)
+    return linprog(
+        c, A_ub=g, b_ub=h, A_eq=a_eq, b_eq=b_eq,
+        bounds=np.column_stack([lower, upper]), method="highs",
+    )
 
-    status, y, duals, _, iters, cert = _solve_standard(a_d, b_d, c_d, lower_d, upper_d)
-    if status == "optimal":
-        z = duals.copy()
-        lam = y[:m1]
-        nu = y[m1 : m1 + m2]
-        return LpSolution(
-            status="optimal",
-            z=z,
-            objective=float(lp.c @ z),
-            duals_ineq=lam,
-            duals_eq=nu,
-            reduced_costs=lp.c + lp.g.T @ lam + lp.a_eq.T @ nu,
-            iterations=iters,
-        )
-    if status == "unbounded":
-        # the unbounded dual ray is a Farkas certificate of primal infeasibility
-        return LpSolution(
-            status="infeasible",
-            iterations=iters,
-            blocking_rows=_rows_from_weights(lp, cert),
-        )
+
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve with HiGHS (``scipy.optimize.linprog``); deterministic for identical inputs.
+
+    G and A become sparse only for the call.  Row duals are the negated
+    HiGHS marginals, so ``check_kkt`` audits the point like any other.  An
+    infeasible problem names its blocking rows through an elastic re-solve.
+    """
+    from scipy.sparse import csr_array
+
+    g, a = csr_array(lp.g), csr_array(lp.a_eq)
+    res = _highs(lp.c, g, lp.h, a, lp.b_eq, lp.lower, lp.upper)
+    status = HIGHS_STATUS.get(res.status, "failed")
     if status == "infeasible":
-        # dual infeasible: primal unbounded if feasible, else infeasible
-        probe = _solve_primal(
-            LinearProgram(
-                c=np.zeros(n), g=lp.g, h=lp.h, a_eq=lp.a_eq, b_eq=lp.b_eq,
-                lower=lp.lower, upper=lp.upper,
-                row_labels=lp.row_labels, eq_labels=lp.eq_labels,
-            )
-        )
-        if probe.status == "optimal":
-            return LpSolution(status="unbounded", iterations=iters + probe.iterations)
         return LpSolution(
-            status="infeasible",
-            iterations=iters + probe.iterations,
-            blocking_rows=probe.blocking_rows,
+            status=status, iterations=res.nit, blocking_rows=_elastic_blocking_rows(lp, g, a)
         )
-    return LpSolution(status="failed", iterations=iters)
+    if status != "optimal":
+        return LpSolution(status=status, iterations=res.nit)
+    z = res.x
+    lam, nu = -res.ineqlin.marginals, -res.eqlin.marginals
+    return LpSolution(
+        status="optimal",
+        z=z,
+        objective=float(lp.c @ z),
+        duals_ineq=lam,
+        duals_eq=nu,
+        reduced_costs=lp.c + g.T @ lam + a.T @ nu,
+        iterations=res.nit,
+    )
 
 
-def _rows_from_weights(lp: LinearProgram, weights: np.ndarray | None) -> tuple[str, ...]:
-    """Name constraint rows carrying weight in an infeasibility certificate."""
-    if weights is None or weights.size == 0:
+def _elastic_blocking_rows(lp: LinearProgram, g, a) -> tuple[str, ...]:
+    """Rows that must give way for the LP to become feasible.
+
+    Every inequality gets a slack s >= 0 and every equality a pair p, q >= 0
+    (G z - s <= h, A z + p - q = b); the total slack is minimised under the
+    original bounds.  Rows left with slack come first, then rows priced by
+    the elastic duals, which together form the infeasibility certificate.
+    """
+    from scipy.sparse import coo_array, eye_array, hstack
+
+    n, m1, m2 = lp.n_vars, lp.n_ineq, lp.n_eq
+    g_el = hstack([g, -eye_array(m1), coo_array((m1, 2 * m2))], format="csr")
+    a_el = hstack([a, coo_array((m2, m1)), eye_array(m2), -eye_array(m2)], format="csr")
+    n_slack = m1 + 2 * m2
+    res = _highs(
+        np.concatenate([np.zeros(n), np.ones(n_slack)]),
+        g_el, lp.h, a_el, lp.b_eq,
+        np.concatenate([lp.lower, np.zeros(n_slack)]),
+        np.concatenate([lp.upper, np.full(n_slack, np.inf)]),
+    )
+    if res.status != 0:
         return ()
-    m1 = lp.n_ineq
-    weights = np.asarray(weights)
-    scale = float(np.max(np.abs(weights)))
-    if scale <= 0:
-        return ()
-    names: list[str] = []
-    for i in np.where(np.abs(weights) > 1e-6 * scale)[0]:
-        if i < m1:
-            names.append(lp.row_labels[i] if lp.row_labels else f"ineq[{i}]")
-        elif i < m1 + lp.n_eq:
-            k = i - m1
-            names.append(lp.eq_labels[k] if lp.eq_labels else f"eq[{k}]")
-    return tuple(names[:20])
+    s = res.x[n:]
+    slack = np.concatenate([s[:m1], s[m1 : m1 + m2] + s[m1 + m2 :]])
+    price = np.abs(np.concatenate([res.ineqlin.marginals, res.eqlin.marginals]))
+    slacked = np.flatnonzero(slack > ELASTIC_TOL)
+    priced = np.flatnonzero((price > ELASTIC_TOL) & (slack <= ELASTIC_TOL))
+    rows = np.concatenate([slacked, priced])[:MAX_BLOCKING_ROWS]
+    return tuple(_row_label(lp, int(i)) for i in rows)
+
+
+def _row_label(lp: LinearProgram, i: int) -> str:
+    """Label of row ``i`` counted over the inequalities, then the equalities."""
+    if i < lp.n_ineq:
+        return lp.row_labels[i] if lp.row_labels else f"ineq[{i}]"
+    k = i - lp.n_ineq
+    return lp.eq_labels[k] if lp.eq_labels else f"eq[{k}]"
 
 
 def check_kkt(lp: LinearProgram, sol: LpSolution) -> KktReport:

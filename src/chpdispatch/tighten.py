@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compile import ConstraintFamily, StateSpaceModel
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, solve_lp_simplex
 from .sets import PolyhedronH, UncertaintyTube
 
 __all__ = [
@@ -647,7 +647,7 @@ def _support_lp(
     mode: str,
     budget: float | None,
 ) -> float:
-    """sup of sum_tau coeff(tau) . w_dev(tau) over the tube, via the LP solver."""
+    """sup of sum_tau coeff(tau) . w_dev(tau) over the tube, via the bundled simplex."""
     count, n_w = coeff.shape
     if mode == "box":
         # variables: the deviation sequence itself, pure bounds
@@ -656,7 +656,7 @@ def _support_lp(
             lower=dev_lo.ravel(),
             upper=dev_hi.ravel(),
         )
-        sol = solve_lp(lp)
+        sol = solve_lp_simplex(lp)
         if not sol.is_optimal:
             raise RuntimeError(f"support LP failed with status {sol.status}")
         return -sol.objective
@@ -680,7 +680,7 @@ def _support_lp(
         lower=np.concatenate([-np.ones(n), np.zeros(n)]),
         upper=np.concatenate([np.ones(n), np.ones(n)]),
     )
-    sol = solve_lp(lp, force_primal=True)
+    sol = solve_lp_simplex(lp)
     if not sol.is_optimal:
         raise RuntimeError(f"support LP failed with status {sol.status}")
     return -sol.objective + float(np.sum(coeff * shifts))

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 VIOLATION_SLACK = 1e-9
+# output elements (samples x steps x outputs) simulated per chunk in evaluate
+EVALUATE_CHUNK_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def evaluate(
     by_row: dict[str, int] = {}
     costs_out = np.zeros(count)
 
-    chunk = max(1, min(count, int(4e6 / max(1, T * ssm.n_y))))
+    chunk = max(1, min(count, EVALUATE_CHUNK_ELEMENTS // max(1, T * ssm.n_y)))
     for start in range(0, count, chunk):
         w_chunk = batch.samples[start : start + chunk]
         x_c, u_c, y_c = _simulate_batch(policy, ssm, w_chunk)

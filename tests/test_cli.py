@@ -43,11 +43,18 @@ def test_dispatch_writes_summary_and_trajectory(tmp_path):
     assert summary["status"] == "optimal"
     assert summary["objective_usd"] > 0
     assert summary["lp_variables"] < 1000
+    assert 0 < summary["lp_nonzeros"] < summary["lp_variables"] * (
+        summary["lp_inequalities"] + summary["lp_equalities"]
+    )
+    for key in ("kkt_gap", "kkt_primal_residual", "kkt_dual_residual", "kkt_complementarity"):
+        assert 0.0 <= summary[key] <= 1e-7
+    assert "iterations" not in summary and "solver" not in summary
     traj = read(tmp_path / "dispatch.csv")
     assert traj.splitlines()[0].startswith("step,")
     assert "u:grid_p:grid[pu]" in traj.splitlines()[0]
     timings = json.loads(read(tmp_path / "timings.json"))
     assert "solve_seconds" in timings
+    assert timings["solver"] == "highs" and isinstance(timings["iterations"], int)
 
 
 def test_dispatch_plot_data(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chpdispatch.compile import ConstraintFamily, StateSpaceModel, LiftedOutputMap
-from chpdispatch.lp import LinearProgram, solve_lp
+from chpdispatch.lp import LinearProgram, solve_lp, solve_lp_simplex
 from chpdispatch.sets import PolyhedronH, UncertaintyTube
 from chpdispatch.tighten import (
     FeedbackGain,
@@ -129,7 +129,7 @@ class TestSupportBox:
 
 
 def budget_lp_oracle(v: np.ndarray, budget: float) -> float:
-    """sup v.w over the box-and-budget intersection, via the LP solver."""
+    """sup v.w over the box-and-budget intersection, via the bundled simplex."""
     n = len(v)
     g = np.zeros((2 * n + 1, 2 * n))
     h = np.zeros(2 * n + 1)
@@ -146,7 +146,7 @@ def budget_lp_oracle(v: np.ndarray, budget: float) -> float:
         lower=np.concatenate([-np.ones(n), np.zeros(n)]),
         upper=np.concatenate([np.ones(n), np.ones(n)]),
     )
-    sol = solve_lp(lp, force_primal=True)
+    sol = solve_lp_simplex(lp)
     assert sol.status == "optimal"
     return -sol.objective
 
