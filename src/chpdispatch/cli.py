@@ -14,10 +14,9 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
 from .compile import compile_constraints, compile_state_space, compile_uncertainty_tube
-from .config_io import ConfigError, ModelValidationError, load_system
+from .config_io import ConfigError, ModelValidationError, document_text, load_system
 from .dispatch import (
     CostModel,
     Policy,
@@ -199,7 +198,7 @@ def _dispatch_command(args) -> int:
     if args.command == "reference":
         doc = reference_document(args.horizon, args.dt)
         path = os.path.join(out, "reference.yaml")
-        _write(path, yaml.safe_dump(doc, sort_keys=False))
+        _write(path, document_text(doc))
         print(f"wrote {path}")
         return 0
 

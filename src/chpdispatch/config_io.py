@@ -34,7 +34,19 @@ from .model import (
 
 SCHEMA_VERSION = 1
 
-__all__ = ["ConfigError", "ModelValidationError", "load_system", "dump_system", "SCHEMA_VERSION"]
+# libyaml's C parser and emitter when PyYAML was built with it; the
+# pure-Python classes read and write the same documents, only slower
+SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+SAFE_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+__all__ = [
+    "ConfigError",
+    "ModelValidationError",
+    "load_system",
+    "dump_system",
+    "document_text",
+    "SCHEMA_VERSION",
+]
 
 
 class ConfigError(ValueError):
@@ -137,7 +149,10 @@ def load_system(source: str | os.PathLike | Mapping[str, Any]) -> SystemModel:
         doc = source
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            try:
+                doc = yaml.load(fh, Loader=SAFE_LOADER)
+            except yaml.YAMLError as exc:
+                raise _syntax_error(source, exc) from None
         if not isinstance(doc, Mapping):
             raise ConfigError("<root>", "document must be a mapping")
     model = _parse(doc)
@@ -145,6 +160,16 @@ def load_system(source: str | os.PathLike | Mapping[str, Any]) -> SystemModel:
     if diags:
         raise ModelValidationError(diags)
     return model
+
+
+def _syntax_error(source: str | os.PathLike, exc: yaml.YAMLError) -> ConfigError:
+    """A parser error as a ConfigError at file:line:column (1-based)."""
+    mark = getattr(exc, "problem_mark", None)
+    where = os.fspath(source)
+    if mark is not None:
+        where = f"{where}:{mark.line + 1}:{mark.column + 1}"
+    problem = getattr(exc, "problem", None) or str(exc)
+    return ConfigError(where, f"YAML syntax error: {problem}")
 
 
 def _parse(doc: Mapping[str, Any]) -> SystemModel:
@@ -410,8 +435,13 @@ def dump_system(model: SystemModel, path: str | os.PathLike | None = None) -> di
     doc = _to_document(model)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(doc, fh, sort_keys=False)
+            fh.write(document_text(doc))
     return doc
+
+
+def document_text(doc: Mapping[str, Any]) -> str:
+    """YAML text of a config document, keys in document order."""
+    return yaml.dump(doc, Dumper=SAFE_DUMPER, sort_keys=False)
 
 
 def _series_out(a: np.ndarray) -> list[float] | float:

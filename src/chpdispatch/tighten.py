@@ -178,24 +178,28 @@ def gamma(v: np.ndarray, budget: float) -> float:
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    return float(gamma_batch(np.atleast_2d(np.asarray(v, dtype=float)), budget)[0])
+    return float(_top_k_sums(np.abs(np.asarray(v, dtype=float)), budget))
 
 
-def gamma_batch(v: np.ndarray, budget: float) -> np.ndarray:
-    """Vectorized gamma over the rows of v (shape (..., n))."""
-    n = v.shape[-1]
-    if n == 0:
-        return np.zeros(v.shape[:-1])
+def _top_k_sums(mags: np.ndarray, budget: float) -> np.ndarray:
+    """gamma over the last axis of nonnegative magnitudes (shape (..., n)).
+
+    Only the ceil(budget) largest entries are selected (``np.partition``)
+    and sorted; a budget at or beyond n sums everything, so an inactive
+    budget recovers the 1-norm exactly.
+    """
+    n = mags.shape[-1]
     if budget >= n:
-        # inactive budget recovers the 1-norm exactly (same summation order)
-        return np.abs(v).sum(axis=-1)
-    mags = np.sort(np.abs(v), axis=-1)[..., ::-1]
-    whole = int(np.floor(budget))
-    frac = budget - whole
-    head = mags[..., :whole].sum(axis=-1) if whole else np.zeros(mags.shape[:-1])
-    if whole < n and frac > 0:
-        head = head + frac * mags[..., whole]
-    return head
+        return mags.sum(axis=-1)
+    whole = int(budget)
+    k = whole + (budget > whole)
+    if k == 0:
+        return np.zeros(mags.shape[:-1])
+    head = np.sort(np.partition(mags, n - k, axis=-1)[..., n - k :], axis=-1)
+    total = head[..., k - whole :].sum(axis=-1)
+    if k > whole:
+        total = total + (budget - whole) * head[..., 0]
+    return total
 
 
 @dataclass(frozen=True)
@@ -260,6 +264,11 @@ class _DeviationFamily:
     (time-invariant kernels), ``full`` computes it per step otherwise.
     ``kind`` fixes the lag convention: "state" rows see disturbances up to
     t-1 (lag = t-1-tau), "output" rows up to t (lag = t-tau).
+
+    Row pairs are fixed once: ``gamma_rows`` drops every row 2i+1 whose
+    coefficients negate row 2i (same |theta|, so the same budget term) and
+    ``gamma_index`` maps each row to its entry there; ``upper_rows`` lists
+    the rows i labelled "... upper" that row i+1 closes as "... lower".
     """
 
     def __init__(
@@ -277,6 +286,18 @@ class _DeviationFamily:
         self.kind = kind
         self.lag = lag
         self.full = full
+        coeff = poly.coefficients
+        even = np.arange(0, poly.n_rows - 1, 2)
+        mirrored = even[np.all(coeff[even + 1] == -coeff[even], axis=1)] + 1
+        source = np.arange(poly.n_rows)
+        source[mirrored] -= 1
+        self.gamma_rows = np.delete(source, mirrored)
+        self.gamma_index = np.searchsorted(self.gamma_rows, source)
+        labels = poly.labels
+        self.upper_rows = np.array(
+            [i for i in even if labels[i].endswith(" upper") and labels[i + 1].endswith(" lower")],
+            dtype=int,
+        )
 
     def theta_for_step(self, t: int) -> np.ndarray:
         """(tau_count, M, n_w) with tau = 0..t-1 (state) or 0..t (output)."""
@@ -432,77 +453,159 @@ def _output_deviation(ssm: StateSpaceModel, sy: np.ndarray, gain: FeedbackGain):
     return None, full
 
 
+def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
+    """Per step and row, sum over tau and the (values, weights) terms of
+    weights[tau] . values[lag(t, tau)] for a lag-structured family."""
+    steps = fam.steps
+    rho = np.zeros((len(steps), fam.poly.n_rows))
+    if not len(steps):
+        return rho
+    state_like = fam.kind == "state"
+    first = int(steps[0])
+    hi_t = int(steps[-1])
+    for k in range(fam.lag.shape[0]):
+        # steps with a contribution at this lag
+        lo_t = max(first, k + 1) if state_like else max(first, k)
+        if lo_t > hi_t:
+            continue
+        pos = lo_t - first
+        tau_first = (lo_t - 1 - k) if state_like else (lo_t - k)
+        count = hi_t - lo_t + 1
+        rho[pos : pos + count] += sum(
+            weights[tau_first : tau_first + count] @ values[k].T for values, weights in terms
+        )
+    return rho
+
+
 def _box_reductions(fam: _DeviationFamily, widths: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Closed-form reductions: per row, sum over channels of |theta| W plus
     the deviation-center term."""
     steps = fam.steps
     M = fam.poly.n_rows
-    rho = np.zeros((len(steps), M))
     if M == 0:
-        return rho
+        return np.zeros((len(steps), M))
     if fam.lag is not None:
-        T_lag = fam.lag.shape[0]
-        absl = np.abs(fam.lag)
-        state_like = fam.kind == "state"
-        first = int(steps[0])
-        for k in range(T_lag):
-            # steps with a contribution at this lag
-            if state_like:
-                lo_t = max(first, k + 1)
-            else:
-                lo_t = max(first, k)
-            hi_t = int(steps[-1])
-            if lo_t > hi_t:
-                continue
-            pos = lo_t - first
-            tau_first = (lo_t - 1 - k) if state_like else (lo_t - k)
-            count = hi_t - lo_t + 1
-            wslice = widths[tau_first : tau_first + count]
-            sslice = shifts[tau_first : tau_first + count]
-            rho[pos : pos + count] += wslice @ absl[k].T + sslice @ fam.lag[k].T
-    else:
-        for si, t in enumerate(steps):
-            theta = fam.theta_for_step(int(t))
-            count = theta.shape[0]
-            if not count:
-                continue
-            w = widths[:count]
-            s = shifts[:count]
-            rho[si] = np.einsum("kmj,kj->m", np.abs(theta), w) + np.einsum(
-                "kmj,kj->m", theta, s
-            )
+        return _lag_convolve(fam, [(np.abs(fam.lag), widths), (fam.lag, shifts)])
+    rho = np.zeros((len(steps), M))
+    for si, t in enumerate(steps):
+        theta = fam.theta_for_step(int(t))
+        count = theta.shape[0]
+        if not count:
+            continue
+        w = widths[:count]
+        s = shifts[:count]
+        rho[si] = np.einsum("kmj,kj->m", np.abs(theta), w) + np.einsum(
+            "kmj,kj->m", theta, s
+        )
     return rho
 
 
 def _budget_reductions(
     fam: _DeviationFamily, widths: np.ndarray, shifts: np.ndarray, budget: float
 ) -> np.ndarray:
-    """gamma per channel on the scaled coefficient sequences, plus offsets."""
+    """gamma per channel on the scaled coefficient sequences, plus offsets.
+
+    A (row, channel) pair with at most max(floor(budget), 1) nonzero lags
+    has gamma equal to min(budget, 1) times its 1-norm, so those pairs (the
+    identically zero ones included) go through the box convolution.  The
+    remaining pairs are ranked one step at a time, where step t's scaled
+    sequence is the contiguous product |lag[0:count]| * widths[count-1::-1];
+    mirrored rows reuse their partner's gamma.
+    """
     steps = fam.steps
     M = fam.poly.n_rows
     rho = np.zeros((len(steps), M))
     if M == 0:
         return rho
+    rows = fam.gamma_rows
+    if fam.lag is None:
+        for si, t in enumerate(steps):
+            theta = fam.theta_for_step(int(t))    # (count, M, n_w)
+            count = theta.shape[0]
+            if not count:
+                continue
+            mags = np.abs(theta[:, rows]) * widths[:count, np.newaxis, :]
+            per_row = _top_k_sums(np.moveaxis(mags, 0, -1), budget).sum(axis=1)
+            rho[si] = per_row[fam.gamma_index] + np.einsum("kmj,kj->m", theta, shifts[:count])
+        return rho
+
+    abs_lag = np.abs(fam.lag)
+    long = np.count_nonzero(abs_lag[:, rows], axis=0) > max(int(budget), 1)   # (len(rows), n_w)
+    pair_row, pair_ch = np.nonzero(long)
+    mags_lag = np.ascontiguousarray(abs_lag[:, rows[pair_row], pair_ch].T)   # (P, T)
+    abs_lag[:, long[fam.gamma_index]] = 0.0
+    abs_lag *= min(budget, 1.0)
+    rho = _lag_convolve(fam, [(abs_lag, widths), (fam.lag, shifts)])
+    if not pair_row.size:
+        return rho
+    widths_rev = np.ascontiguousarray(widths[::-1, pair_ch].T)              # (P, T)
+    horizon = widths.shape[0]
+    offset = 1 if fam.kind == "state" else 0
     for si, t in enumerate(steps):
-        theta = fam.theta_for_step(int(t))    # (count, M, n_w)
-        count = theta.shape[0]
-        if not count:
+        count = int(t) + 1 - offset
+        if count <= 0:
             continue
-        scaled = theta * widths[:count, np.newaxis, :]        # (count, M, n_w)
-        per_channel = gamma_batch(np.moveaxis(scaled, 0, -1), budget)  # (M, n_w)
-        rho[si] = per_channel.sum(axis=1)
-        rho[si] += np.einsum("kmj,kj->m", theta, shifts[:count])
+        per_pair = _top_k_sums(mags_lag[:, :count] * widths_rev[:, horizon - count :], budget)
+        per_row = np.bincount(pair_row, weights=per_pair, minlength=len(rows))
+        rho[si] += per_row[fam.gamma_index]
     return rho
 
 
-def _empty_rows(poly: PolyhedronH, tightened: np.ndarray) -> tuple[bool, str]:
-    """Detect emptiness of paired upper/lower box rows."""
-    labels = poly.labels
-    for i in range(0, poly.n_rows - 1, 2):
-        if labels[i].endswith(" upper") and labels[i + 1].endswith(" lower"):
-            if tightened[i] + tightened[i + 1] < -1e-12:
-                return True, labels[i].rsplit(" upper", 1)[0]
-    return False, ""
+def _empty_rows(fam: _DeviationFamily, rho: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """Per step, whether a paired upper/lower interval is empty once tightened,
+    and (family, step, quantity) of the first such interval."""
+    up = fam.upper_rows
+    tightened = fam.poly.bounds[np.newaxis, :] - rho
+    bad = tightened[:, up] + tightened[:, up + 1] < -1e-12     # (steps, pairs)
+    empties = bad.any(axis=1)
+    if not empties.any():
+        return empties, None
+    si = int(np.argmax(empties))
+    label = fam.poly.labels[up[int(np.argmax(bad[si]))]]
+    return empties, (fam.name, int(fam.steps[si]), label.rsplit(" upper", 1)[0])
+
+
+def _resolve_budget(mode: str, budget: float | None, tube: UncertaintyTube) -> float | None:
+    """The budget a tightening mode uses (None for box), validated."""
+    if mode == "box":
+        return None
+    if mode != "budget":
+        raise ValueError(f"unknown mode {mode!r}")
+    if budget is None:
+        budget = tube.budget
+    if budget is None:
+        raise ValueError("budget mode requires a budget value")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return budget
+
+
+def _schedule(
+    fams: list[_DeviationFamily],
+    reductions: list[np.ndarray],
+    mode: str,
+    budget: float | None,
+    offset_convention: str,
+    on_empty: str,
+) -> TightenedSchedule:
+    """Assemble the per-family schedules; raise on the first empty interval
+    unless ``on_empty`` asks to flag it only."""
+    out: dict[str, FamilySchedule] = {}
+    first_empty = None
+    for fam, rho in zip(fams, reductions):
+        empties, where = _empty_rows(fam, rho)
+        if first_empty is None:
+            first_empty = where
+        out[fam.name] = FamilySchedule(
+            polyhedron=fam.poly, steps=fam.steps, reductions=rho, empty_steps=empties
+        )
+    if first_empty is not None and on_empty == "raise":
+        raise TighteningInfeasibleError(
+            *first_empty, "tightened interval is empty (nominal problem infeasible)"
+        )
+    return TightenedSchedule(
+        families=out, mode=mode, budget=budget, offset_convention=offset_convention
+    )
 
 
 def tighten(
@@ -522,16 +625,7 @@ def tighten(
     ``offset_convention`` selects how off-center forecast intervals enter
     ("deviation" is exact; "printed" keeps the legacy sign for comparison).
     """
-    if mode == "budget":
-        if budget is None:
-            budget = tube.budget
-        if budget is None:
-            raise ValueError("budget mode requires a budget value")
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
-    elif mode != "box":
-        raise ValueError(f"unknown mode {mode!r}")
-
+    budget = _resolve_budget(mode, budget, tube)
     widths = tube.half_width
     if offset_convention == "deviation":
         shifts = tube.center_shift
@@ -541,34 +635,11 @@ def tighten(
         raise ValueError(f"unknown offset convention {offset_convention!r}")
 
     fams = _build_families(ssm, constraints, gain)
-    out: dict[str, FamilySchedule] = {}
-    first_empty: tuple[str, int, str] | None = None
-    for fam in fams:
-        if mode == "box":
-            rho = _box_reductions(fam, widths, shifts)
-        else:
-            rho = _budget_reductions(fam, widths, shifts, budget)
-        tightened = fam.poly.bounds[np.newaxis, :] - rho
-        empties = np.zeros(len(fam.steps), dtype=bool)
-        for si in range(len(fam.steps)):
-            bad, row = _empty_rows(fam.poly, tightened[si])
-            empties[si] = bad
-            if bad and first_empty is None:
-                first_empty = (fam.name, int(fam.steps[si]), row)
-        out[fam.name] = FamilySchedule(
-            polyhedron=fam.poly, steps=fam.steps, reductions=rho, empty_steps=empties
-        )
-    if first_empty is not None and on_empty == "raise":
-        name, step, row = first_empty
-        raise TighteningInfeasibleError(
-            name, step, row, "tightened interval is empty (nominal problem infeasible)"
-        )
-    return TightenedSchedule(
-        families=out,
-        mode=mode,
-        budget=budget if mode == "budget" else None,
-        offset_convention=offset_convention,
-    )
+    if mode == "box":
+        reductions = [_box_reductions(fam, widths, shifts) for fam in fams]
+    else:
+        reductions = [_budget_reductions(fam, widths, shifts, budget) for fam in fams]
+    return _schedule(fams, reductions, mode, budget, offset_convention, on_empty)
 
 
 def tighten_iterative_lp(
@@ -585,22 +656,13 @@ def tighten_iterative_lp(
     Semantically identical to :func:`tighten` with the "deviation" offset
     convention; kept as an oracle and a timing baseline.
     """
-    if mode == "budget":
-        if budget is None:
-            budget = tube.budget
-        if budget is None:
-            raise ValueError("budget mode requires a budget value")
-    elif mode != "box":
-        raise ValueError(f"unknown mode {mode!r}")
-
+    budget = _resolve_budget(mode, budget, tube)
     widths = tube.half_width
     shifts = tube.center_shift
     dev_lo, dev_hi = tube.deviation_bounds()
-    n_w = tube.n_channels
 
     fams = _build_families(ssm, constraints, gain)
-    out: dict[str, FamilySchedule] = {}
-    first_empty: tuple[str, int, str] | None = None
+    reductions = []
     for fam in fams:
         M = fam.poly.n_rows
         rho = np.zeros((len(fam.steps), M))
@@ -617,25 +679,8 @@ def tighten_iterative_lp(
                     coeff, widths[:count], shifts[:count],
                     dev_lo[:count], dev_hi[:count], mode, budget,
                 )
-        tightened = fam.poly.bounds[np.newaxis, :] - rho
-        empties = np.zeros(len(fam.steps), dtype=bool)
-        for si in range(len(fam.steps)):
-            bad, row = _empty_rows(fam.poly, tightened[si])
-            empties[si] = bad
-            if bad and first_empty is None:
-                first_empty = (fam.name, int(fam.steps[si]), row)
-        out[fam.name] = FamilySchedule(
-            polyhedron=fam.poly, steps=fam.steps, reductions=rho, empty_steps=empties
-        )
-    if first_empty is not None and on_empty == "raise":
-        name, step, row = first_empty
-        raise TighteningInfeasibleError(
-            name, step, row, "tightened interval is empty (nominal problem infeasible)"
-        )
-    return TightenedSchedule(
-        families=out, mode=mode, budget=budget if mode == "budget" else None,
-        offset_convention="deviation",
-    )
+        reductions.append(rho)
+    return _schedule(fams, reductions, mode, budget, "deviation", on_empty)
 
 
 def _support_lp(

@@ -140,3 +140,14 @@ def test_bad_flags_exit_usage():
 def test_unknown_method_is_domain_error(tmp_path):
     code = run(["compare", *HORIZON, "--methods", "nonsense", "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_malformed_yaml_is_domain_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("schema_version: 1\nhorizon: [1, 2\n", encoding="utf-8")
+    code = run(["tighten", "--config", str(bad), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    # file:line:column of the parser's mark (1-based)
+    assert f"{bad}:3:1:" in err[0] and "YAML syntax error" in err[0]

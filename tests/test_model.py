@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from chpdispatch.config_io import ModelValidationError, dump_system, load_system
 from chpdispatch.model import validate_system
@@ -85,6 +86,14 @@ def test_roundtrip_through_file(tmp_path, ref24):
     dump_system(ref24.model, path)
     again = load_system(path)
     assert ref24.model.equals(again)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
+def test_libyaml_and_python_yaml_agree():
+    doc = reference_document(24, 3600.0)
+    text = yaml.dump(doc, Dumper=yaml.CSafeDumper, sort_keys=False)
+    assert text.encode() == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False).encode()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_forecast_ordering_holds_after_load(ref24):

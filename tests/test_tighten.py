@@ -1,5 +1,7 @@
 """Reachable sets, dual-norm supports, budget closed form, tightening."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from chpdispatch.tighten import (
     tighten_iterative_lp,
 )
 
-from conftest import random_system, synthetic_manifest
+from conftest import random_system, synthetic_manifest, with_full_kernel
 
 
 def scalar_system(phi: float, d: float, horizon: int, widths) -> tuple:
@@ -304,6 +306,18 @@ class TestTighten:
         sched = tighten(ssm, cons, tube, gain, on_empty="flag")
         assert sched.family("x").empty_steps.any()
 
+    def test_single_step_horizon(self):
+        # the ramp families have no steps when T = 1
+        rng = np.random.default_rng(6)
+        ssm, cons, tube, gain = random_system(rng, horizon=1)
+        for mode, budget in (("box", None), ("budget", 0.5)):
+            direct = tighten(ssm, cons, tube, gain, mode=mode, budget=budget, on_empty="flag")
+            via_lp = tighten_iterative_lp(
+                ssm, cons, tube, gain, mode=mode, budget=budget, on_empty="flag"
+            )
+            assert direct.family("du").reductions.shape == (0, 4)
+            assert direct.max_abs_difference(via_lp) <= 1e-12
+
     def test_csv_export_columns(self, ref24):
         sched = tighten(ref24.ssm, ref24.constraints, ref24.tube, ref24.gain)
         text = sched.to_csv()
@@ -412,3 +426,137 @@ class TestWorstCaseExactness:
             for si, t in enumerate(fam_y.steps):
                 vals = fam_y.polyhedron.coefficients @ y_dev[int(t)]
                 assert np.all(vals <= fam_y.reductions[si] + 1e-9)
+
+
+BUDGETS = (0.0, 0.5, 1.0, 2.5, 10.0)
+
+
+def budgets_for(horizon: int) -> tuple[float, ...]:
+    """The budget list of the kernel tests plus one at or beyond the horizon."""
+    return BUDGETS + (float(horizon), horizon + 1.5)
+
+
+class TestTimeVaryingKernel:
+    """Heat memory through ``kernel_full`` (no ``kernel_ti``): the per-step path."""
+
+    def test_matches_lp_oracle(self):
+        rng = np.random.default_rng(300)
+        for trial in range(2):
+            ssm, cons, tube, gain = random_system(
+                rng, n_x=2, n_u=2, n_y=3, n_w=2, horizon=5,
+                nonzero_gain=bool(trial % 2), time_varying=True,
+            )
+            assert ssm.output.temps.kernel_ti is None
+            direct = tighten(ssm, cons, tube, gain, on_empty="flag")
+            via_lp = tighten_iterative_lp(ssm, cons, tube, gain, on_empty="flag")
+            assert direct.max_abs_difference(via_lp) <= 1e-8
+            for budget in budgets_for(ssm.horizon):
+                direct = tighten(
+                    ssm, cons, tube, gain, mode="budget", budget=budget, on_empty="flag"
+                )
+                via_lp = tighten_iterative_lp(
+                    ssm, cons, tube, gain, mode="budget", budget=budget, on_empty="flag"
+                )
+                assert direct.max_abs_difference(via_lp) <= 1e-8, budget
+
+    def test_full_kernel_from_ti_reproduces_ti_schedule(self):
+        rng = np.random.default_rng(301)
+        for nonzero_gain in (False, True):
+            ssm, cons, tube, gain = random_system(
+                rng, n_x=3, n_u=2, n_y=4, n_w=3, horizon=9, nonzero_gain=nonzero_gain
+            )
+            output = dataclasses.replace(ssm.output, temps=with_full_kernel(ssm.output.temps))
+            ssm_full = dataclasses.replace(ssm, output=output)
+            for mode, budget in [("box", None)] + [("budget", b) for b in budgets_for(9)]:
+                ti = tighten(ssm, cons, tube, gain, mode=mode, budget=budget, on_empty="flag")
+                full = tighten(
+                    ssm_full, cons, tube, gain, mode=mode, budget=budget, on_empty="flag"
+                )
+                assert ti.max_abs_difference(full) <= 1e-12, (mode, budget)
+
+
+def impulse_responses(ssm, gain) -> dict:
+    """d q(t) / d w_dev(tau, j) for q = x (t = 0..T), u, y (t = 0..T-1),
+    by simulating the closed loop under one unit impulse at a time."""
+    T, n_w = ssm.horizon, ssm.n_w
+    resp = {
+        "x": np.zeros((T + 1, ssm.n_x, T, n_w)),
+        "u": np.zeros((T, ssm.n_u, T, n_w)),
+        "y": np.zeros((T, ssm.output.n_y, T, n_w)),
+    }
+    y_zero = ssm.output.evaluate(np.zeros((T, ssm.n_u)), np.zeros((T, n_w)))
+    for tau in range(T):
+        for j in range(n_w):
+            w = np.zeros((T, n_w))
+            w[tau, j] = 1.0
+            x = np.zeros((T + 1, ssm.n_x))
+            for t in range(T):
+                x[t + 1] = gain.phi @ x[t] + ssm.D @ w[t]
+            u = x[:T] @ gain.k.T
+            resp["x"][:, :, tau, j] = x
+            resp["u"][:, :, tau, j] = u
+            resp["y"][:, :, tau, j] = ssm.output.evaluate(u, w) - y_zero
+    return resp
+
+
+def family_responses(ssm, gain) -> dict:
+    """Family name -> (steps, response of the constrained quantity per step)."""
+    resp = impulse_responses(ssm, gain)
+    T = ssm.horizon
+    return {
+        "x": (range(1, T + 1), resp["x"][1:]),
+        "u": (range(T), resp["u"]),
+        "du": (range(1, T), resp["u"][1:] - resp["u"][:-1]),
+        "y": (range(T), resp["y"]),
+        "dy": (range(1, T), resp["y"][1:] - resp["y"][:-1]),
+    }
+
+
+def sorted_budget_reduction(theta, widths, shifts, budget) -> tuple[float, float]:
+    """Budget reduction of one row from a full descending sort per channel,
+    and the scale (1-norm plus |shift term|) the tolerance is relative to."""
+    total = float(np.sum(theta * shifts))
+    scale = 1.0 + abs(total)
+    whole = int(np.floor(budget))
+    for j in range(theta.shape[1]):
+        mags = np.sort(np.abs(theta[:, j] * widths[:, j]))[::-1]
+        part = float(np.sum(mags[:whole]))
+        if whole < len(mags):
+            part += (budget - whole) * float(mags[whole])
+        total += part
+        scale += float(np.sum(mags))
+    return total, scale
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(2, 12),
+    n_w=st.integers(1, 3),
+    nonzero_gain=st.booleans(),
+    time_varying=st.booleans(),
+    centered=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_budget_kernel_matches_sorted_reference(
+    seed, horizon, n_w, nonzero_gain, time_varying, centered
+):
+    """The top-k kernel against a full sort over simulated impulse responses."""
+    rng = np.random.default_rng(seed)
+    ssm, cons, tube, gain = random_system(
+        rng, n_x=2, n_u=2, n_y=4, n_w=n_w, horizon=horizon,
+        nonzero_gain=nonzero_gain, time_varying=time_varying, centered=centered,
+    )
+    responses = family_responses(ssm, gain)
+    widths, shifts = tube.half_width, tube.center_shift
+    for budget in budgets_for(horizon):
+        sched = tighten(ssm, cons, tube, gain, mode="budget", budget=budget, on_empty="flag")
+        for name, (steps, resp) in responses.items():
+            fam = sched.family(name)
+            assert list(fam.steps) == list(steps)
+            for si in range(len(fam.steps)):
+                for ri, s in enumerate(fam.polyhedron.coefficients):
+                    theta = np.tensordot(s, resp[si], axes=1)     # (T, n_w)
+                    ref, scale = sorted_budget_reduction(theta, widths, shifts, budget)
+                    assert abs(fam.reductions[si, ri] - ref) <= 1e-12 * scale, (
+                        name, int(fam.steps[si]), ri, budget
+                    )
