@@ -34,7 +34,6 @@ from .heatnet import (
     DelayTable,
     TemperatureMaps,
     compute_delays,
-    propagate_pipe,
     temperature_maps,
 )
 from .lp import (
@@ -66,13 +65,10 @@ from .reference import build_reference_system, reference_document
 from .sets import PolyhedronH, UncertaintyTube
 from .tighten import (
     FeedbackGain,
-    ReachableSets,
     TightenedSchedule,
     TighteningInfeasibleError,
     choose_gain,
     gamma,
-    reachable_sets,
-    support_box,
     tighten,
     tighten_iterative_lp,
 )

@@ -15,7 +15,12 @@ import sys
 
 import numpy as np
 
-from .compile import compile_constraints, compile_state_space, compile_uncertainty_tube
+from .compile import (
+    compile_constraints,
+    compile_state_space,
+    compile_uncertainty_tube,
+    unit_of,
+)
 from .config_io import ConfigError, ModelValidationError, document_text, load_system
 from .dispatch import (
     CostModel,
@@ -32,34 +37,6 @@ from .validation import compare_methods, evaluate, sample_disturbances
 __all__ = ["main", "run"]
 
 OUT_DIR_ENV = "CHPDISPATCH_OUT"
-
-# physical unit per manifest kind, for CSV headers
-KIND_UNITS = {
-    "battery_energy": "fraction",
-    "tank_level": "fraction",
-    "chp_p": "pu",
-    "chp_q": "pu",
-    "grid_p": "pu",
-    "grid_q": "pu",
-    "hp_p": "pu",
-    "battery_power": "pu",
-    "tank_flow": "MW",
-    "branch_flow": "pu",
-    "voltage": "pu",
-    "supply_temp": "degC",
-    "return_temp": "degC",
-    "pv_power": "pu",
-    "electric_load_p": "pu",
-    "electric_load_q": "pu",
-    "heat_load": "MW",
-}
-
-
-def unit_of(kind_or_label: str) -> str:
-    key = kind_or_label.split("[", 1)[0]
-    if key.endswith("_ramp"):
-        key = key[: -len("_ramp")]
-    return KIND_UNITS.get(key, "mixed")
 
 
 class DomainError(RuntimeError):
@@ -208,7 +185,7 @@ def _dispatch_command(args) -> int:
     if args.command == "tighten":
         schedule, label = _schedule(args, ssm, constraints, tube, gain)
         path = os.path.join(out, "schedule.csv")
-        _write(path, _schedule_csv(schedule))
+        _write(path, schedule.to_csv())
         print(f"wrote {path} ({label})")
         return 0
 
@@ -312,21 +289,6 @@ def _dispatch_command(args) -> int:
         return 0
 
     raise DomainError(f"unhandled command {args.command}")
-
-
-def _schedule_csv(schedule) -> str:
-    lines = ["family,step,row,unit,original_bound,reduction,tightened_bound"]
-    for name, fam in schedule.families.items():
-        poly = fam.polyhedron
-        for si, t in enumerate(fam.steps):
-            for ri in range(poly.n_rows):
-                r = poly.bounds[ri]
-                red = fam.reductions[si, ri]
-                label = poly.labels[ri]
-                lines.append(
-                    f"{name},{t},{label},{unit_of(label)},{r:.12g},{red:.12g},{r - red:.12g}"
-                )
-    return "\n".join(lines) + "\n"
 
 
 def _trajectory_csv(ssm, sol) -> str:

@@ -24,6 +24,8 @@ from .sets import PolyhedronH, UncertaintyTube
 __all__ = [
     "StructuralError",
     "VariableManifest",
+    "KIND_UNITS",
+    "unit_of",
     "LiftedOutputMap",
     "StateSpaceModel",
     "ConstraintFamily",
@@ -67,6 +69,36 @@ class VariableManifest:
         }
 
 
+# physical unit per manifest kind, for CSV headers
+KIND_UNITS = {
+    "battery_energy": "fraction",
+    "tank_level": "fraction",
+    "chp_p": "pu",
+    "chp_q": "pu",
+    "grid_p": "pu",
+    "grid_q": "pu",
+    "hp_p": "pu",
+    "battery_power": "pu",
+    "tank_flow": "MW",
+    "branch_flow": "pu",
+    "voltage": "pu",
+    "supply_temp": "degC",
+    "return_temp": "degC",
+    "pv_power": "pu",
+    "electric_load_p": "pu",
+    "electric_load_q": "pu",
+    "heat_load": "MW",
+}
+
+
+def unit_of(kind_or_label: str) -> str:
+    """Unit of a manifest kind or a row label such as "chp_p_ramp[c1] upper"."""
+    key = kind_or_label.split("[", 1)[0]
+    if key.endswith("_ramp"):
+        key = key[: -len("_ramp")]
+    return KIND_UNITS.get(key, "mixed")
+
+
 @dataclass(frozen=True)
 class LiftedOutputMap:
     """y(t) as an affine function of the control and disturbance sequences.
@@ -75,7 +107,10 @@ class LiftedOutputMap:
          + sum_{tau <= t} K(t, tau) (heat_u u(tau) + heat_w w(tau)) + const(t)
 
     where K embeds the heat-network kernel into the temperature rows listed
-    in ``memory_rows`` (all other rows are memoryless).
+    in ``memory_rows`` (all other rows are memoryless).  This class is the
+    only reader of the kernel: the LP rows, the tightening coefficients and
+    the closed-loop rollout all take y(t) from ``u_blocks``, ``w_blocks``
+    and ``evaluate``.
     """
 
     feed_u: np.ndarray          # (n_y, n_u)
@@ -94,45 +129,71 @@ class LiftedOutputMap:
     def n_y(self) -> int:
         return self.feed_u.shape[0]
 
-    def kernel(self, t: int, tau: int) -> np.ndarray | None:
-        """Kernel block (len(memory_rows), n_ch) or None when out of support."""
-        if self.temps is None or len(self.memory_rows) == 0 or tau > t:
-            return None
-        return self.temps.kernel_at(t, tau)
+    @property
+    def _has_memory(self) -> bool:
+        return self.temps is not None and len(self.memory_rows) > 0
+
+    @property
+    def time_invariant(self) -> bool:
+        """Whether dy(t)/d(tau) depends on t - tau only (lag blocks exist)."""
+        return not self._has_memory or self.temps.kernel_ti is not None
+
+    def u_blocks(self, s_rows: np.ndarray, t: int | None = None, diff: bool = False) -> np.ndarray:
+        """S dy(t)/du(tau) for the row selector S = ``s_rows`` (M, n_y).
+
+        With ``t`` None, lag blocks (T, M, n_u) indexed by t - tau (time-
+        invariant maps only); with ``t`` given, (t+1, M, n_u) over tau = 0..t.
+        ``diff`` gives the blocks of the step difference S (y(t) - y(t-1)).
+        """
+        return self._blocks(s_rows, self.feed_u, self.heat_u, t, diff)
+
+    def w_blocks(self, s_rows: np.ndarray, t: int | None = None, diff: bool = False) -> np.ndarray:
+        """S dy(t)/dw(tau), shaped as in :meth:`u_blocks`."""
+        return self._blocks(s_rows, self.feed_w, self.heat_w, t, diff)
+
+    def _blocks(self, s_rows, feed, heat, t, diff):
+        if t is None and not self.time_invariant:
+            raise ValueError("lag blocks need a time-invariant kernel; pass a step t")
+        count = self.horizon if t is None else t + 1
+        if not self._has_memory:
+            blocks = np.zeros((count, s_rows.shape[0], feed.shape[1]))
+        else:
+            sel = s_rows[:, self.memory_rows]
+            if t is None:
+                kernels = self.temps.kernel_ti
+            elif self.temps.kernel_ti is not None:
+                kernels = self.temps.kernel_ti[t::-1]
+            else:
+                kernels = self.temps.kernel_full[t]
+            # one lag or step at a time: no temporary as large as the result
+            blocks = np.empty((count, s_rows.shape[0], feed.shape[1]))
+            for k, kernel in enumerate(kernels):
+                blocks[k] = sel @ kernel @ heat
+        blocks[0 if t is None else t] += s_rows @ feed
+        if diff and t is None:
+            blocks[1:] = np.diff(blocks, axis=0)
+        elif diff and t:
+            blocks[:t] -= self._blocks(s_rows, feed, heat, t - 1, False)
+        return blocks
 
     def evaluate(self, u_seq: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
-        """All y(t) for stacked sequences shaped (T, n_u) and (T, n_w)."""
+        """All y(t) for sequences shaped (..., T, n_u) and (..., T, n_w);
+        leading axes (e.g. a scenario batch) carry through."""
         u_seq = np.atleast_2d(u_seq)
         w_seq = np.atleast_2d(w_seq)
         T = self.horizon
         out = self.const + u_seq @ self.feed_u.T + w_seq @ self.feed_w.T
-        if self.temps is not None and len(self.memory_rows):
-            inputs = u_seq @ self.heat_u.T + w_seq @ self.heat_w.T  # (T, n_ch)
-            mem = np.zeros((T, len(self.memory_rows)))
+        if self._has_memory:
+            inputs = u_seq @ self.heat_u.T + w_seq @ self.heat_w.T  # (..., T, n_ch)
+            mem = np.zeros(inputs.shape[:-1] + (len(self.memory_rows),))
             if self.temps.kernel_ti is not None:
                 for lag in range(T):
-                    mem[lag:] += inputs[: T - lag] @ self.temps.kernel_ti[lag].T
+                    mem[..., lag:, :] += inputs[..., : T - lag, :] @ self.temps.kernel_ti[lag].T
             else:
                 for t in range(T):
                     for tau in range(t + 1):
-                        mem[t] += self.temps.kernel_full[t][tau] @ inputs[tau]
-            out[:, self.memory_rows] += mem
-        return out
-
-    def u_coefficient(self, t: int, tau: int) -> np.ndarray:
-        """d y(t) / d u(tau), shape (n_y, n_u)."""
-        out = self.feed_u.copy() if tau == t else np.zeros_like(self.feed_u)
-        k = self.kernel(t, tau)
-        if k is not None:
-            out[self.memory_rows] += k @ self.heat_u
-        return out
-
-    def w_coefficient(self, t: int, tau: int) -> np.ndarray:
-        """d y(t) / d w(tau), shape (n_y, n_w)."""
-        out = self.feed_w.copy() if tau == t else np.zeros_like(self.feed_w)
-        k = self.kernel(t, tau)
-        if k is not None:
-            out[self.memory_rows] += k @ self.heat_w
+                        mem[..., t, :] += inputs[..., tau, :] @ self.temps.kernel_full[t][tau].T
+            out[..., self.memory_rows] += mem
         return out
 
 
@@ -170,15 +231,6 @@ class StateSpaceModel:
 
     def step(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self.A @ x + self.B @ u + self.D @ w
-
-    def simulate(self, x0: np.ndarray, u_seq: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
-        """States (T+1, n_x) under the given control and disturbance sequences."""
-        T = self.horizon
-        xs = np.zeros((T + 1, self.n_x))
-        xs[0] = x0
-        for t in range(T):
-            xs[t + 1] = self.step(xs[t], u_seq[t], w_seq[t])
-        return xs
 
 
 @dataclass(frozen=True)

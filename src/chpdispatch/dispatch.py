@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compile import StateSpaceModel
+from .compile import LiftedOutputMap, StateSpaceModel
 from .lp import KktReport, LinearProgram, check_kkt, solve_lp
 from .model import SystemModel
 from .sets import UncertaintyTube
@@ -144,7 +144,11 @@ def build_nominal_problem(
     w_center: np.ndarray,
     x0: np.ndarray | None = None,
 ) -> NominalProblem:
-    """Assemble the nominal LP over x(0..T), u(0..T-1), and epigraph terms."""
+    """Assemble the nominal LP over x(0..T), u(0..T-1), and epigraph terms.
+
+    The dense G and A are allocated once and filled block by block; y and
+    dy rows take their u-coefficients from the lifted output blocks.
+    """
     T = ssm.horizon
     n_x, n_u = ssm.n_x, ssm.n_u
     man = ssm.manifest
@@ -167,148 +171,100 @@ def build_nominal_problem(
 
     n_vars = (T + 1) * n_x + T * n_u + T * n_epi
     prob = _Layout(horizon=T, n_x=n_x, n_u=n_u, n_epi=n_epi)
+    u0 = prob.u_slice(0).start
+    e0 = prob.epi_slice(0).start
     y_base = out.evaluate(np.zeros((T, n_u)), w_center)   # w and constant parts
 
     # objective
     c = np.zeros(n_vars)
-    for t in range(T):
-        sl = prob.u_slice(t)
-        for k, unit in enumerate(man.indices("u", "chp_p")):
-            c[sl.start + unit] += costs.chp[k]
-        for k, unit in enumerate(man.indices("u", "hp_p")):
-            c[sl.start + unit] += costs.hp[k]
-        c[sl.start + man.index("u", "grid_p", "grid")] += costs.grid_price[t]
-        esl = prob.epi_slice(t)
-        c[esl] = epi_costs
+    c_u = c[u0:e0].reshape(T, n_u)
+    c_u[:, man.indices("u", "chp_p")] = costs.chp
+    c_u[:, man.indices("u", "hp_p")] = costs.hp
+    c_u[:, man.index("u", "grid_p", "grid")] = costs.grid_price
+    c[e0:] = np.tile(epi_costs, T)
 
     # equalities: initial state, dynamics, reactive balance
-    eq_rows: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-    eq_labels: list[str] = []
-
-    for i in range(n_x):
-        row = np.zeros(n_vars)
-        row[prob.x_slice(0).start + i] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(float(x0[i]))
-        eq_labels.append(f"initial_state[{man.name('x', i)[1]}]")
-
+    x_names = [man.name("x", i)[1] for i in range(n_x)]
+    reactive = ssm.reactive_u is not None and np.any(ssm.reactive_u)
+    n_eq = (T + 1) * n_x + (T if reactive else 0)
+    a_eq = np.zeros((n_eq, n_vars))
+    b_eq = np.zeros(n_eq)
+    a_eq[:n_x, prob.x_slice(0)] = np.eye(n_x)
+    b_eq[:n_x] = x0
+    eq_labels = [f"initial_state[{name}]" for name in x_names]
+    # row by row, D[i] . w(t): a matrix product rounds the last bit differently
+    dyn_rhs = [[d_row @ w for d_row in ssm.D] for w in w_center]
     for t in range(T):
-        for i in range(n_x):
-            row = np.zeros(n_vars)
-            row[prob.x_slice(t + 1).start + i] = 1.0
-            row[prob.x_slice(t)] -= ssm.A[i]
-            row[prob.u_slice(t)] -= ssm.B[i]
-            eq_rows.append(row)
-            eq_rhs.append(float(ssm.D[i] @ w_center[t]))
-            eq_labels.append(f"dynamics[{man.name('x', i)[1]}][t={t}]")
-
-    if ssm.reactive_u is not None and np.any(ssm.reactive_u):
+        rows = slice((t + 1) * n_x, (t + 2) * n_x)
+        a_eq[rows, prob.x_slice(t + 1)] = np.eye(n_x)
+        a_eq[rows, prob.x_slice(t)] -= ssm.A
+        a_eq[rows, prob.u_slice(t)] -= ssm.B
+        b_eq[rows] = dyn_rhs[t]
+        eq_labels += [f"dynamics[{name}][t={t}]" for name in x_names]
+    if reactive:
         for t in range(T):
-            row = np.zeros(n_vars)
-            row[prob.u_slice(t)] = ssm.reactive_u
-            eq_rows.append(row)
-            eq_rhs.append(float(-ssm.reactive_w @ w_center[t]))
-            eq_labels.append(f"reactive_balance[t={t}]")
+            a_eq[(T + 1) * n_x + t, prob.u_slice(t)] = ssm.reactive_u
+        b_eq[(T + 1) * n_x :] = [-ssm.reactive_w @ w for w in w_center]
+        eq_labels += [f"reactive_balance[t={t}]" for t in range(T)]
 
-    # inequalities from the tightened families
-    g_rows: list[np.ndarray] = []
-    g_rhs: list[float] = []
+    # inequalities from the tightened families: per step, a block of rows
+    # whose coefficients start at a column given by the family's variables
+    fams = {name: schedule.family(name) for name in ("x", "u", "du", "y", "dy")}
+    coeff = {name: fam.polyhedron.coefficients for name, fam in fams.items()}
+    du_block = np.hstack([-coeff["du"], coeff["du"]])         # over u(t-1), u(t)
+    y_coeff = _u_row_coefficients(out, coeff["y"], diff=False)
+    dy_coeff = _u_row_coefficients(out, coeff["dy"], diff=True)
+    spans = {
+        "x": lambda t: (prob.x_slice(t).start, coeff["x"]),
+        "u": lambda t: (prob.u_slice(t).start, coeff["u"]),
+        "du": lambda t: (prob.u_slice(t - 1).start, du_block),
+        "y": lambda t: (u0, y_coeff(t)),
+        "dy": lambda t: (u0, dy_coeff(t)),
+    }
+    # the w and constant parts of y move to the right-hand side
+    offsets = {
+        "y": lambda steps: y_base[steps] @ coeff["y"].T,
+        "dy": lambda steps: (y_base[steps] - y_base[steps - 1]) @ coeff["dy"].T,
+    }
+
+    n_ineq = sum(fam.reductions.size for fam in fams.values()) + 2 * n_epi * T
+    g = np.zeros((n_ineq, n_vars))
+    h = np.zeros(n_ineq)
     g_labels: list[str] = []
+    row = 0
+    for name, fam in fams.items():
+        m_rows = fam.polyhedron.n_rows
+        rhs = fam.tightened_bounds
+        if name in offsets and len(fam.steps):
+            rhs = rhs - offsets[name](fam.steps)
+        h[row : row + rhs.size] = rhs.ravel()
+        for t in fam.steps:
+            t = int(t)
+            start, block = spans[name](t)
+            g[row : row + m_rows, start : start + block.shape[1]] = block
+            g_labels += [f"{name}[t={t}] {label}" for label in fam.polyhedron.labels]
+            row += m_rows
 
-    fam = schedule.family("x")
-    for si, t in enumerate(fam.steps):
-        bounds = fam.tightened_bounds[si]
-        for ri in range(fam.polyhedron.n_rows):
-            row = np.zeros(n_vars)
-            row[prob.x_slice(int(t))] = fam.polyhedron.coefficients[ri]
-            g_rows.append(row)
-            g_rhs.append(float(bounds[ri]))
-            g_labels.append(f"x[t={t}] {fam.polyhedron.labels[ri]}")
-
-    fam = schedule.family("u")
-    for si, t in enumerate(fam.steps):
-        bounds = fam.tightened_bounds[si]
-        for ri in range(fam.polyhedron.n_rows):
-            row = np.zeros(n_vars)
-            row[prob.u_slice(int(t))] = fam.polyhedron.coefficients[ri]
-            g_rows.append(row)
-            g_rhs.append(float(bounds[ri]))
-            g_labels.append(f"u[t={t}] {fam.polyhedron.labels[ri]}")
-
-    fam = schedule.family("du")
-    for si, t in enumerate(fam.steps):
-        bounds = fam.tightened_bounds[si]
-        for ri in range(fam.polyhedron.n_rows):
-            row = np.zeros(n_vars)
-            row[prob.u_slice(int(t))] = fam.polyhedron.coefficients[ri]
-            row[prob.u_slice(int(t) - 1)] = -fam.polyhedron.coefficients[ri]
-            g_rows.append(row)
-            g_rhs.append(float(bounds[ri]))
-            g_labels.append(f"du[t={t}] {fam.polyhedron.labels[ri]}")
-
-    # y rows: substitute the lifted maps; u-coefficients reach back through
-    # the heat kernel memory
-    fam = schedule.family("y")
-    y_u_coeff = _y_row_u_coefficients(ssm, fam.polyhedron.coefficients)
-    for si, t in enumerate(fam.steps):
-        t = int(t)
-        bounds = fam.tightened_bounds[si]
-        base = fam.polyhedron.coefficients @ y_base[t]
-        for ri in range(fam.polyhedron.n_rows):
-            row = np.zeros(n_vars)
-            for tau in range(t + 1):
-                block = y_u_coeff(ri, t, tau)
-                if block is not None:
-                    row[prob.u_slice(tau)] = block
-            g_rows.append(row)
-            g_rhs.append(float(bounds[ri] - base[ri]))
-            g_labels.append(f"y[t={t}] {fam.polyhedron.labels[ri]}")
-
-    fam = schedule.family("dy")
-    dy_u_coeff = _y_row_u_coefficients(ssm, fam.polyhedron.coefficients)
-    for si, t in enumerate(fam.steps):
-        t = int(t)
-        bounds = fam.tightened_bounds[si]
-        base = fam.polyhedron.coefficients @ (y_base[t] - y_base[t - 1])
-        for ri in range(fam.polyhedron.n_rows):
-            row = np.zeros(n_vars)
-            for tau in range(t + 1):
-                block = dy_u_coeff(ri, t, tau)
-                prev = dy_u_coeff(ri, t - 1, tau) if tau <= t - 1 else None
-                combined = None
-                if block is not None:
-                    combined = block.copy()
-                if prev is not None:
-                    combined = (combined if combined is not None else np.zeros(ssm.n_u)) - prev
-                if combined is not None:
-                    row[prob.u_slice(tau)] = combined
-            g_rows.append(row)
-            g_rhs.append(float(bounds[ri] - base[ri]))
-            g_labels.append(f"dy[t={t}] {fam.polyhedron.labels[ri]}")
-
-    # epigraph rows: |storage flow| <= auxiliary
+    # epigraph rows: |storage flow| <= auxiliary, a pos and a neg row each
+    signs = np.array([1.0, -1.0])
+    epi_u = (signs[np.newaxis, :, np.newaxis] * out.feed_u[epi_rows][:, np.newaxis, :]).reshape(-1, n_u)
+    epi_aux = np.repeat(-np.eye(n_epi), 2, axis=0)
+    epi_names = [man.name("y", r)[1] for r in epi_rows]
     for t in range(T):
-        for k, yrow in enumerate(epi_rows):
-            coeff = out.feed_u[yrow]
-            base = y_base[t, yrow]
-            for sign in (1.0, -1.0):
-                row = np.zeros(n_vars)
-                row[prob.u_slice(t)] = sign * coeff
-                row[prob.epi_slice(t).start + k] = -1.0
-                g_rows.append(row)
-                g_rhs.append(float(-sign * base))
-                g_labels.append(
-                    f"epigraph[{man.name('y', yrow)[1]}][t={t}] {'pos' if sign > 0 else 'neg'}"
-                )
+        rows = slice(row, row + 2 * n_epi)
+        g[rows, prob.u_slice(t)] = epi_u
+        g[rows, prob.epi_slice(t)] = epi_aux
+        h[rows] = (-signs[np.newaxis, :] * y_base[t, epi_rows][:, np.newaxis]).ravel()
+        g_labels += [f"epigraph[{name}][t={t}] {side}" for name in epi_names for side in ("pos", "neg")]
+        row += 2 * n_epi
 
     names = _variable_names(ssm, prob, T, epi_rows)
     lp = LinearProgram(
         c=c,
-        g=np.vstack(g_rows) if g_rows else None,
-        h=np.array(g_rhs) if g_rhs else None,
-        a_eq=np.vstack(eq_rows) if eq_rows else None,
-        b_eq=np.array(eq_rhs) if eq_rhs else None,
+        g=g if n_ineq else None,
+        h=h if n_ineq else None,
+        a_eq=a_eq if n_eq else None,
+        b_eq=b_eq if n_eq else None,
         names=tuple(names),
         row_labels=tuple(g_labels),
         eq_labels=tuple(eq_labels),
@@ -316,31 +272,16 @@ def build_nominal_problem(
     return NominalProblem(lp=lp, ssm=ssm, layout=prob)
 
 
-def _y_row_u_coefficients(ssm: StateSpaceModel, s_rows: np.ndarray):
-    """Closure returning the u(tau) coefficient of row ri's y expression at t."""
-    out = ssm.output
-    mem = out.memory_rows
-    has_mem = out.temps is not None and len(mem) > 0
-    direct = s_rows @ out.feed_u if s_rows.size else np.zeros((0, ssm.n_u))
-    mem_sel = s_rows[:, mem] if has_mem and s_rows.size else None
-    ti = has_mem and out.temps.kernel_ti is not None
-    cache: dict[int | tuple[int, int], np.ndarray] = {}
+def _u_row_coefficients(out: LiftedOutputMap, s_rows: np.ndarray, diff: bool):
+    """t -> (M, (t+1) n_u): the coefficients of S y(t) (of S (y(t) - y(t-1))
+    with ``diff``) on u(0..t), laid out like the LP's u variables."""
+    lag = out.u_blocks(s_rows, diff=diff) if out.time_invariant else None
 
-    def coeff(ri: int, t: int, tau: int) -> np.ndarray | None:
-        block = None
-        if tau == t:
-            block = direct[ri].copy()
-        if has_mem and mem_sel is not None and np.any(mem_sel[ri]):
-            key = (t - tau) if ti else (t, tau)
-            if key not in cache:
-                cache[key] = out.temps.kernel_at(t, tau) @ out.heat_u
-            extra = mem_sel[ri] @ cache[key]
-            block = extra if block is None else block + extra
-        if block is not None and not np.any(block):
-            return None
-        return block
+    def at(t: int) -> np.ndarray:
+        blocks = lag[t::-1] if lag is not None else out.u_blocks(s_rows, t, diff)
+        return blocks.transpose(1, 0, 2).reshape(len(s_rows), -1)
 
-    return coeff
+    return at
 
 
 def _variable_names(ssm, prob: _Layout, T: int, epi_rows) -> list[str]:

@@ -25,7 +25,6 @@ __all__ = [
     "compute_delays",
     "attenuation_factors",
     "temperature_maps",
-    "propagate_pipe",
 ]
 
 MW_TO_W = 1e6
@@ -101,27 +100,6 @@ def attenuation_factors(
     return psi
 
 
-def propagate_pipe(
-    inlet: np.ndarray,
-    delays: np.ndarray,
-    psi: np.ndarray,
-    ground: np.ndarray,
-    initial_temperature: float,
-) -> np.ndarray:
-    """Outlet series of one pipe given its inlet series.
-
-    Steps with t - tau < 0 read the configured pre-horizon temperature.
-    """
-    T = len(inlet)
-    out = np.empty(T)
-    for t in range(T):
-        src = t - int(delays[t])
-        upstream = inlet[src] if src >= 0 else initial_temperature
-        g = ground[min(t, len(ground) - 1)]
-        out[t] = g + (upstream - g) * psi[t]
-    return out
-
-
 @dataclass(frozen=True)
 class TemperatureMaps:
     """Affine maps from node heat to supply/return temperatures over the horizon.
@@ -142,28 +120,25 @@ class TemperatureMaps:
     def n_channel(self) -> int:
         return 2 * self.n_node
 
-    def kernel_at(self, t: int, tau: int) -> np.ndarray:
-        if tau > t:
-            return np.zeros((2 * self.n_node, 2 * self.n_node))
-        if self.kernel_ti is not None:
-            return self.kernel_ti[t - tau]
-        return self.kernel_full[t][tau]
-
     def evaluate(self, source_heat: np.ndarray, demand_heat: np.ndarray) -> np.ndarray:
-        """Temperatures (T, 2N) for heat series shaped (T, n_node), in MW."""
-        T, n = self.horizon, self.n_node
-        inputs = np.hstack([np.atleast_2d(source_heat), np.atleast_2d(demand_heat)])
-        if inputs.shape != (T, 2 * n):
-            raise ValueError(f"heat input shape {inputs.shape} != ({T}, {2 * n})")
-        temps = self.offset.copy()
-        if self.kernel_ti is not None:
-            for lag in range(T):
-                temps[lag:] += inputs[: T - lag] @ self.kernel_ti[lag].T
-        else:
-            for t in range(T):
-                for tau in range(t + 1):
-                    temps[t] += self.kernel_full[t][tau] @ inputs[tau]
-        return temps
+        """Temperatures (..., T, 2N) for heat series shaped (..., T, n_node), in MW."""
+        from .compile import LiftedOutputMap   # compile builds on this module
+
+        inputs = np.concatenate([np.atleast_2d(source_heat), np.atleast_2d(demand_heat)], axis=-1)
+        n_ch = self.n_channel
+        if inputs.shape[-2:] != (self.horizon, n_ch):
+            raise ValueError(f"heat input shape {inputs.shape} != (..., {self.horizon}, {n_ch})")
+        # the temperatures are the lifted map whose only inputs are the heat channels
+        lifted = LiftedOutputMap(
+            feed_u=np.zeros((n_ch, 0)),
+            feed_w=np.zeros((n_ch, n_ch)),
+            const=self.offset,
+            memory_rows=np.arange(n_ch),
+            heat_u=np.zeros((n_ch, 0)),
+            heat_w=np.eye(n_ch),
+            temps=self,
+        )
+        return lifted.evaluate(np.zeros(inputs.shape[:-1] + (0,)), inputs)
 
 
 class _StepStructure:

@@ -118,31 +118,18 @@ class UncertaintyTube:
         """Deviation-set center (w_max + w_min)/2 - w_center, (T, n_w)."""
         return (self.w_max + self.w_min) / 2.0 - self.w_center
 
-    def normalized_offset(self, convention: str = "deviation") -> np.ndarray:
+    def normalized_offset(self) -> np.ndarray:
         """Per-step offset of the normalized deviation set; zero-width -> 0.
 
-        "deviation": (w_max + w_min - 2 w_center) / (w_max - w_min), the center
-        of the deviation interval in half-width units (vanishes when the
-        forecast center is the interval midpoint).  "printed" keeps the
-        w_max - w_min - 2 w_center numerator for cross-checking.
+        (w_max + w_min - 2 w_center) / (w_max - w_min): the center of the
+        deviation interval in half-width units (vanishes when the forecast
+        center is the interval midpoint).
         """
         width = self.w_max - self.w_min
-        if convention == "deviation":
-            num = self.w_max + self.w_min - 2.0 * self.w_center
-        elif convention == "printed":
-            num = self.w_max - self.w_min - 2.0 * self.w_center
-        else:
-            raise ValueError(f"unknown offset convention {convention!r}")
         out = np.zeros_like(width)
-        np.divide(num, width, out=out, where=width > 0)
+        np.divide(self.w_max + self.w_min - 2.0 * self.w_center, width, out=out, where=width > 0)
         return out
 
     def deviation_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounds of the deviation w - w_center, (lo, hi)."""
         return self.w_min - self.w_center, self.w_max - self.w_center
-
-    def is_degenerate(self) -> bool:
-        return bool(np.all(self.w_max == self.w_min))
-
-    def with_budget(self, budget: float | None) -> "UncertaintyTube":
-        return UncertaintyTube(self.w_min, self.w_center, self.w_max, budget)

@@ -17,19 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compile import ConstraintFamily, StateSpaceModel
+from .compile import ConstraintFamily, StateSpaceModel, unit_of
 from .lp import LinearProgram, solve_lp_simplex
 from .sets import PolyhedronH, UncertaintyTube
 
 __all__ = [
     "FeedbackGain",
-    "ReachableSets",
     "FamilySchedule",
     "TightenedSchedule",
     "TighteningInfeasibleError",
     "choose_gain",
-    "reachable_sets",
-    "support_box",
     "gamma",
     "tighten",
     "tighten_iterative_lp",
@@ -95,80 +92,6 @@ def choose_gain(
     return gain
 
 
-@dataclass(frozen=True)
-class ReachableSets:
-    """Exact generator form of the deviation sets reachable from zero.
-
-    The set at step t is the sum over i < t of Phi^(t-1-i) D W_dev(i) where
-    W_dev(i) is the deviation box at step i; ``powers[k]`` stores Phi^k D.
-    """
-
-    powers: np.ndarray        # (T, n_x, n_w)
-    tube: UncertaintyTube
-
-    @property
-    def horizon(self) -> int:
-        return self.powers.shape[0]
-
-    def generators(self, t: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(matrix, dev_lo, dev_hi) triples whose box images sum to the set."""
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"t must be in [1, {self.horizon}]")
-        lo, hi = self.tube.deviation_bounds()
-        return [(self.powers[t - 1 - i], lo[i], hi[i]) for i in range(t)]
-
-    def support(self, direction: np.ndarray, t: int) -> float:
-        """sup of direction^T x over the set at step t (exact)."""
-        total = 0.0
-        for mat, lo, hi in self.generators(t):
-            v = direction @ mat
-            total += float(np.sum(np.where(v >= 0, v * hi, v * lo)))
-        return total
-
-    def interval_hull(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate support bounds of the set at step t."""
-        n_x = self.powers.shape[1]
-        lo = np.zeros(n_x)
-        hi = np.zeros(n_x)
-        for mat, dlo, dhi in self.generators(t):
-            hi += np.sum(np.where(mat >= 0, mat * dhi, mat * dlo), axis=1)
-            lo += np.sum(np.where(mat >= 0, mat * dlo, mat * dhi), axis=1)
-        return lo, hi
-
-
-def reachable_sets(
-    ssm: StateSpaceModel, tube: UncertaintyTube, gain: FeedbackGain
-) -> ReachableSets:
-    T = ssm.horizon
-    if tube.horizon != T or tube.n_channels != ssm.n_w:
-        raise ValueError(
-            f"tube shape ({tube.horizon}, {tube.n_channels}) does not match "
-            f"horizon {T} and n_w {ssm.n_w}"
-        )
-    rho = gain.spectral_radius()
-    if rho > SPECTRAL_CAP:
-        raise ValueError(f"spectral radius {rho:.6g} beyond cap; horizon powers overflow")
-    powers = np.zeros((T, ssm.n_x, ssm.n_w))
-    mat = ssm.D.copy()
-    for k in range(T):
-        powers[k] = mat
-        mat = gain.phi @ mat
-    return ReachableSets(powers=powers, tube=tube)
-
-
-def support_box(phi_w: np.ndarray, offset: np.ndarray | None = None) -> float:
-    """Worst case of a linear functional over the unit box: the 1-norm.
-
-    ``phi_w`` is the already-scaled coefficient row; when ``offset`` is given
-    (the normalized set center), the affine term phi_w . offset is added.
-    """
-    phi_w = np.asarray(phi_w, dtype=float)
-    total = float(np.sum(np.abs(phi_w)))
-    if offset is not None:
-        total += float(phi_w @ np.asarray(offset, dtype=float))
-    return total
-
-
 def gamma(v: np.ndarray, budget: float) -> float:
     """Worst case of v . w over the budget set {|w|_inf <= 1, |w|_1 <= budget}.
 
@@ -229,7 +152,6 @@ class TightenedSchedule:
     families: dict[str, FamilySchedule]
     mode: str                          # "box" or "budget"
     budget: float | None
-    offset_convention: str
 
     def family(self, name: str) -> FamilySchedule:
         return self.families[name]
@@ -243,16 +165,15 @@ class TightenedSchedule:
         return worst
 
     def to_csv(self) -> str:
-        lines = ["family,step,row,original_bound,reduction,tightened_bound"]
+        lines = ["family,step,row,unit,original_bound,reduction,tightened_bound"]
         for name, fam in self.families.items():
             poly = fam.polyhedron
+            rows = [(label, unit_of(label)) for label in poly.labels]
             for si, t in enumerate(fam.steps):
-                for ri in range(poly.n_rows):
+                for ri, (label, unit) in enumerate(rows):
                     r = poly.bounds[ri]
                     red = fam.reductions[si, ri]
-                    lines.append(
-                        f"{name},{t},{poly.labels[ri]},{r:.12g},{red:.12g},{r - red:.12g}"
-                    )
+                    lines.append(f"{name},{t},{label},{unit},{r:.12g},{red:.12g},{r - red:.12g}")
         return "\n".join(lines) + "\n"
 
 
@@ -327,7 +248,6 @@ def _build_families(
     ssm: StateSpaceModel, constraints: ConstraintFamily, gain: FeedbackGain
 ) -> list[_DeviationFamily]:
     T = ssm.horizon
-    out_map = ssm.output
     n_w = ssm.n_w
     fams: list[_DeviationFamily] = []
 
@@ -359,95 +279,40 @@ def _build_families(
         lag_du = np.zeros((T, sdu.shape[0] if sdu.size else 0, n_w))
     fams.append(_DeviationFamily("du", constraints.du, np.arange(1, T), "state", lag_du))
 
-    sy = constraints.y.coefficients
-    lag_y, full_y = _output_deviation(ssm, sy, gain)
-    fams.append(_DeviationFamily("y", constraints.y, np.arange(0, T), "output", lag_y, full_y))
-
-    sdy = constraints.dy.coefficients
-    if sdy.size:
-        lag_dy, full_dy = _output_deviation(ssm, sdy, gain)
-        if lag_dy is not None:
-            diff = lag_dy.copy()
-            diff[1:] -= lag_dy[:-1]
-            fams.append(_DeviationFamily("dy", constraints.dy, np.arange(1, T), "output", diff))
-        else:
-            def full_diff(t: int, base=full_dy):
-                cur = base(t)
-                prev = base(t - 1)
-                cur = cur.copy()
-                cur[: prev.shape[0]] -= prev
-                return cur
-
-            fams.append(_DeviationFamily("dy", constraints.dy, np.arange(1, T), "output", None, full_diff))
-    else:
-        fams.append(
-            _DeviationFamily("dy", constraints.dy, np.arange(1, T), "output", np.zeros((T, 0, n_w)))
-        )
+    for name, steps, diff in (("y", np.arange(0, T), False), ("dy", np.arange(1, T), True)):
+        poly = getattr(constraints, name)
+        lag, full = _output_deviation(ssm, poly.coefficients, gain, diff)
+        fams.append(_DeviationFamily(name, poly, steps, "output", lag, full))
     return fams
 
 
-def _output_deviation(ssm: StateSpaceModel, sy: np.ndarray, gain: FeedbackGain):
-    """Deviation coefficients for rows over y; returns (lag, full) with one set."""
+def _output_deviation(ssm: StateSpaceModel, sy: np.ndarray, gain: FeedbackGain, diff: bool):
+    """Deviation coefficients for rows over y (over its step difference with
+    ``diff``); returns (lag, full) with one set.
+
+    theta(t, tau) = S dy(t)/dw(tau) + sum_{tau < sigma <= t} S dy(t)/du(sigma)
+    K Phi^(sigma-1-tau) D: the disturbance reaches y directly and through the
+    control response u_dev(sigma) = K x_dev(sigma).
+    """
     T = ssm.horizon
     out = ssm.output
-    n_w = ssm.n_w
-    if not sy.size:
-        return np.zeros((T, 0, n_w)), None
-    m_rows = sy.shape[0]
-    mem = out.memory_rows
-    has_mem = out.temps is not None and len(mem) > 0
-    ti = (not has_mem) or (out.temps.kernel_ti is not None)
-
-    if ti:
-        lag = np.zeros((T, m_rows, n_w))
-        lag[0] = sy @ out.feed_w
-        if has_mem:
-            sel = sy[:, mem]
-            for k in range(T):
-                lag[k] += sel @ out.temps.kernel_ti[k] @ out.heat_w
-        if not gain.is_zero:
-            # control response u_dev(sigma) = K x_dev(sigma) folded through the
-            # output map: direct feed at sigma = t plus kernel memory
-            feed_k = sy @ out.feed_u @ gain.k          # (M, n_x)
-            power = _phi_power_images(feed_k, gain.phi, ssm.D, T - 1) if T > 1 else None
-            if power is not None:
-                lag[1:] += power
-            if has_mem:
-                ker_u = np.stack(
-                    [sy[:, mem] @ out.temps.kernel_ti[a] @ out.heat_u @ gain.k for a in range(T)]
-                )  # (T, M, n_x)
-                xpow = np.zeros((T - 1, ssm.n_x, n_w)) if T > 1 else None
-                cur = ssm.D.copy()
-                for j in range(T - 1):
-                    xpow[j] = cur
-                    cur = gain.phi @ cur
-                for k in range(1, T):
-                    acc = np.zeros((m_rows, n_w))
-                    for a in range(k):
-                        acc += ker_u[a] @ xpow[k - 1 - a]
-                    lag[k] += acc
+    feedback = not gain.is_zero and T > 1
+    if feedback:
+        powers = _phi_power_images(np.eye(ssm.n_x), gain.phi, ssm.D, T - 1)  # Phi^j D
+    if out.time_invariant:
+        lag = out.w_blocks(sy, diff=diff)
+        if feedback:
+            u_k = out.u_blocks(sy, diff=diff) @ gain.k     # (T, M, n_x) by lag
+            for a in range(T - 1):
+                lag[a + 1 :] += np.matmul(u_k[a], powers[: T - 1 - a])
         return lag, None
 
-    # time-varying kernel: assemble theta per step
     def full(t: int) -> np.ndarray:
-        theta = np.zeros((t + 1, m_rows, n_w))
-        theta[t] = sy @ out.feed_w
-        sel = sy[:, mem]
-        for tau in range(t + 1):
-            theta[tau] += sel @ out.temps.kernel_at(t, tau) @ out.heat_w
-        if not gain.is_zero:
-            xpow = np.zeros((t, ssm.n_x, n_w)) if t else None
-            cur = ssm.D.copy()
-            for j in range(t):
-                xpow[j] = cur
-                cur = gain.phi @ cur
-            feed_k = sy @ out.feed_u @ gain.k
-            for tau in range(t):
-                theta[tau] += feed_k @ xpow[t - 1 - tau]
-                acc = np.zeros((m_rows, n_w))
-                for sigma in range(tau + 1, t + 1):
-                    acc += sel @ out.temps.kernel_at(t, sigma) @ out.heat_u @ gain.k @ xpow[sigma - 1 - tau]
-                theta[tau] += acc
+        theta = out.w_blocks(sy, t, diff)
+        if feedback:
+            u_k = out.u_blocks(sy, t, diff) @ gain.k       # (t+1, M, n_x) by sigma
+            for sigma in range(1, t + 1):
+                theta[:sigma] += np.matmul(u_k[sigma], powers[sigma - 1 :: -1])
         return theta
 
     return None, full
@@ -585,7 +450,6 @@ def _schedule(
     reductions: list[np.ndarray],
     mode: str,
     budget: float | None,
-    offset_convention: str,
     on_empty: str,
 ) -> TightenedSchedule:
     """Assemble the per-family schedules; raise on the first empty interval
@@ -603,9 +467,7 @@ def _schedule(
         raise TighteningInfeasibleError(
             *first_empty, "tightened interval is empty (nominal problem infeasible)"
         )
-    return TightenedSchedule(
-        families=out, mode=mode, budget=budget, offset_convention=offset_convention
-    )
+    return TightenedSchedule(families=out, mode=mode, budget=budget)
 
 
 def tighten(
@@ -615,31 +477,25 @@ def tighten(
     gain: FeedbackGain,
     mode: str = "box",
     budget: float | None = None,
-    offset_convention: str = "deviation",
     on_empty: str = "raise",
 ) -> TightenedSchedule:
     """Direct dual-norm tightening of every family over the horizon.
 
     mode "box" uses the per-step interval sets; mode "budget" additionally
     caps each channel's normalized 1-norm over the horizon at ``budget``.
-    ``offset_convention`` selects how off-center forecast intervals enter
-    ("deviation" is exact; "printed" keeps the legacy sign for comparison).
+    Off-center forecast intervals enter exactly, through the center shift
+    of the deviation set.
     """
     budget = _resolve_budget(mode, budget, tube)
     widths = tube.half_width
-    if offset_convention == "deviation":
-        shifts = tube.center_shift
-    elif offset_convention == "printed":
-        shifts = -tube.normalized_offset("printed") * widths
-    else:
-        raise ValueError(f"unknown offset convention {offset_convention!r}")
+    shifts = tube.center_shift
 
     fams = _build_families(ssm, constraints, gain)
     if mode == "box":
         reductions = [_box_reductions(fam, widths, shifts) for fam in fams]
     else:
         reductions = [_budget_reductions(fam, widths, shifts, budget) for fam in fams]
-    return _schedule(fams, reductions, mode, budget, offset_convention, on_empty)
+    return _schedule(fams, reductions, mode, budget, on_empty)
 
 
 def tighten_iterative_lp(
@@ -653,8 +509,8 @@ def tighten_iterative_lp(
 ) -> TightenedSchedule:
     """Reference tightening that solves one support LP per row and step.
 
-    Semantically identical to :func:`tighten` with the "deviation" offset
-    convention; kept as an oracle and a timing baseline.
+    Semantically identical to :func:`tighten`; kept as an oracle and a
+    timing baseline.
     """
     budget = _resolve_budget(mode, budget, tube)
     widths = tube.half_width
@@ -680,7 +536,7 @@ def tighten_iterative_lp(
                     dev_lo[:count], dev_hi[:count], mode, budget,
                 )
         reductions.append(rho)
-    return _schedule(fams, reductions, mode, budget, "deviation", on_empty)
+    return _schedule(fams, reductions, mode, budget, on_empty)
 
 
 def _support_lp(

@@ -105,18 +105,20 @@ def sample_disturbances(
 def simulate(
     policy: Policy, ssm: StateSpaceModel, w_seq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-loop rollout under one disturbance sequence."""
+    """Closed-loop rollout of one (T, n_w) or many (count, T, n_w) disturbance
+    sequences; x, u and y carry the same leading axes.  Exact for any gain."""
     sol = policy.solution
     T = ssm.horizon
     w_seq = np.atleast_2d(w_seq)
-    x_seq = np.zeros((T + 1, ssm.n_x))
-    u_seq = np.zeros((T, ssm.n_u))
-    x_seq[0] = sol.x_seq[0]
+    lead = w_seq.shape[:-2]
+    x = np.zeros(lead + (T + 1, ssm.n_x))
+    u = np.zeros(lead + (T, ssm.n_u))
+    x[..., 0, :] = sol.x_seq[0]
+    k = policy.gain.k
     for t in range(T):
-        u_seq[t] = policy.control(t, x_seq[t])
-        x_seq[t + 1] = ssm.step(x_seq[t], u_seq[t], w_seq[t])
-    y_seq = ssm.output.evaluate(u_seq, w_seq)
-    return x_seq, u_seq, y_seq
+        u[..., t, :] = sol.u_seq[t] + (x[..., t, :] - sol.x_seq[t]) @ k.T
+        x[..., t + 1, :] = x[..., t, :] @ ssm.A.T + u[..., t, :] @ ssm.B.T + w_seq[..., t, :] @ ssm.D.T
+    return x, u, ssm.output.evaluate(u, w_seq)
 
 
 @dataclass(frozen=True)
@@ -167,16 +169,15 @@ def evaluate(
     if not sol.is_optimal:
         raise ValueError("cannot evaluate a non-optimal dispatch solution")
     count = batch.count
-    T = ssm.horizon
 
     violated = np.zeros(count, dtype=bool)
     by_row: dict[str, int] = {}
     costs_out = np.zeros(count)
 
-    chunk = max(1, min(count, EVALUATE_CHUNK_ELEMENTS // max(1, T * ssm.n_y)))
+    chunk = _chunk_size(ssm, count)
     for start in range(0, count, chunk):
         w_chunk = batch.samples[start : start + chunk]
-        x_c, u_c, y_c = _simulate_batch(policy, ssm, w_chunk)
+        x_c, u_c, y_c = simulate(policy, ssm, w_chunk)
         flags, row_hits = _violations(constraints, x_c, u_c, y_c, slack)
         violated[start : start + len(w_chunk)] = flags
         for label, hits in row_hits.items():
@@ -199,32 +200,9 @@ def evaluate(
     return metrics
 
 
-def _simulate_batch(policy: Policy, ssm: StateSpaceModel, w_batch: np.ndarray):
-    """Vectorized rollout of many scenarios; exact also for nonzero gains."""
-    sol = policy.solution
-    count, T, n_w = w_batch.shape
-    x = np.zeros((count, T + 1, ssm.n_x))
-    u = np.zeros((count, T, ssm.n_u))
-    x[:, 0] = sol.x_seq[0]
-    k = policy.gain.k
-    for t in range(T):
-        u[:, t] = sol.u_seq[t] + (x[:, t] - sol.x_seq[t]) @ k.T
-        x[:, t + 1] = x[:, t] @ ssm.A.T + u[:, t] @ ssm.B.T + w_batch[:, t] @ ssm.D.T
-
-    out = ssm.output
-    y = out.const[np.newaxis] + u @ out.feed_u.T + w_batch @ out.feed_w.T
-    if out.temps is not None and len(out.memory_rows):
-        inputs = u @ out.heat_u.T + w_batch @ out.heat_w.T     # (count, T, n_ch)
-        mem = np.zeros((count, T, len(out.memory_rows)))
-        if out.temps.kernel_ti is not None:
-            for lag in range(T):
-                mem[:, lag:] += inputs[:, : T - lag] @ out.temps.kernel_ti[lag].T
-        else:
-            for t in range(T):
-                for tau in range(t + 1):
-                    mem[:, t] += inputs[:, tau] @ out.temps.kernel_full[t][tau].T
-        y[:, :, out.memory_rows] += mem
-    return x, u, y
+def _chunk_size(ssm: StateSpaceModel, count: int) -> int:
+    """Scenarios per simulated chunk under ``EVALUATE_CHUNK_ELEMENTS``."""
+    return max(1, min(count, EVALUATE_CHUNK_ELEMENTS // max(1, ssm.horizon * ssm.n_y)))
 
 
 def _violations(
@@ -267,9 +245,9 @@ def state_envelopes(
     """Per-step min/max of the closed-loop states over the batch, (T+1, n_x)."""
     env_min = np.full((ssm.horizon + 1, ssm.n_x), np.inf)
     env_max = np.full((ssm.horizon + 1, ssm.n_x), -np.inf)
-    chunk = max(1, min(batch.count, 2000))
+    chunk = _chunk_size(ssm, batch.count)
     for start in range(0, batch.count, chunk):
-        x_c, _, _ = _simulate_batch(policy, ssm, batch.samples[start : start + chunk])
+        x_c, _, _ = simulate(policy, ssm, batch.samples[start : start + chunk])
         env_min = np.minimum(env_min, x_c.min(axis=0))
         env_max = np.maximum(env_max, x_c.max(axis=0))
     return env_min, env_max

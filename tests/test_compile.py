@@ -11,7 +11,10 @@ from chpdispatch.compile import (
     compile_uncertainty_tube,
 )
 from chpdispatch.config_io import load_system
+from chpdispatch.dispatch import DispatchSolution, Policy
 from chpdispatch.sets import UncertaintyTube
+from chpdispatch.tighten import choose_gain
+from chpdispatch.validation import simulate
 
 from test_model import minimal_document
 
@@ -117,8 +120,12 @@ def test_lossless_storage_conserves_energy():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(8, ssm.n_u)) * 0.2
     w = rng.normal(size=(8, ssm.n_w)) * 0.2
-    xs = ssm.simulate(ssm.x0, u, w)
-    y = ssm.output.evaluate(u, w)
+    # the zero-gain policy applies the planned controls whatever the states
+    planned = DispatchSolution(
+        status="optimal", objective=0.0, x_seq=np.tile(ssm.x0, (9, 1)), u_seq=u,
+        y_seq=None, schedule=None, kkt=None, iterations=0,
+    )
+    xs, _, y = simulate(Policy(planned, choose_gain(ssm)), ssm, w)
     man = ssm.manifest
     p_bu = y[:, man.index("y", "battery_power", "b1")]
     # capacity * dE = dt * P exactly when retention and efficiency are 1

@@ -8,7 +8,6 @@ from chpdispatch.heatnet import (
     HeatTopologyError,
     attenuation_factors,
     compute_delays,
-    propagate_pipe,
     temperature_maps,
 )
 from chpdispatch.model import HeatNetwork, HeatPipe
@@ -112,21 +111,49 @@ def _mass_sum(flows, t, tau):
     return total
 
 
+def pipe_maps(net: HeatNetwork, horizon: int):
+    """Temperatures of ``net`` at 300 s steps under a varying source heat
+    at node 0; supply temperatures come first in each row."""
+    delays = compute_delays(net, 300.0, horizon)
+    maps = temperature_maps(net, delays, horizon, 300.0)
+    source = np.zeros((horizon, net.n_node))
+    source[:, 0] = np.linspace(0.5, 2.0, horizon)
+    return delays, maps.evaluate(source, np.zeros((horizon, net.n_node)))
+
+
 class TestPipePropagation:
     def test_identity_when_lossless_and_instant(self):
-        T = 5
-        inlet = np.array([80.0, 70.0, 90.0, 85.0, 60.0])
-        out = propagate_pipe(inlet, np.zeros(T, dtype=int), np.ones(T), np.zeros(T), 50.0)
-        assert np.array_equal(out, inlet)
+        # 0 -> 1 holds 10 kg at 3000 kg per step (no delay); 1 -> 2 delays
+        # by a step, which anchors the temperature level of the tree
+        m = 10.0
+        area = np.pi * 0.2**2 / 4.0
+        instant = HeatPipe(0, 1, 10.0 / (area * RHO), 0.2, 0.0, np.array([m]))
+        delayed = HeatPipe(1, 2, 4000.0 / (area * RHO), 0.2, 0.0, np.array([m]))
+        net = HeatNetwork(
+            n_node=3, pipes=(instant, delayed),
+            ts_min=np.zeros(3), ts_max=np.full(3, 200.0),
+            tr_min=np.zeros(3), tr_max=np.full(3, 200.0),
+            inflow=np.array([m, 0.0, 0.0]), outflow=np.array([0.0, 0.0, m]),
+            ground_temperature=np.array([0.0]),
+            initial_supply_temperature=80.0, initial_return_temperature=40.0,
+            water_density=RHO, water_heat_capacity=C_W,
+        )
+        delays, temps = pipe_maps(net, 5)
+        assert np.all(delays.delays[0] == 0) and np.all(delays.delays[1] == 1)
+        assert np.allclose(temps[:, 1], temps[:, 0], rtol=0.0, atol=1e-12)
+        assert np.ptp(temps[:, 0]) > 1.0     # the inlet series does vary
 
     def test_half_attenuation_two_step_delay(self):
-        T = 4
-        inlet = np.zeros(T)
-        inlet[0] = 80.0
-        delays = np.full(T, 2)
-        psi = np.full(T, 0.5)
-        out = propagate_pipe(inlet, delays, psi, np.zeros(T), 0.0)
-        assert out[2] == pytest.approx(40.0, abs=1e-12)
+        # 750 kg at 300 kg per step: a 2-step delay; the conductivity makes
+        # the attenuation over those 2 steps exactly one half
+        area = np.pi * 0.2**2 / 4.0
+        k = np.log(2.0) * area * RHO * C_W / (300.0 * 2)
+        net = two_node_net(pipe_with_mass(750.0, 1.0, conductivity=k), 1.0, 1.0,
+                           init_supply=80.0)
+        delays, temps = pipe_maps(net, 6)
+        assert np.all(delays.delays == 2)
+        assert np.allclose(temps[:2, 1], 40.0, rtol=0.0, atol=1e-12)   # pre-horizon inlet
+        assert np.allclose(temps[2:, 1], 0.5 * temps[:-2, 0], rtol=0.0, atol=1e-12)
 
     def test_attenuation_factor_bounds(self, ref24):
         from chpdispatch.heatnet import compute_delays

@@ -1,4 +1,4 @@
-"""Reachable sets, dual-norm supports, budget closed form, tightening."""
+"""Reachable-set supports, dual-norm supports, budget closed form, tightening."""
 
 import dataclasses
 
@@ -15,8 +15,6 @@ from chpdispatch.tighten import (
     TighteningInfeasibleError,
     choose_gain,
     gamma,
-    reachable_sets,
-    support_box,
     tighten,
     tighten_iterative_lp,
 )
@@ -49,61 +47,93 @@ def scalar_system(phi: float, d: float, horizon: int, widths) -> tuple:
     return ssm, tube, gain
 
 
+def state_box(ssm) -> ConstraintFamily:
+    """Wide two-sided limits on every state and no other rows."""
+    n_x, n_u, n_y = ssm.n_x, ssm.n_u, ssm.n_y
+    rows = [(np.eye(n_x)[i], -1e6, 1e6, f"state{i}") for i in range(n_x)]
+    return ConstraintFamily(
+        x=PolyhedronH.from_box_rows(rows, n_x),
+        u=PolyhedronH.empty(n_u),
+        y=PolyhedronH.empty(n_y),
+        du=PolyhedronH.empty(n_u),
+        dy=PolyhedronH.empty(n_y),
+    )
+
+
+def state_hull(ssm, tube, gain, t: int) -> tuple[float, float]:
+    """(lo, hi) of the scalar state's reachable deviation set at step t, read
+    off the x-family reductions (upper row: hi, lower row: -lo)."""
+    fam = tighten(ssm, state_box(ssm), tube, gain, on_empty="flag").family("x")
+    red = fam.reductions[list(fam.steps).index(t)]
+    return -red[1], red[0]
+
+
 class TestReachableSets:
+    """The x-family reductions are the supports of the reachable deviation sets."""
+
     def test_interval_sum_identity_phi(self):
         ssm, tube, gain = scalar_system(1.0, 1.0, 4, np.ones(4))
-        sets = reachable_sets(ssm, tube, gain)
-        lo, hi = sets.interval_hull(2)
-        assert lo[0] == pytest.approx(-2.0, abs=1e-12)
-        assert hi[0] == pytest.approx(2.0, abs=1e-12)
+        lo, hi = state_hull(ssm, tube, gain, 2)
+        assert lo == pytest.approx(-2.0, abs=1e-12)
+        assert hi == pytest.approx(2.0, abs=1e-12)
 
     def test_geometric_decay(self):
         ssm, tube, gain = scalar_system(0.5, 1.0, 4, np.ones(4))
-        sets = reachable_sets(ssm, tube, gain)
-        lo, hi = sets.interval_hull(3)
-        assert hi[0] == pytest.approx(1.75, abs=1e-12)
-        assert lo[0] == pytest.approx(-1.75, abs=1e-12)
+        lo, hi = state_hull(ssm, tube, gain, 3)
+        assert hi == pytest.approx(1.75, abs=1e-12)
+        assert lo == pytest.approx(-1.75, abs=1e-12)
 
     def test_zero_width_tube_gives_origin(self):
         ssm, tube, gain = scalar_system(0.9, 1.0, 5, np.zeros(5))
-        sets = reachable_sets(ssm, tube, gain)
         for t in range(1, 6):
-            lo, hi = sets.interval_hull(t)
-            assert np.allclose(lo, 0.0) and np.allclose(hi, 0.0)
+            lo, hi = state_hull(ssm, tube, gain, t)
+            assert lo == 0.0 and hi == 0.0
 
     def test_generator_count_and_first_set(self):
+        """Step t sees the first t deviation boxes only, and step 1 is the
+        image of the first box under D."""
         rng = np.random.default_rng(0)
         ssm, cons, tube, gain = random_system(rng, horizon=6)
-        sets = reachable_sets(ssm, tube, gain)
-        for t in range(1, 7):
-            assert len(sets.generators(t)) == t
-        mat, lo, hi = sets.generators(1)[0]
+        cons = state_box(ssm)
+        base = tighten(ssm, cons, tube, gain, on_empty="flag").family("x")
         dev_lo, dev_hi = tube.deviation_bounds()
-        assert np.array_equal(mat, ssm.D)
-        assert np.array_equal(lo, dev_lo[0])
-        assert np.array_equal(hi, dev_hi[0])
+        v = base.polyhedron.coefficients @ ssm.D
+        first = np.sum(np.where(v >= 0, v * dev_hi[0], v * dev_lo[0]), axis=1)
+        assert np.allclose(base.reductions[0], first, atol=1e-12)
+        for t in range(1, 7):
+            wider = UncertaintyTube(
+                np.vstack([tube.w_min[:t], tube.w_min[t:] - 1.0]),
+                tube.w_center,
+                np.vstack([tube.w_max[:t], tube.w_max[t:] + 1.0]),
+            )
+            sched = tighten(ssm, cons, wider, gain, on_empty="flag").family("x")
+            assert np.array_equal(sched.reductions[t - 1], base.reductions[t - 1])
 
     def test_recursion_by_support_functions(self):
+        """h(s, t+1) = h(Phi^T s, t) + the support of s^T D over step t's box."""
         rng = np.random.default_rng(1)
         ssm, cons, tube, gain = random_system(rng, n_x=3, n_w=2, horizon=8)
-        sets = reachable_sets(ssm, tube, gain)
         dev_lo, dev_hi = tube.deviation_bounds()
-        for t in range(1, 8):
-            for _ in range(20):
-                s = rng.normal(size=3)
-                lhs = sets.support(s, t + 1) if t + 1 <= 8 else None
-                if lhs is None:
-                    continue
-                v = s @ ssm.D
+        for _ in range(20):
+            s = rng.normal(size=3)
+            rows = PolyhedronH(np.vstack([s, gain.phi.T @ s]), np.full(2, 1e6), ("s", "phi_s"))
+            cons = ConstraintFamily(
+                x=rows, u=PolyhedronH.empty(2), y=PolyhedronH.empty(3),
+                du=PolyhedronH.empty(2), dy=PolyhedronH.empty(3),
+            )
+            red = tighten(ssm, cons, tube, gain, on_empty="flag").family("x").reductions
+            v = s @ ssm.D
+            for t in range(1, 8):
                 step = float(np.sum(np.where(v >= 0, v * dev_hi[t], v * dev_lo[t])))
-                rhs = sets.support(gain.phi.T @ s, t) + step
-                assert lhs == pytest.approx(rhs, abs=1e-10)
+                assert red[t, 0] == pytest.approx(red[t - 1, 1] + step, abs=1e-10)
 
 
 class TestSupportBox:
+    """The worst case over the unit box is gamma with the budget at n."""
+
     def test_examples(self):
-        assert support_box(np.array([1.0, -2.0, 0.0])) == 3.0
-        assert support_box(np.zeros(5)) == 0.0
+        assert gamma(np.array([1.0, -2.0, 0.0]), 3) == 3.0
+        assert gamma(np.zeros(5), 5) == 0.0
 
     def test_matches_lp_over_box(self):
         rng = np.random.default_rng(4)
@@ -111,7 +141,7 @@ class TestSupportBox:
             v = rng.normal(size=24)
             lp = LinearProgram(c=-v, lower=-np.ones(24), upper=np.ones(24))
             sol = solve_lp(lp)
-            assert support_box(v) == pytest.approx(-sol.objective, abs=1e-10)
+            assert gamma(v, len(v)) == pytest.approx(-sol.objective, abs=1e-10)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -122,12 +152,18 @@ class TestSupportBox:
         for mask in range(2**n):
             w = np.where((mask >> np.arange(n)) & 1, 1.0, -1.0)
             best = max(best, float(v @ w))
-        assert support_box(v) == pytest.approx(best, abs=1e-9)
+        assert gamma(v, n) == pytest.approx(best, abs=1e-9)
 
     def test_offset_term(self):
-        v = np.array([2.0, -1.0])
-        offset = np.array([0.5, 0.25])
-        assert support_box(v, offset) == pytest.approx(3.0 + 1.0 - 0.25)
+        """An off-center forecast adds theta . center_shift to the 1-norm."""
+        ssm, _, gain = scalar_system(0.5, 2.0, 2, np.ones(2))
+        # deviation interval [-0.5, 1.5]: half-width 1, center shift 0.5
+        tube = UncertaintyTube(
+            w_min=np.full((2, 1), -1.0), w_center=np.full((2, 1), -0.5), w_max=np.ones((2, 1))
+        )
+        red = tighten(ssm, state_box(ssm), tube, gain, on_empty="flag").family("x").reductions
+        assert red[0] == pytest.approx([2.0 + 1.0, 2.0 - 1.0])
+        assert red[1] == pytest.approx([3.0 + 1.5, 3.0 - 1.5])
 
 
 def budget_lp_oracle(v: np.ndarray, budget: float) -> float:
@@ -322,7 +358,7 @@ class TestTighten:
         sched = tighten(ref24.ssm, ref24.constraints, ref24.tube, ref24.gain)
         text = sched.to_csv()
         header = text.splitlines()[0]
-        assert header == "family,step,row,original_bound,reduction,tightened_bound"
+        assert header == "family,step,row,unit,original_bound,reduction,tightened_bound"
         assert "battery_energy[bat_10] upper" in text
 
 
