@@ -21,7 +21,7 @@ from .compile import (
     compile_uncertainty_tube,
     unit_of,
 )
-from .config_io import ConfigError, ModelValidationError, document_text, load_system
+from .config_io import document_text, load_system
 from .dispatch import (
     CostModel,
     Policy,
@@ -29,9 +29,10 @@ from .dispatch import (
     deterministic_schedule,
     solve_dispatch,
 )
+from .lp import import_solver
 from .model import SystemModel
 from .reference import build_reference_system, reference_document
-from .tighten import TighteningInfeasibleError, choose_gain, tighten, tighten_iterative_lp
+from .tighten import choose_gain, tighten, tighten_iterative_lp
 from .validation import compare_methods, evaluate, sample_disturbances
 
 __all__ = ["main", "run"]
@@ -117,7 +118,7 @@ def _load_model(args) -> SystemModel:
     return build_reference_system(horizon, dt)
 
 
-def _prepare(args, mode: str | None, gamma: float | None):
+def _prepare(args, gamma: float | None):
     model = _load_model(args)
     ssm = compile_state_space(model)
     constraints = compile_constraints(model, ssm)
@@ -159,11 +160,10 @@ def _json_text(payload) -> str:
 
 def run(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # ConfigError, ModelValidationError, TighteningInfeasibleError and
+    # DomainError derive from ValueError or RuntimeError
     try:
         return _dispatch_command(args)
-    except (ConfigError, ModelValidationError, TighteningInfeasibleError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -180,7 +180,7 @@ def _dispatch_command(args) -> int:
         return 0
 
     gamma = getattr(args, "gamma", None)
-    model, ssm, constraints, tube, gain, costs = _prepare(args, getattr(args, "mode", None), gamma)
+    model, ssm, constraints, tube, gain, costs = _prepare(args, gamma)
 
     if args.command == "tighten":
         schedule, label = _schedule(args, ssm, constraints, tube, gain)
@@ -192,6 +192,7 @@ def _dispatch_command(args) -> int:
     if args.command == "dispatch":
         import time
 
+        import_solver()
         schedule, label = _schedule(args, ssm, constraints, tube, gain)
         est_rows = (constraints.y.n_rows + 14) * ssm.horizon
         est_cols = ssm.horizon * (ssm.n_u + ssm.n_x + 2) + ssm.n_x
@@ -239,7 +240,7 @@ def _dispatch_command(args) -> int:
         }
         _write(os.path.join(out, "timings.json"), _json_text(timings))
         if getattr(args, "plot_data", False):
-            _plot_data(out, ssm, sol, schedule)
+            _plot_data(out, sol, schedule)
         print(f"objective {sol.objective:.6f}, status {sol.status}")
         return 0
 
@@ -269,7 +270,7 @@ def _dispatch_command(args) -> int:
                 )
             _write(os.path.join(out, "samples.csv"), "\n".join(lines) + "\n")
         if getattr(args, "plot_data", False):
-            _envelope_data(out, ssm, Policy(solution=sol, gain=gain), schedule, batch)
+            _envelope_data(out, ssm, sol, schedule, traces)
         print(
             f"violation rate {metrics.violation_rate:.4%}, "
             f"J_exp {metrics.j_expected:.4f} (J_nom {metrics.j_nominal:.4f})"
@@ -325,89 +326,69 @@ def _metrics_csv(payload: dict) -> str:
     return header + "\n" + row + "\n"
 
 
-def _plot_data(out: str, ssm, sol, schedule) -> None:
+def _bound_pairs(poly) -> dict[str, tuple[int, int]]:
+    """Label stem -> (upper row, lower row) for the stems that have both."""
+    sides: dict[str, dict[str, int]] = {}
+    for ri, label in enumerate(poly.labels):
+        stem, side = label.rsplit(" ", 1)
+        sides.setdefault(stem, {})[side] = ri
+    return {
+        stem: (pair["upper"], pair["lower"])
+        for stem, pair in sides.items()
+        if "upper" in pair and "lower" in pair
+    }
+
+
+def _write_bounds_csv(path: str, unit: str, fam, rows: tuple[int, int], nominal, **extra) -> None:
+    """Per step of ``fam``: the nominal value, the original and tightened
+    bounds of the (upper, lower) row pair, then one column per ``extra``
+    per-step series."""
+    up, lo = rows
+    bounds, tight = fam.polyhedron.bounds, fam.tightened_bounds
+    columns = ["nominal", "orig_lower", "orig_upper", "tight_lower", "tight_upper", *extra]
+    lines = ["step," + ",".join(f"{col}[{unit}]" for col in columns)]
+    for si, t in enumerate(fam.steps):
+        t = int(t)
+        values = [nominal[t], -bounds[lo], bounds[up], -tight[si, lo], tight[si, up]]
+        values += [series[t] for series in extra.values()]
+        lines.append(f"{t}," + ",".join(f"{v:.12g}" for v in values))
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _plot_data(out: str, sol, schedule) -> None:
     """Per-quantity CSVs: nominal line plus original and tightened bounds."""
-    man = ssm.manifest
-
-    def family_rows(fam_name: str, labels_wanted: str):
-        fam = schedule.family(fam_name)
-        poly = fam.polyhedron
-        rows = {}
-        for ri, label in enumerate(poly.labels):
-            base = label.rsplit(" ", 1)[0]
-            side = label.rsplit(" ", 1)[1]
-            if base.startswith(labels_wanted):
-                rows.setdefault(base, {})[side] = ri
-        return fam, rows
-
     # states: battery energy / tank level; controls: chp and grid active power
     targets = [
-        ("x", "battery_energy", "x"),
-        ("x", "tank_level", "x"),
-        ("u", "chp_p", "u"),
-        ("u", "grid_p", "u"),
+        ("x", "battery_energy", sol.x_seq),
+        ("x", "tank_level", sol.x_seq),
+        ("u", "chp_p", sol.u_seq),
+        ("u", "grid_p", sol.u_seq),
     ]
-    for fam_name, kind, vec in targets:
-        fam, rows = family_rows(fam_name, kind)
-        for base, sides in rows.items():
-            if "upper" not in sides or "lower" not in sides:
+    for fam_name, kind, seq in targets:
+        fam = schedule.family(fam_name)
+        for stem, rows in _bound_pairs(fam.polyhedron).items():
+            if not stem.startswith(kind):
                 continue
-            ri_up, ri_lo = sides["upper"], sides["lower"]
-            poly = fam.polyhedron
-            coeff = poly.coefficients[ri_up]
-            idx = int(np.argmax(np.abs(coeff)))
-            series = sol.x_seq[:, idx] if vec == "x" else sol.u_seq[:, idx]
-            unit = unit_of(base)
-            lines = [
-                f"step,nominal[{unit}],orig_lower[{unit}],orig_upper[{unit}],"
-                f"tight_lower[{unit}],tight_upper[{unit}]"
-            ]
-            for si, t in enumerate(fam.steps):
-                t = int(t)
-                nom = series[t]
-                orig_up = poly.bounds[ri_up]
-                orig_lo = -poly.bounds[ri_lo]
-                ti_up = fam.tightened_bounds[si, ri_up]
-                ti_lo = -fam.tightened_bounds[si, ri_lo]
-                lines.append(
-                    f"{t},{nom:.12g},{orig_lo:.12g},{orig_up:.12g},{ti_lo:.12g},{ti_up:.12g}"
-                )
-            name = base.replace("[", "_").replace("]", "").replace(" ", "_")
-            _write(os.path.join(out, f"bounds_{name}.csv"), "\n".join(lines) + "\n")
+            idx = int(np.argmax(np.abs(fam.polyhedron.coefficients[rows[0]])))
+            name = stem.replace("[", "_").replace("]", "").replace(" ", "_")
+            _write_bounds_csv(os.path.join(out, f"bounds_{name}.csv"), unit_of(stem), fam, rows, seq[:, idx])
 
 
-def _envelope_data(out: str, ssm, policy, schedule, batch) -> None:
-    """Fig-style per-state CSV: nominal, original/tightened bounds, envelope."""
-    from .validation import state_envelopes
-
-    env_min, env_max = state_envelopes(policy, ssm, batch)
-    sol = policy.solution
+def _envelope_data(out: str, ssm, sol, schedule, traces) -> None:
+    """Fig-style per-state CSV: nominal, original/tightened bounds, and the
+    sampled envelope from ``evaluate``'s traces."""
     fam = schedule.family("x")
-    poly = fam.polyhedron
-    man = ssm.manifest
-    for idx, (kind, name) in enumerate(man.x):
-        sides = {}
-        for ri, label in enumerate(poly.labels):
-            if label.startswith(f"{kind}[{name}]"):
-                sides[label.rsplit(" ", 1)[1]] = ri
-        if "upper" not in sides or "lower" not in sides:
+    pairs = _bound_pairs(fam.polyhedron)
+    for idx, (kind, name) in enumerate(ssm.manifest.x):
+        rows = pairs.get(f"{kind}[{name}]")
+        if rows is None:
             continue
-        unit = unit_of(kind)
-        lines = [
-            f"step,nominal[{unit}],orig_lower[{unit}],orig_upper[{unit}],"
-            f"tight_lower[{unit}],tight_upper[{unit}],env_min[{unit}],env_max[{unit}]"
-        ]
-        for si, t in enumerate(fam.steps):
-            t = int(t)
-            lines.append(
-                f"{t},{sol.x_seq[t, idx]:.12g},"
-                f"{-poly.bounds[sides['lower']]:.12g},{poly.bounds[sides['upper']]:.12g},"
-                f"{-fam.tightened_bounds[si, sides['lower']]:.12g},"
-                f"{fam.tightened_bounds[si, sides['upper']]:.12g},"
-                f"{env_min[t, idx]:.12g},{env_max[t, idx]:.12g}"
-            )
         safe = f"{kind}_{name}".replace("[", "_").replace("]", "")
-        _write(os.path.join(out, f"envelope_{safe}.csv"), "\n".join(lines) + "\n")
+        _write_bounds_csv(
+            os.path.join(out, f"envelope_{safe}.csv"), unit_of(kind), fam,
+            rows, sol.x_seq[:, idx],
+            env_min=traces["state_min"][:, idx], env_max=traces["state_max"][:, idx],
+        )
 
 
 def main() -> None:

@@ -229,9 +229,6 @@ class StateSpaceModel:
     def n_y(self) -> int:
         return self.output.n_y
 
-    def step(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.B @ u + self.D @ w
-
 
 @dataclass(frozen=True)
 class ConstraintFamily:

@@ -124,10 +124,6 @@ class Policy:
     solution: DispatchSolution
     gain: FeedbackGain
 
-    def control(self, t: int, x: np.ndarray) -> np.ndarray:
-        sol = self.solution
-        return sol.u_seq[t] + self.gain.k @ (np.asarray(x) - sol.x_seq[t])
-
 
 def deterministic_schedule(
     ssm: StateSpaceModel, constraints, tube: UncertaintyTube, gain: FeedbackGain
@@ -158,13 +154,8 @@ def build_nominal_problem(
         raise ValueError(f"w_center shape {w_center.shape} != ({T}, {ssm.n_w})")
     if x0 is None:
         x0 = ssm.x0
-    if len(costs.grid_price) != T:
-        raise ValueError(f"price series length {len(costs.grid_price)} != horizon {T}")
 
-    battery_rows = man.indices("y", "battery_power")
-    tank_rows = man.indices("y", "tank_flow")
-    epi_rows = battery_rows + tank_rows
-    epi_costs = np.concatenate([costs.battery, costs.tank])
+    u_costs, epi_rows, epi_costs = _cost_weights(ssm, costs)
     n_epi = len(epi_rows)
     if any(r in out.memory_rows for r in epi_rows):
         raise ValueError("storage flow rows unexpectedly carry heat-kernel memory")
@@ -177,10 +168,7 @@ def build_nominal_problem(
 
     # objective
     c = np.zeros(n_vars)
-    c_u = c[u0:e0].reshape(T, n_u)
-    c_u[:, man.indices("u", "chp_p")] = costs.chp
-    c_u[:, man.indices("u", "hp_p")] = costs.hp
-    c_u[:, man.index("u", "grid_p", "grid")] = costs.grid_price
+    c[u0:e0] = u_costs.ravel()
     c[e0:] = np.tile(epi_costs, T)
 
     # equalities: initial state, dynamics, reactive balance
@@ -272,6 +260,21 @@ def build_nominal_problem(
     return NominalProblem(lp=lp, ssm=ssm, layout=prob)
 
 
+def _cost_weights(ssm: StateSpaceModel, costs: CostModel) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The cost as weights: per-step control weights (T, n_u), and the y rows
+    priced on their absolute value (battery power, then tank flow) with
+    their weights.  The LP objective and ``realized_cost`` both read this."""
+    T, man = ssm.horizon, ssm.manifest
+    if len(costs.grid_price) != T:
+        raise ValueError(f"price series length {len(costs.grid_price)} != horizon {T}")
+    u_costs = np.zeros((T, ssm.n_u))
+    u_costs[:, man.indices("u", "chp_p")] = costs.chp
+    u_costs[:, man.indices("u", "hp_p")] = costs.hp
+    u_costs[:, man.index("u", "grid_p", "grid")] = costs.grid_price
+    abs_rows = man.indices("y", "battery_power") + man.indices("y", "tank_flow")
+    return u_costs, abs_rows, np.concatenate([costs.battery, costs.tank])
+
+
 def _u_row_coefficients(out: LiftedOutputMap, s_rows: np.ndarray, diff: bool):
     """t -> (M, (t+1) n_u): the coefficients of S y(t) (of S (y(t) - y(t-1))
     with ``diff``) on u(0..t), laid out like the LP's u variables."""
@@ -340,17 +343,15 @@ def solve_dispatch(
 
 def realized_cost(
     ssm: StateSpaceModel, costs: CostModel, u_seq: np.ndarray, y_seq: np.ndarray
-) -> float:
-    """Total cost with realized storage flows in the absolute-value terms."""
-    man = ssm.manifest
-    total = 0.0
-    for k, i in enumerate(man.indices("u", "chp_p")):
-        total += costs.chp[k] * float(np.sum(u_seq[:, i]))
-    for k, i in enumerate(man.indices("u", "hp_p")):
-        total += costs.hp[k] * float(np.sum(u_seq[:, i]))
-    total += float(costs.grid_price @ u_seq[:, man.index("u", "grid_p", "grid")])
-    for k, i in enumerate(man.indices("y", "battery_power")):
-        total += costs.battery[k] * float(np.sum(np.abs(y_seq[:, i])))
-    for k, i in enumerate(man.indices("y", "tank_flow")):
-        total += costs.tank[k] * float(np.sum(np.abs(y_seq[:, i])))
-    return total
+) -> float | np.ndarray:
+    """Total cost with realized storage flows in the absolute-value terms.
+
+    ``u_seq`` (..., T, n_u) and ``y_seq`` (..., T, n_y) give one cost per
+    leading index; a single (T, n_u), (T, n_y) pair gives a float.
+    """
+    u_costs, abs_rows, abs_costs = _cost_weights(ssm, costs)
+    u_seq = np.asarray(u_seq, dtype=float)
+    y_seq = np.asarray(y_seq, dtype=float)
+    total = u_seq.reshape(u_seq.shape[:-2] + (-1,)) @ u_costs.ravel()
+    total = total + np.abs(y_seq[..., abs_rows]).sum(axis=-2) @ abs_costs
+    return float(total) if total.ndim == 0 else total

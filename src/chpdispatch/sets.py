@@ -43,8 +43,8 @@ class PolyhedronH:
         return self.coefficients.shape[1]
 
     def violations(self, z: np.ndarray) -> np.ndarray:
-        """s_i^T z - r_i per row (positive = violated)."""
-        return self.coefficients @ np.asarray(z, dtype=float) - self.bounds
+        """s_i^T z - r_i per row (positive = violated); z is (n,) or (..., n)."""
+        return np.asarray(z, dtype=float) @ self.coefficients.T - self.bounds
 
     @staticmethod
     def empty(dimension: int) -> "PolyhedronH":

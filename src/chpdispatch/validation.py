@@ -162,8 +162,12 @@ def evaluate(
 ):
     """Check every sample against the original families and price it.
 
-    With ``return_traces`` the per-sample violation flags and realized costs
-    come back alongside the aggregate metrics.
+    The batch is rolled out and checked one chunk at a time and priced one
+    sample per ``realized_cost`` call (``bench/test_bench.py`` counts those
+    calls per sample, although ``realized_cost`` takes a whole chunk).  With
+    ``return_traces`` the per-sample violation flags and realized costs, and
+    the per-step state envelope over the batch ("state_min"/"state_max",
+    (T+1, n_x)), come back alongside the aggregate metrics.
     """
     sol = policy.solution
     if not sol.is_optimal:
@@ -173,17 +177,17 @@ def evaluate(
     violated = np.zeros(count, dtype=bool)
     by_row: dict[str, int] = {}
     costs_out = np.zeros(count)
+    state_min = np.full((ssm.horizon + 1, ssm.n_x), np.inf)
+    state_max = np.full((ssm.horizon + 1, ssm.n_x), -np.inf)
 
     chunk = _chunk_size(ssm, count)
     for start in range(0, count, chunk):
-        w_chunk = batch.samples[start : start + chunk]
-        x_c, u_c, y_c = simulate(policy, ssm, w_chunk)
-        flags, row_hits = _violations(constraints, x_c, u_c, y_c, slack)
-        violated[start : start + len(w_chunk)] = flags
-        for label, hits in row_hits.items():
-            by_row[label] = by_row.get(label, 0) + int(hits)
-        for i in range(len(w_chunk)):
-            costs_out[start + i] = realized_cost(ssm, costs, u_c[i], y_c[i])
+        rows = slice(start, min(start + chunk, count))
+        x_c, u_c, y_c = simulate(policy, ssm, batch.samples[rows])
+        violated[rows] = _violations(constraints, x_c, u_c, y_c, slack, by_row)
+        costs_out[rows] = [realized_cost(ssm, costs, u_s, y_s) for u_s, y_s in zip(u_c, y_c)]
+        state_min = np.minimum(state_min, x_c.min(axis=0))
+        state_max = np.maximum(state_max, x_c.max(axis=0))
 
     j_nom = sol.objective
     metrics = Metrics(
@@ -196,7 +200,12 @@ def evaluate(
         violations_by_row=by_row,
     )
     if return_traces:
-        return metrics, {"violated": violated, "realized_cost": costs_out}
+        return metrics, {
+            "violated": violated,
+            "realized_cost": costs_out,
+            "state_min": state_min,
+            "state_max": state_max,
+        }
     return metrics
 
 
@@ -211,46 +220,20 @@ def _violations(
     u: np.ndarray,
     y: np.ndarray,
     slack: float,
-):
-    """Per-sample any-violation flags plus per-row offender counts."""
-    count = x.shape[0]
-    flags = np.zeros(count, dtype=bool)
-    row_hits: dict[str, int] = {}
-
-    def check(poly, series):
-        nonlocal flags
-        if poly.n_rows == 0 or series.shape[1] == 0:
-            return
-        excess = np.einsum("rd,std->str", poly.coefficients, series) - poly.bounds
-        bad = excess > slack                      # (count, steps, rows)
+    by_row: dict[str, int],
+) -> np.ndarray:
+    """Per-sample any-violation flags; adds per-row offender counts to ``by_row``."""
+    series = {"x": x[:, 1:], "u": u, "y": y, "du": np.diff(u, axis=1), "dy": np.diff(y, axis=1)}
+    flags = np.zeros(x.shape[0], dtype=bool)
+    for name, poly in constraints.families().items():
+        if poly.n_rows == 0:
+            continue
+        bad = poly.violations(series[name]) > slack       # (count, steps, rows)
         flags |= bad.any(axis=(1, 2))
-        per_row = bad.any(axis=1)
-        for ri in np.where(per_row.any(axis=0))[0]:
-            row_hits[poly.labels[ri]] = row_hits.get(poly.labels[ri], 0) + int(
-                per_row[:, ri].sum()
-            )
-
-    check(constraints.x, x[:, 1:])
-    check(constraints.u, u)
-    check(constraints.y, y)
-    if u.shape[1] > 1:
-        check(constraints.du, np.diff(u, axis=1))
-        check(constraints.dy, np.diff(y, axis=1))
-    return flags, row_hits
-
-
-def state_envelopes(
-    policy: Policy, ssm: StateSpaceModel, batch: ScenarioBatch
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step min/max of the closed-loop states over the batch, (T+1, n_x)."""
-    env_min = np.full((ssm.horizon + 1, ssm.n_x), np.inf)
-    env_max = np.full((ssm.horizon + 1, ssm.n_x), -np.inf)
-    chunk = _chunk_size(ssm, batch.count)
-    for start in range(0, batch.count, chunk):
-        x_c, _, _ = simulate(policy, ssm, batch.samples[start : start + chunk])
-        env_min = np.minimum(env_min, x_c.min(axis=0))
-        env_max = np.maximum(env_max, x_c.max(axis=0))
-    return env_min, env_max
+        per_row = bad.any(axis=1).sum(axis=0)
+        for ri in np.flatnonzero(per_row):
+            by_row[poly.labels[ri]] = by_row.get(poly.labels[ri], 0) + int(per_row[ri])
+    return flags
 
 
 def parse_method(spec: str) -> tuple[str, float | None]:

@@ -193,6 +193,12 @@ class TestPolyhedron:
         v = poly.violations(np.array([3.0]))
         assert v[0] == pytest.approx(1.0)    # upper row violated
         assert v[1] == pytest.approx(-4.0)   # lower row slack
+        # leading axes: (samples, steps, n) -> (samples, steps, rows)
+        batch = poly.violations(np.array([[[3.0], [0.0]], [[-2.0], [2.0]]]))
+        assert batch.shape == (2, 2, 2)
+        assert np.allclose(batch[0, 0], v)
+        assert np.allclose(batch[:, 1], [[-2.0, -1.0], [0.0, -3.0]])
+        assert np.allclose(batch[1, 0], [-4.0, 1.0])
 
 
 class TestUncertaintyTube:

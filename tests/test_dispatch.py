@@ -15,6 +15,7 @@ from chpdispatch.dispatch import (
 )
 from chpdispatch.sets import UncertaintyTube
 from chpdispatch.tighten import tighten
+from chpdispatch.validation import simulate
 
 from conftest import with_full_kernel
 
@@ -97,7 +98,7 @@ def test_solution_meets_dynamics_and_constraints(ref24, ref24_box_solution):
     ssm = ref24.ssm
     # dynamics residual
     for t in range(ssm.horizon):
-        nxt = ssm.step(sol.x_seq[t], sol.u_seq[t], ref24.tube.w_center[t])
+        nxt = ssm.A @ sol.x_seq[t] + ssm.B @ sol.u_seq[t] + ssm.D @ ref24.tube.w_center[t]
         assert np.max(np.abs(nxt - sol.x_seq[t + 1])) <= 1e-8
     # tightened rows hold
     fam = sol.schedule.family("x")
@@ -170,10 +171,11 @@ def test_budget_objective_monotone_in_gamma(ref24):
 
 
 def test_policy_affine_identity(ref24, ref24_box_policy):
-    pol = ref24_box_policy
-    for t in range(ref24.ssm.horizon):
-        u = pol.control(t, pol.solution.x_seq[t])
-        assert np.array_equal(u, pol.solution.u_seq[t])
+    """On the forecast the feedback term vanishes: the rollout replays the plan."""
+    sol = ref24_box_policy.solution
+    x, u, _ = simulate(ref24_box_policy, ref24.ssm, ref24.tube.w_center)
+    assert np.max(np.abs(x - sol.x_seq)) <= 1e-10
+    assert np.max(np.abs(u - sol.u_seq)) <= 1e-10
 
 
 def test_infeasible_dispatch_names_blocking_rows(ref24):

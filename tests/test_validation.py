@@ -1,13 +1,17 @@
 """Scenario sampling, closed-loop simulation, and Monte Carlo metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from chpdispatch.compile import LiftedOutputMap, StateSpaceModel
-from chpdispatch.dispatch import DispatchSolution, Policy
+from chpdispatch import validation
+from chpdispatch.compile import ConstraintFamily, LiftedOutputMap, StateSpaceModel
+from chpdispatch.dispatch import DispatchSolution, Policy, realized_cost
 from chpdispatch.sets import UncertaintyTube
 from chpdispatch.tighten import FeedbackGain
 from chpdispatch.validation import (
+    VIOLATION_SLACK,
     evaluate,
     parse_method,
     sample_disturbances,
@@ -160,6 +164,94 @@ class TestEvaluate:
         assert met_box.violation_rate == 0.0
         assert met_do.violation_rate > met_box.violation_rate
         assert met_do.violations_by_row   # histogram populated
+
+    @pytest.mark.parametrize("limits", ["original", "zero"])
+    def test_by_row_counts_match_per_sample_check(self, ref24, ref24_do_policy, monkeypatch, limits):
+        """Chunked counts equal a per-sample, per-step PolyhedronH.violations
+        scan; with every bound at zero, every family has offenders."""
+        constraints = ref24.constraints
+        if limits == "zero":
+            constraints = ConstraintFamily(**{
+                name: dataclasses.replace(poly, bounds=np.zeros(poly.n_rows))
+                for name, poly in constraints.families().items()
+            })
+        monkeypatch.setattr(validation, "EVALUATE_CHUNK_ELEMENTS", 37 * 24 * ref24.ssm.n_y)
+        batch = sample_disturbances(ref24.tube, 200, seed=17, mode="uniform")
+        met, traces = evaluate(
+            ref24_do_policy, ref24.ssm, constraints, ref24.costs, batch, return_traces=True
+        )
+        want: dict[str, int] = {}
+        flags = []
+        families_hit = set()
+        for w in batch.samples:
+            x, u, y = simulate(ref24_do_policy, ref24.ssm, w)
+            series = {"x": x[1:], "u": u, "y": y, "du": np.diff(u, axis=0), "dy": np.diff(y, axis=0)}
+            hit = set()
+            for name, poly in constraints.families().items():
+                for z in series[name]:
+                    for ri in np.flatnonzero(poly.violations(z) > VIOLATION_SLACK):
+                        hit.add((name, poly.labels[ri]))
+            for name, label in hit:
+                want[label] = want.get(label, 0) + 1
+                families_hit.add(name)
+            flags.append(bool(hit))
+        assert met.violations_by_row == want
+        assert traces["violated"].tolist() == flags
+        assert met.violation_rate == np.mean(flags) > 0
+        if limits == "zero":
+            assert families_hit == set(constraints.families())
+
+    def test_traced_envelopes_span_the_batch(self, ref24, ref24_box_policy, monkeypatch):
+        monkeypatch.setattr(validation, "EVALUATE_CHUNK_ELEMENTS", 30 * 24 * ref24.ssm.n_y)
+        batch = sample_disturbances(ref24.tube, 100, seed=4, mode="uniform")
+        _, traces = evaluate(
+            ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch, return_traces=True
+        )
+        x, u, y = simulate(ref24_box_policy, ref24.ssm, batch.samples)
+        assert np.array_equal(traces["state_min"], x.min(axis=0))
+        assert np.array_equal(traces["state_max"], x.max(axis=0))
+        want = [per_sample_cost(ref24.ssm, ref24.costs, u[i], y[i]) for i in range(batch.count)]
+        np.testing.assert_allclose(traces["realized_cost"], want, rtol=1e-12, atol=0)
+
+
+def per_sample_cost(ssm, costs, u, y) -> float:
+    """The cost of one (T, n_u), (T, n_y) trajectory, term by term."""
+    man = ssm.manifest
+    total = 0.0
+    for t in range(ssm.horizon):
+        for k, i in enumerate(man.indices("u", "chp_p")):
+            total += costs.chp[k] * u[t, i]
+        for k, i in enumerate(man.indices("u", "hp_p")):
+            total += costs.hp[k] * u[t, i]
+        total += costs.grid_price[t] * u[t, man.index("u", "grid_p", "grid")]
+        for k, i in enumerate(man.indices("y", "battery_power")):
+            total += costs.battery[k] * abs(y[t, i])
+        for k, i in enumerate(man.indices("y", "tank_flow")):
+            total += costs.tank[k] * abs(y[t, i])
+    return total
+
+
+class TestRealizedCost:
+    def test_batch_matches_per_sample_sum(self, ref24, ref24_do_policy):
+        batch = sample_disturbances(ref24.tube, 40, seed=6, mode="uniform")
+        _, u, y = simulate(ref24_do_policy, ref24.ssm, batch.samples)
+        got = realized_cost(ref24.ssm, ref24.costs, u, y)
+        assert got.shape == (40,)
+        want = [per_sample_cost(ref24.ssm, ref24.costs, u[i], y[i]) for i in range(40)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        grid = realized_cost(ref24.ssm, ref24.costs, u.reshape(4, 10, *u.shape[1:]),
+                             y.reshape(4, 10, *y.shape[1:]))
+        np.testing.assert_allclose(grid.ravel(), want, rtol=1e-12, atol=0)
+        single = realized_cost(ref24.ssm, ref24.costs, u[0], y[0])
+        assert isinstance(single, float) and single == pytest.approx(want[0], rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["do", "box"])
+    def test_nominal_trajectory_prices_at_lp_objective(
+        self, ref24, ref24_do_solution, ref24_box_solution, which
+    ):
+        sol = ref24_do_solution if which == "do" else ref24_box_solution
+        cost = realized_cost(ref24.ssm, ref24.costs, sol.u_seq, sol.y_seq)
+        assert cost == pytest.approx(sol.objective, rel=1e-9)
 
 
 def test_parse_method():
