@@ -31,7 +31,6 @@ from .elecnet import (
     voltage_sensitivities,
 )
 from .heatnet import (
-    DelayTable,
     TemperatureMaps,
     compute_delays,
     temperature_maps,
@@ -43,7 +42,6 @@ from .lp import (
     check_kkt,
     solve_lp,
     solve_lp_simplex,
-    write_lp_text,
 )
 from .model import (
     BatteryUnit,

@@ -107,14 +107,14 @@ def _parser() -> argparse.ArgumentParser:
 def _load_model(args) -> SystemModel:
     if args.config:
         model = load_system(args.config)
-        if args.horizon or args.dt:
+        if args.horizon is not None or args.dt is not None:
             raise DomainError(
                 "horizon/dt overrides apply to the bundled reference only; "
                 "edit the config file instead"
             )
         return model
-    horizon = args.horizon or 288
-    dt = args.dt or 300.0
+    horizon = 288 if args.horizon is None else args.horizon
+    dt = 300.0 if args.dt is None else args.dt
     return build_reference_system(horizon, dt)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elecnet import branch_flow_map, nominal_operating_point, voltage_sensitivities
-from .heatnet import DelayTable, TemperatureMaps, compute_delays, temperature_maps
+from .heatnet import TemperatureMaps, compute_delays, temperature_maps
 from .model import SystemModel
 from .sets import PolyhedronH, UncertaintyTube
 
@@ -62,12 +62,6 @@ class VariableManifest:
     def indices(self, vector: str, kind: str) -> list[int]:
         return [i for i, (k, _) in enumerate(getattr(self, vector)) if k == kind]
 
-    def as_dict(self) -> dict:
-        return {
-            vec: [{"kind": k, "name": n, "index": i} for i, (k, n) in enumerate(getattr(self, vec))]
-            for vec in ("x", "u", "y", "w")
-        }
-
 
 # physical unit per manifest kind, for CSV headers
 KIND_UNITS = {
@@ -104,13 +98,13 @@ class LiftedOutputMap:
     """y(t) as an affine function of the control and disturbance sequences.
 
     y(t) = feed_u u(t) + feed_w w(t)
-         + sum_{tau <= t} K(t, tau) (heat_u u(tau) + heat_w w(tau)) + const(t)
+         + sum_{tau <= t} K(t - tau) (heat_u u(tau) + heat_w w(tau)) + const(t)
 
-    where K embeds the heat-network kernel into the temperature rows listed
-    in ``memory_rows`` (all other rows are memoryless).  This class is the
-    only reader of the kernel: the LP rows, the tightening coefficients and
-    the closed-loop rollout all take y(t) from ``u_blocks``, ``w_blocks``
-    and ``evaluate``.
+    where K embeds the heat-network lag kernel into the temperature rows
+    listed in ``memory_rows`` (all other rows are memoryless).  This class
+    is the only reader of the kernel: the LP rows, the tightening
+    coefficients and the closed-loop rollout all take y(t) from
+    ``u_blocks``, ``w_blocks`` and ``evaluate``.
     """
 
     feed_u: np.ndarray          # (n_y, n_u)
@@ -133,47 +127,26 @@ class LiftedOutputMap:
     def _has_memory(self) -> bool:
         return self.temps is not None and len(self.memory_rows) > 0
 
-    @property
-    def time_invariant(self) -> bool:
-        """Whether dy(t)/d(tau) depends on t - tau only (lag blocks exist)."""
-        return not self._has_memory or self.temps.kernel_ti is not None
+    def u_blocks(self, s_rows: np.ndarray, diff: bool = False) -> np.ndarray:
+        """S dy(t)/du(t - k) for the row selector S = ``s_rows`` (M, n_y), as
+        lag blocks (T, M, n_u) indexed by k.  ``diff`` gives the blocks of
+        the step difference S (y(t) - y(t-1))."""
+        return self._blocks(s_rows, self.feed_u, self.heat_u, diff)
 
-    def u_blocks(self, s_rows: np.ndarray, t: int | None = None, diff: bool = False) -> np.ndarray:
-        """S dy(t)/du(tau) for the row selector S = ``s_rows`` (M, n_y).
+    def w_blocks(self, s_rows: np.ndarray, diff: bool = False) -> np.ndarray:
+        """S dy(t)/dw(t - k), shaped as in :meth:`u_blocks`."""
+        return self._blocks(s_rows, self.feed_w, self.heat_w, diff)
 
-        With ``t`` None, lag blocks (T, M, n_u) indexed by t - tau (time-
-        invariant maps only); with ``t`` given, (t+1, M, n_u) over tau = 0..t.
-        ``diff`` gives the blocks of the step difference S (y(t) - y(t-1)).
-        """
-        return self._blocks(s_rows, self.feed_u, self.heat_u, t, diff)
-
-    def w_blocks(self, s_rows: np.ndarray, t: int | None = None, diff: bool = False) -> np.ndarray:
-        """S dy(t)/dw(tau), shaped as in :meth:`u_blocks`."""
-        return self._blocks(s_rows, self.feed_w, self.heat_w, t, diff)
-
-    def _blocks(self, s_rows, feed, heat, t, diff):
-        if t is None and not self.time_invariant:
-            raise ValueError("lag blocks need a time-invariant kernel; pass a step t")
-        count = self.horizon if t is None else t + 1
-        if not self._has_memory:
-            blocks = np.zeros((count, s_rows.shape[0], feed.shape[1]))
-        else:
+    def _blocks(self, s_rows, feed, heat, diff):
+        blocks = np.zeros((self.horizon, s_rows.shape[0], feed.shape[1]))
+        if self._has_memory:
             sel = s_rows[:, self.memory_rows]
-            if t is None:
-                kernels = self.temps.kernel_ti
-            elif self.temps.kernel_ti is not None:
-                kernels = self.temps.kernel_ti[t::-1]
-            else:
-                kernels = self.temps.kernel_full[t]
-            # one lag or step at a time: no temporary as large as the result
-            blocks = np.empty((count, s_rows.shape[0], feed.shape[1]))
-            for k, kernel in enumerate(kernels):
+            # one lag at a time: no temporary as large as the result
+            for k, kernel in enumerate(self.temps.kernel):
                 blocks[k] = sel @ kernel @ heat
-        blocks[0 if t is None else t] += s_rows @ feed
-        if diff and t is None:
+        blocks[0] += s_rows @ feed
+        if diff:
             blocks[1:] = np.diff(blocks, axis=0)
-        elif diff and t:
-            blocks[:t] -= self._blocks(s_rows, feed, heat, t - 1, False)
         return blocks
 
     def evaluate(self, u_seq: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
@@ -186,13 +159,8 @@ class LiftedOutputMap:
         if self._has_memory:
             inputs = u_seq @ self.heat_u.T + w_seq @ self.heat_w.T  # (..., T, n_ch)
             mem = np.zeros(inputs.shape[:-1] + (len(self.memory_rows),))
-            if self.temps.kernel_ti is not None:
-                for lag in range(T):
-                    mem[..., lag:, :] += inputs[..., : T - lag, :] @ self.temps.kernel_ti[lag].T
-            else:
-                for t in range(T):
-                    for tau in range(t + 1):
-                        mem[..., t, :] += inputs[..., tau, :] @ self.temps.kernel_full[t][tau].T
+            for lag in range(T):
+                mem[..., lag:, :] += inputs[..., : T - lag, :] @ self.temps.kernel[lag].T
             out[..., self.memory_rows] += mem
         return out
 
@@ -208,7 +176,7 @@ class StateSpaceModel:
     manifest: VariableManifest
     horizon: int
     x0: np.ndarray
-    delays: DelayTable | None = None
+    delays: np.ndarray | None = None      # transport delay per pipe, in steps
     # reactive balance rows: reactive_u @ u(t) + reactive_w @ w(t) = 0
     reactive_u: np.ndarray | None = None
     reactive_w: np.ndarray | None = None

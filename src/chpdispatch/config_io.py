@@ -134,6 +134,17 @@ class _Reader:
                 raise ConfigError(self._join(key), "series entries must be numbers") from None
         raise ConfigError(self._join(key), f"expected number or list, got {type(val).__name__}")
 
+    def constant(self, key: str, length: int) -> float:
+        """A number, or a list of ``length`` equal numbers."""
+        if not isinstance(self.get(key), list):
+            return self.number(key)
+        vals = self.series(key, length)
+        if not vals.size or np.any(vals != vals[0]):
+            raise ConfigError(
+                self._join(key), "must be constant over the horizon (one value, or equal entries)"
+            )
+        return float(vals[0])
+
     def items(self, key: str) -> list["_Reader"]:
         val = self.data.get(key, [])
         if val is None:
@@ -355,7 +366,6 @@ def _parse_heat(r: _Reader, T: int) -> HeatNetwork:
         arrays["outflow"][i] = nd.number("outflow_kg_s", 0.0)
     pipes = []
     for p in r.items("pipes"):
-        flow = p.series("mass_flow", T) if isinstance(p.get("mass_flow"), list) else None
         pipes.append(
             HeatPipe(
                 from_node=p.integer("from"),
@@ -363,7 +373,7 @@ def _parse_heat(r: _Reader, T: int) -> HeatNetwork:
                 length=p.number("length"),
                 diameter=p.number("diameter"),
                 conductivity=p.number("conductivity"),
-                mass_flow=flow if flow is not None else np.array([p.number("mass_flow")]),
+                mass_flow=p.constant("mass_flow", T),
                 cross_section=p.number("cross_section", 0.0),
             )
         )
@@ -542,7 +552,7 @@ def _to_document(m: SystemModel) -> dict:
                 {
                     "from": p.from_node, "to": p.to_node, "length": p.length,
                     "diameter": p.diameter, "conductivity": p.conductivity,
-                    "mass_flow": _series_out(p.mass_flow),
+                    "mass_flow": p.mass_flow,
                     "cross_section": p.cross_section,
                 }
                 for p in heat.pipes

@@ -278,11 +278,10 @@ def _cost_weights(ssm: StateSpaceModel, costs: CostModel) -> tuple[np.ndarray, l
 def _u_row_coefficients(out: LiftedOutputMap, s_rows: np.ndarray, diff: bool):
     """t -> (M, (t+1) n_u): the coefficients of S y(t) (of S (y(t) - y(t-1))
     with ``diff``) on u(0..t), laid out like the LP's u variables."""
-    lag = out.u_blocks(s_rows, diff=diff) if out.time_invariant else None
+    lag = out.u_blocks(s_rows, diff=diff)
 
     def at(t: int) -> np.ndarray:
-        blocks = lag[t::-1] if lag is not None else out.u_blocks(s_rows, t, diff)
-        return blocks.transpose(1, 0, 2).reshape(len(s_rows), -1)
+        return lag[t::-1].transpose(1, 0, 2).reshape(len(s_rows), -1)
 
     return at
 

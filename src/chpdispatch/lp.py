@@ -21,7 +21,6 @@ __all__ = [
     "solve_lp",
     "solve_lp_simplex",
     "check_kkt",
-    "write_lp_text",
 ]
 
 FEAS_TOL = 1e-8
@@ -499,39 +498,3 @@ def check_kkt(lp: LinearProgram, sol: LpSolution) -> KktReport:
     gap = abs(obj - dual_obj) / (1.0 + abs(obj))
     return KktReport(primal_residual=primal, dual_residual=dual, complementarity=comp, gap=gap)
 
-
-def write_lp_text(lp: LinearProgram) -> str:
-    """Serialize in the plain LP interchange format for external cross-checks."""
-
-    def name(i: int) -> str:
-        return lp.names[i] if lp.names else f"z{i}"
-
-    def expr(row: np.ndarray) -> str:
-        parts = []
-        for i, v in enumerate(row):
-            if v == 0:
-                continue
-            sign = "+" if v >= 0 else "-"
-            parts.append(f"{sign} {abs(v):.12g} {name(i)}")
-        return " ".join(parts) if parts else "0 " + name(0)
-
-    lines = ["Minimize", " obj: " + expr(lp.c), "Subject To"]
-    for k in range(lp.n_ineq):
-        label = lp.row_labels[k] if lp.row_labels else f"r{k}"
-        lines.append(f" {label}: " + expr(lp.g[k]) + f" <= {lp.h[k]:.12g}")
-    for k in range(lp.n_eq):
-        label = lp.eq_labels[k] if lp.eq_labels else f"e{k}"
-        lines.append(f" {label}: " + expr(lp.a_eq[k]) + f" = {lp.b_eq[k]:.12g}")
-    lines.append("Bounds")
-    for i in range(lp.n_vars):
-        lo, up = lp.lower[i], lp.upper[i]
-        if np.isfinite(lo) and np.isfinite(up):
-            lines.append(f" {lo:.12g} <= {name(i)} <= {up:.12g}")
-        elif np.isfinite(lo):
-            lines.append(f" {name(i)} >= {lo:.12g}")
-        elif np.isfinite(up):
-            lines.append(f" -inf <= {name(i)} <= {up:.12g}")
-        else:
-            lines.append(f" {name(i)} free")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

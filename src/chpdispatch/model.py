@@ -172,19 +172,6 @@ class ElectricNetwork:
     def n_branch(self) -> int:
         return len(self.branches)
 
-    def incidence(self) -> np.ndarray:
-        """Bus-branch incidence: +1 at the from bus, -1 at the to bus."""
-        a = np.zeros((self.n_bus, self.n_branch))
-        for j, br in enumerate(self.branches):
-            a[br.from_bus, j] = 1.0
-            a[br.to_bus, j] = -1.0
-        return a
-
-    def from_bus_selector(self) -> np.ndarray:
-        """Entries 1 where the incidence is +1, else 0."""
-        a = self.incidence()
-        return (a > 0).astype(float)
-
     def is_connected(self) -> bool:
         if self.n_bus == 1:
             return True
@@ -211,19 +198,15 @@ class HeatPipe:
     length: float             # m
     diameter: float           # m
     conductivity: float       # W/(m*K)
-    mass_flow: np.ndarray     # kg/s per step (constant flow = repeated value)
+    mass_flow: float          # kg/s, constant over the horizon
     cross_section: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mass_flow", _arr(np.atleast_1d(self.mass_flow)))
+        object.__setattr__(self, "mass_flow", float(self.mass_flow))
         if self.cross_section == 0.0:
             object.__setattr__(
                 self, "cross_section", float(np.pi * self.diameter**2 / 4.0)
             )
-
-    def flow_at(self, t: int) -> float:
-        m = self.mass_flow
-        return float(m[min(max(t, 0), len(m) - 1)])
 
 
 @dataclass(frozen=True)
@@ -535,14 +518,10 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
                 d.append(
                     Diagnostic(p, f"cross_section {pipe.cross_section} != pi*D^2/4 = {expected}")
                 )
-            if np.any(pipe.mass_flow <= 0):
+            if pipe.mass_flow <= 0:
                 d.append(Diagnostic(p, "mass flow must stay > 0 (constant-flow regime)"))
-            if len(pipe.mass_flow) not in (1, T):
-                d.append(
-                    Diagnostic(p, f"mass-flow series length {len(pipe.mass_flow)} not 1 or {T}")
-                )
         if heat.is_tree():
-            d.extend(_check_heat_mass_balance(heat, T))
+            d.extend(_check_heat_mass_balance(heat))
 
     # forecasts
     fc = model.forecasts
@@ -574,26 +553,18 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
     return d
 
 
-def _check_heat_mass_balance(heat: HeatNetwork, horizon: int) -> list[Diagnostic]:
+def _check_heat_mass_balance(heat: HeatNetwork) -> list[Diagnostic]:
     """Supply-side mass balance per node: parent + inflow = children + outflow."""
     out: list[Diagnostic] = []
     par = heat.parent_pipe()
     ch = heat.children()
-    steps = range(max(horizon, 1))
     for i in range(heat.n_node):
-        for t in steps:
-            inflow = heat.inflow[i]
-            if par[i] is not None:
-                inflow += heat.pipes[par[i]].flow_at(t)
-            outflow = heat.outflow[i]
-            for j in ch[i]:
-                outflow += heat.pipes[j].flow_at(t)
-            if abs(inflow - outflow) > 1e-6:
-                out.append(
-                    Diagnostic(
-                        f"heat.node[{i}]",
-                        f"mass imbalance {inflow - outflow:+.3e} kg/s at t={t}",
-                    )
-                )
-                break
+        inflow = heat.inflow[i]
+        if par[i] is not None:
+            inflow += heat.pipes[par[i]].mass_flow
+        outflow = heat.outflow[i]
+        for j in ch[i]:
+            outflow += heat.pipes[j].mass_flow
+        if abs(inflow - outflow) > 1e-6:
+            out.append(Diagnostic(f"heat.node[{i}]", f"mass imbalance {inflow - outflow:+.3e} kg/s"))
     return out

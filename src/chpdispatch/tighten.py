@@ -138,12 +138,6 @@ class FamilySchedule:
     def tightened_bounds(self) -> np.ndarray:
         return self.polyhedron.bounds[np.newaxis, :] - self.reductions
 
-    def bounds_at(self, t: int) -> np.ndarray:
-        idx = np.searchsorted(self.steps, t)
-        if idx >= len(self.steps) or self.steps[idx] != t:
-            raise KeyError(f"no schedule entry for step {t}")
-        return self.tightened_bounds[idx]
-
 
 @dataclass(frozen=True)
 class TightenedSchedule:
@@ -180,11 +174,10 @@ class TightenedSchedule:
 class _DeviationFamily:
     """Deviation coefficients of one constraint family's rows.
 
-    For each step t the family's rows deviate by sum_tau theta(t, tau) w_dev(tau);
-    ``lag`` holds theta as a function of the lag when that structure exists
-    (time-invariant kernels), ``full`` computes it per step otherwise.
-    ``kind`` fixes the lag convention: "state" rows see disturbances up to
-    t-1 (lag = t-1-tau), "output" rows up to t (lag = t-tau).
+    For each step t the family's rows deviate by sum_tau theta(t, tau) w_dev(tau),
+    and theta depends on the lag only: ``lag`` holds it per lag.  ``kind``
+    fixes the lag convention: "state" rows see disturbances up to t-1
+    (lag = t-1-tau), "output" rows up to t (lag = t-tau).
 
     Row pairs are fixed once: ``gamma_rows`` drops every row 2i+1 whose
     coefficients negate row 2i (same |theta|, so the same budget term) and
@@ -198,15 +191,13 @@ class _DeviationFamily:
         poly: PolyhedronH,
         steps: np.ndarray,
         kind: str,
-        lag: np.ndarray | None,
-        full=None,
+        lag: np.ndarray,
     ):
         self.name = name
         self.poly = poly
         self.steps = steps
         self.kind = kind
         self.lag = lag
-        self.full = full
         coeff = poly.coefficients
         even = np.arange(0, poly.n_rows - 1, 2)
         mirrored = even[np.all(coeff[even + 1] == -coeff[even], axis=1)] + 1
@@ -222,8 +213,6 @@ class _DeviationFamily:
 
     def theta_for_step(self, t: int) -> np.ndarray:
         """(tau_count, M, n_w) with tau = 0..t-1 (state) or 0..t (output)."""
-        if self.full is not None:
-            return self.full(t)
         count = t if self.kind == "state" else t + 1
         if count == 0:
             return np.zeros((0,) + self.lag.shape[1:])
@@ -281,14 +270,14 @@ def _build_families(
 
     for name, steps, diff in (("y", np.arange(0, T), False), ("dy", np.arange(1, T), True)):
         poly = getattr(constraints, name)
-        lag, full = _output_deviation(ssm, poly.coefficients, gain, diff)
-        fams.append(_DeviationFamily(name, poly, steps, "output", lag, full))
+        lag = _output_deviation(ssm, poly.coefficients, gain, diff)
+        fams.append(_DeviationFamily(name, poly, steps, "output", lag))
     return fams
 
 
 def _output_deviation(ssm: StateSpaceModel, sy: np.ndarray, gain: FeedbackGain, diff: bool):
-    """Deviation coefficients for rows over y (over its step difference with
-    ``diff``); returns (lag, full) with one set.
+    """Deviation coefficients by lag for rows over y (over its step
+    difference with ``diff``).
 
     theta(t, tau) = S dy(t)/dw(tau) + sum_{tau < sigma <= t} S dy(t)/du(sigma)
     K Phi^(sigma-1-tau) D: the disturbance reaches y directly and through the
@@ -296,26 +285,13 @@ def _output_deviation(ssm: StateSpaceModel, sy: np.ndarray, gain: FeedbackGain, 
     """
     T = ssm.horizon
     out = ssm.output
-    feedback = not gain.is_zero and T > 1
-    if feedback:
+    lag = out.w_blocks(sy, diff=diff)
+    if not gain.is_zero and T > 1:
         powers = _phi_power_images(np.eye(ssm.n_x), gain.phi, ssm.D, T - 1)  # Phi^j D
-    if out.time_invariant:
-        lag = out.w_blocks(sy, diff=diff)
-        if feedback:
-            u_k = out.u_blocks(sy, diff=diff) @ gain.k     # (T, M, n_x) by lag
-            for a in range(T - 1):
-                lag[a + 1 :] += np.matmul(u_k[a], powers[: T - 1 - a])
-        return lag, None
-
-    def full(t: int) -> np.ndarray:
-        theta = out.w_blocks(sy, t, diff)
-        if feedback:
-            u_k = out.u_blocks(sy, t, diff) @ gain.k       # (t+1, M, n_x) by sigma
-            for sigma in range(1, t + 1):
-                theta[:sigma] += np.matmul(u_k[sigma], powers[sigma - 1 :: -1])
-        return theta
-
-    return None, full
+        u_k = out.u_blocks(sy, diff=diff) @ gain.k     # (T, M, n_x) by lag
+        for a in range(T - 1):
+            lag[a + 1 :] += np.matmul(u_k[a], powers[: T - 1 - a])
+    return lag
 
 
 def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
@@ -345,24 +321,10 @@ def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
 def _box_reductions(fam: _DeviationFamily, widths: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Closed-form reductions: per row, sum over channels of |theta| W plus
     the deviation-center term."""
-    steps = fam.steps
     M = fam.poly.n_rows
     if M == 0:
-        return np.zeros((len(steps), M))
-    if fam.lag is not None:
-        return _lag_convolve(fam, [(np.abs(fam.lag), widths), (fam.lag, shifts)])
-    rho = np.zeros((len(steps), M))
-    for si, t in enumerate(steps):
-        theta = fam.theta_for_step(int(t))
-        count = theta.shape[0]
-        if not count:
-            continue
-        w = widths[:count]
-        s = shifts[:count]
-        rho[si] = np.einsum("kmj,kj->m", np.abs(theta), w) + np.einsum(
-            "kmj,kj->m", theta, s
-        )
-    return rho
+        return np.zeros((len(fam.steps), M))
+    return _lag_convolve(fam, [(np.abs(fam.lag), widths), (fam.lag, shifts)])
 
 
 def _budget_reductions(
@@ -379,21 +341,9 @@ def _budget_reductions(
     """
     steps = fam.steps
     M = fam.poly.n_rows
-    rho = np.zeros((len(steps), M))
     if M == 0:
-        return rho
+        return np.zeros((len(steps), M))
     rows = fam.gamma_rows
-    if fam.lag is None:
-        for si, t in enumerate(steps):
-            theta = fam.theta_for_step(int(t))    # (count, M, n_w)
-            count = theta.shape[0]
-            if not count:
-                continue
-            mags = np.abs(theta[:, rows]) * widths[:count, np.newaxis, :]
-            per_row = _top_k_sums(np.moveaxis(mags, 0, -1), budget).sum(axis=1)
-            rho[si] = per_row[fam.gamma_index] + np.einsum("kmj,kj->m", theta, shifts[:count])
-        return rho
-
     abs_lag = np.abs(fam.lag)
     long = np.count_nonzero(abs_lag[:, rows], axis=0) > max(int(budget), 1)   # (len(rows), n_w)
     pair_row, pair_ch = np.nonzero(long)

@@ -68,12 +68,12 @@ def sample_disturbances(
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     T, n_w = tube.horizon, tube.n_channels
-    lo = np.broadcast_to(tube.w_min, (count, T, n_w))
-    hi = np.broadcast_to(tube.w_max, (count, T, n_w))
 
+    # every draw is scaled and shifted in place: no batch-sized temporaries
     if mode == "uniform":
-        u = rng.random((count, T, n_w))
-        samples = lo + u * (hi - lo)
+        samples = rng.random((count, T, n_w))
+        samples *= tube.w_max - tube.w_min
+        samples += tube.w_min
     elif mode == "budget":
         if budget is None:
             budget = tube.budget
@@ -82,8 +82,10 @@ def sample_disturbances(
         tilde = rng.uniform(-1.0, 1.0, (count, T, n_w))
         norms = np.sum(np.abs(tilde), axis=1, keepdims=True)      # (count, 1, n_w)
         scale = np.minimum(1.0, budget / np.maximum(norms, 1e-300))
-        tilde = tilde * scale
-        samples = tube.w_center + tube.center_shift + tilde * tube.half_width
+        samples = tilde
+        samples *= scale
+        samples *= tube.half_width
+        samples += tube.w_center + tube.center_shift
     elif mode == "vertex":
         width_mask = (tube.w_max - tube.w_min) > 0
         n_free = int(np.sum(width_mask))
@@ -96,7 +98,7 @@ def sample_disturbances(
                 samples[bits[:, k] == 1, t, j] = tube.w_max[t, j]
         else:
             bits = rng.integers(0, 2, (count, T, n_w))
-            samples = np.where(bits == 1, hi, lo).copy()
+            samples = np.where(bits == 1, tube.w_max, tube.w_min)
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     return ScenarioBatch(mode=mode, seed=seed, samples=samples)

@@ -83,22 +83,6 @@ def synthetic_manifest(n_x: int, n_u: int, n_y: int, n_w: int) -> VariableManife
     )
 
 
-def with_full_kernel(temps: TemperatureMaps, kernel_full=None) -> TemperatureMaps:
-    """The same maps with ``kernel_full[t][tau]`` in place of ``kernel_ti``;
-    by default the time-invariant kernel written out per (t, tau)."""
-    if kernel_full is None:
-        kernel_full = [
-            [temps.kernel_ti[t - tau] for tau in range(t + 1)] for t in range(temps.horizon)
-        ]
-    return TemperatureMaps(
-        n_node=temps.n_node,
-        horizon=temps.horizon,
-        offset=temps.offset,
-        kernel_ti=None,
-        kernel_full=kernel_full,
-    )
-
-
 def random_system(
     rng: np.random.Generator,
     n_x: int = 2,
@@ -109,13 +93,8 @@ def random_system(
     with_memory: bool = True,
     nonzero_gain: bool = True,
     centered: bool = False,
-    time_varying: bool = False,
 ) -> tuple[StateSpaceModel, ConstraintFamily, UncertaintyTube, FeedbackGain]:
-    """A small synthetic model exercising every tightening code path.
-
-    ``time_varying`` gives the heat memory a kernel that depends on t and
-    tau separately (``kernel_full``, no ``kernel_ti``).
-    """
+    """A small synthetic model exercising every tightening code path."""
     A = np.diag(rng.uniform(0.75, 0.95, n_x))
     B = rng.normal(size=(n_x, n_u)) * 0.3
     D = rng.normal(size=(n_x, n_w)) * 0.4
@@ -135,14 +114,8 @@ def random_system(
             n_node=n_ch // 2 if n_ch % 2 == 0 else n_ch,
             horizon=horizon,
             offset=np.zeros((horizon, n_ch)),
-            kernel_ti=kernel,
-            kernel_full=None,
+            kernel=kernel,
         )
-        if time_varying:
-            scale = rng.uniform(0.5, 1.5, horizon)
-            temps = with_full_kernel(
-                temps, [[scale[t] * kernel[t - tau] for tau in range(t + 1)] for t in range(horizon)]
-            )
         heat_u = rng.normal(size=(n_ch, n_u)) * 0.3
         heat_w = rng.normal(size=(n_ch, n_w)) * 0.3
         feed_u[mem_rows] = 0.0

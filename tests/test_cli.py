@@ -151,3 +151,24 @@ def test_malformed_yaml_is_domain_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     # file:line:column of the parser's mark (1-based)
     assert f"{bad}:3:1:" in err[0] and "YAML syntax error" in err[0]
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (["--horizon", "0", "--dt", "3600"], "horizon must be >= 1, got 0"),
+        (["--horizon", "12", "--dt", "0"], "step_seconds must be > 0, got 0.0"),
+    ],
+)
+def test_zero_override_is_domain_error(tmp_path, capsys, override, message):
+    code = run(["tighten", *override, "--out", str(tmp_path)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_zero_override_with_config_is_domain_error(tmp_path, capsys):
+    assert run(["reference", *HORIZON, "--out", str(tmp_path)]) == 0
+    config = str(tmp_path / "reference.yaml")
+    code = run(["tighten", "--config", config, "--horizon", "0", "--out", str(tmp_path)])
+    assert code == 1
+    assert "overrides apply to the bundled reference only" in capsys.readouterr().err

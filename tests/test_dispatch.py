@@ -1,7 +1,5 @@
 """Nominal dispatch LP assembly and solution quality."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -17,43 +15,20 @@ from chpdispatch.sets import UncertaintyTube
 from chpdispatch.tighten import tighten
 from chpdispatch.validation import simulate
 
-from conftest import with_full_kernel
-
 
 @pytest.fixture(scope="module")
 def ref_sched(ref24):
     return tighten(ref24.ssm, ref24.constraints, ref24.tube, ref24.gain, mode="box")
 
 
-def full_kernel_ssm(ssm):
-    """The same model with its heat kernel written out per (t, tau)."""
-    output = dataclasses.replace(ssm.output, temps=with_full_kernel(ssm.output.temps))
-    return dataclasses.replace(ssm, output=output)
-
-
-@pytest.mark.parametrize("mode, budget", [("box", None), ("budget", 10.0)])
-def test_full_kernel_builder_matches_lag_builder(ref24, mode, budget):
-    """The per-(t, tau) kernel path assembles the lag path's LP."""
-    lps = []
-    for ssm in (ref24.ssm, full_kernel_ssm(ref24.ssm)):
-        sched = tighten(ssm, ref24.constraints, ref24.tube, ref24.gain, mode=mode, budget=budget)
-        lps.append(build_nominal_problem(ssm, sched, ref24.costs, ref24.tube.w_center).lp)
-    lag, full = lps
-    assert full.row_labels == lag.row_labels and full.eq_labels == lag.eq_labels
-    for name in ("c", "g", "h", "a_eq", "b_eq"):
-        np.testing.assert_allclose(getattr(full, name), getattr(lag, name), rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("full_kernel", [False, True])
-def test_output_rows_reproduce_lifted_map(ref24, ref_sched, full_kernel):
+def test_output_rows_reproduce_lifted_map(ref24, ref_sched):
     """At any point z, each y row's g.z - h plus its tightened bound is
     S y(t), and each dy row's is S (y(t) - y(t-1)), with y from evaluate."""
-    ssm = full_kernel_ssm(ref24.ssm) if full_kernel else ref24.ssm
-    prob = build_nominal_problem(ssm, ref_sched, ref24.costs, ref24.tube.w_center)
+    prob = build_nominal_problem(ref24.ssm, ref_sched, ref24.costs, ref24.tube.w_center)
     lp = prob.lp
     z = np.random.default_rng(11).normal(size=lp.n_vars)
     _, u = prob.decode(z)
-    y = ssm.output.evaluate(u, ref24.tube.w_center)
+    y = ref24.ssm.output.evaluate(u, ref24.tube.w_center)
     for name in ("y", "dy"):
         fam = ref_sched.family(name)
         steps = fam.steps

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chpdispatch
-from chpdispatch.lp import LinearProgram, check_kkt, solve_lp, solve_lp_simplex, write_lp_text
+from chpdispatch.lp import LinearProgram, check_kkt, solve_lp, solve_lp_simplex
 
 
 def brute_force_optimum(lp: LinearProgram) -> float | None:
@@ -202,25 +202,6 @@ def test_objective_scaling_leaves_argmin_face():
     sol5 = solve_lp(lp5)
     assert sol1.status == sol5.status == "optimal"
     assert sol5.objective == pytest.approx(5.0 * sol1.objective, rel=1e-10)
-
-
-def test_lp_text_export_roundtrippable_shape():
-    lp = LinearProgram(
-        c=np.array([1.0, -2.0]),
-        g=np.array([[1.0, 1.0]]),
-        h=np.array([3.0]),
-        a_eq=np.array([[1.0, -1.0]]),
-        b_eq=np.array([0.5]),
-        lower=np.array([0.0, -np.inf]),
-        upper=np.array([np.inf, 4.0]),
-        names=("alpha", "beta"),
-        row_labels=("cap",),
-        eq_labels=("link",),
-    )
-    text = write_lp_text(lp)
-    assert "Minimize" in text and "Subject To" in text and "Bounds" in text
-    assert "alpha" in text and "cap:" in text and "link:" in text
-    assert text.endswith("End\n")
 
 
 def test_free_variable_handled():

@@ -123,6 +123,27 @@ def test_series_length_mismatch_names_path():
     assert "grid.price" in str(err.value)
 
 
+def test_varying_pipe_flow_names_path():
+    doc = reference_document(4, 3600.0)
+    flow = doc["heat_network"]["pipes"][2]["mass_flow"]
+    doc["heat_network"]["pipes"][2]["mass_flow"] = [flow, flow, 1.01 * flow, flow]
+    from chpdispatch.config_io import ConfigError
+
+    with pytest.raises(ConfigError) as err:
+        load_system(doc)
+    assert err.value.path == "heat_network.pipes[2].mass_flow"
+
+
+def test_constant_pipe_flow_list_loads_as_scalar():
+    doc = reference_document(4, 3600.0)
+    model = load_system(doc)
+    for pipe in doc["heat_network"]["pipes"]:
+        pipe["mass_flow"] = [pipe["mass_flow"]] * 4
+    listed = load_system(doc)
+    assert listed.equals(model)
+    assert all(isinstance(p.mass_flow, float) for p in listed.heat.pipes)
+
+
 def test_reference_horizon_defaults():
     model = build_reference_system()
     assert model.horizon == 288

@@ -1,7 +1,5 @@
 """Reachable-set supports, dual-norm supports, budget closed form, tightening."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,7 @@ from chpdispatch.tighten import (
     tighten_iterative_lp,
 )
 
-from conftest import random_system, synthetic_manifest, with_full_kernel
+from conftest import random_system, synthetic_manifest
 
 
 def scalar_system(phi: float, d: float, horizon: int, widths) -> tuple:
@@ -283,8 +281,8 @@ class TestTighten:
         sched = tighten(ssm, cons, tube, gain)
         fam = sched.family("x")
         # at t = 2 the reachable set is [-2, 2]: bound 5 becomes 3
-        assert fam.bounds_at(2)[0] == pytest.approx(3.0)
-        assert fam.bounds_at(2)[1] == pytest.approx(3.0)
+        assert list(fam.steps) == [1, 2]
+        assert fam.tightened_bounds[1] == pytest.approx([3.0, 3.0])
 
     def test_zero_width_tube_keeps_original(self, ref24):
         tube = UncertaintyTube(
@@ -472,45 +470,6 @@ def budgets_for(horizon: int) -> tuple[float, ...]:
     return BUDGETS + (float(horizon), horizon + 1.5)
 
 
-class TestTimeVaryingKernel:
-    """Heat memory through ``kernel_full`` (no ``kernel_ti``): the per-step path."""
-
-    def test_matches_lp_oracle(self):
-        rng = np.random.default_rng(300)
-        for trial in range(2):
-            ssm, cons, tube, gain = random_system(
-                rng, n_x=2, n_u=2, n_y=3, n_w=2, horizon=5,
-                nonzero_gain=bool(trial % 2), time_varying=True,
-            )
-            assert ssm.output.temps.kernel_ti is None
-            direct = tighten(ssm, cons, tube, gain, on_empty="flag")
-            via_lp = tighten_iterative_lp(ssm, cons, tube, gain, on_empty="flag")
-            assert direct.max_abs_difference(via_lp) <= 1e-8
-            for budget in budgets_for(ssm.horizon):
-                direct = tighten(
-                    ssm, cons, tube, gain, mode="budget", budget=budget, on_empty="flag"
-                )
-                via_lp = tighten_iterative_lp(
-                    ssm, cons, tube, gain, mode="budget", budget=budget, on_empty="flag"
-                )
-                assert direct.max_abs_difference(via_lp) <= 1e-8, budget
-
-    def test_full_kernel_from_ti_reproduces_ti_schedule(self):
-        rng = np.random.default_rng(301)
-        for nonzero_gain in (False, True):
-            ssm, cons, tube, gain = random_system(
-                rng, n_x=3, n_u=2, n_y=4, n_w=3, horizon=9, nonzero_gain=nonzero_gain
-            )
-            output = dataclasses.replace(ssm.output, temps=with_full_kernel(ssm.output.temps))
-            ssm_full = dataclasses.replace(ssm, output=output)
-            for mode, budget in [("box", None)] + [("budget", b) for b in budgets_for(9)]:
-                ti = tighten(ssm, cons, tube, gain, mode=mode, budget=budget, on_empty="flag")
-                full = tighten(
-                    ssm_full, cons, tube, gain, mode=mode, budget=budget, on_empty="flag"
-                )
-                assert ti.max_abs_difference(full) <= 1e-12, (mode, budget)
-
-
 def impulse_responses(ssm, gain) -> dict:
     """d q(t) / d w_dev(tau, j) for q = x (t = 0..T), u, y (t = 0..T-1),
     by simulating the closed loop under one unit impulse at a time."""
@@ -569,18 +528,17 @@ def sorted_budget_reduction(theta, widths, shifts, budget) -> tuple[float, float
     horizon=st.integers(2, 12),
     n_w=st.integers(1, 3),
     nonzero_gain=st.booleans(),
-    time_varying=st.booleans(),
     centered=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
 def test_budget_kernel_matches_sorted_reference(
-    seed, horizon, n_w, nonzero_gain, time_varying, centered
+    seed, horizon, n_w, nonzero_gain, centered
 ):
     """The top-k kernel against a full sort over simulated impulse responses."""
     rng = np.random.default_rng(seed)
     ssm, cons, tube, gain = random_system(
         rng, n_x=2, n_u=2, n_y=4, n_w=n_w, horizon=horizon,
-        nonzero_gain=nonzero_gain, time_varying=time_varying, centered=centered,
+        nonzero_gain=nonzero_gain, centered=centered,
     )
     responses = family_responses(ssm, gain)
     widths, shifts = tube.half_width, tube.center_shift
