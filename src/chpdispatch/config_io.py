@@ -4,11 +4,13 @@ A system is described by one human-readable YAML/JSON document (see
 ``docs/config-schema.md`` in the repository root for the field reference).
 ``load_system`` accepts a file path or an already-parsed mapping and returns
 a fully validated :class:`~chpdispatch.model.SystemModel`; ``dump_system``
-is its exact inverse (round-trips are field-identical).
+is its exact inverse (round-trips are field-identical).  Documents are
+written as JSON, which is also YAML.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Any, Mapping
 
@@ -34,10 +36,9 @@ from .model import (
 
 SCHEMA_VERSION = 1
 
-# libyaml's C parser and emitter when PyYAML was built with it; the
-# pure-Python classes read and write the same documents, only slower
+# libyaml's C parser when PyYAML was built with it; the pure-Python class
+# reads the same documents, only slower
 SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-SAFE_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 __all__ = [
     "ConfigError",
@@ -160,8 +161,15 @@ def load_system(source: str | os.PathLike | Mapping[str, Any]) -> SystemModel:
         doc = source
     else:
         with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            # JSON is YAML, and json reads it without PyYAML's per-scalar
+            # Python constructor; every other document, and every syntax
+            # error, is left to the YAML parser
+            doc = json.loads(text, parse_constant=_not_yaml_number)
+        except ValueError:
             try:
-                doc = yaml.load(fh, Loader=SAFE_LOADER)
+                doc = yaml.load(text, Loader=SAFE_LOADER)
             except yaml.YAMLError as exc:
                 raise _syntax_error(source, exc) from None
         if not isinstance(doc, Mapping):
@@ -171,6 +179,11 @@ def load_system(source: str | os.PathLike | Mapping[str, Any]) -> SystemModel:
     if diags:
         raise ModelValidationError(diags)
     return model
+
+
+def _not_yaml_number(token: str) -> float:
+    """Refuse JSON's NaN and Infinity: YAML reads them as strings."""
+    raise ValueError(f"{token} is a string in YAML")
 
 
 def _syntax_error(source: str | os.PathLike, exc: yaml.YAMLError) -> ConfigError:
@@ -450,8 +463,8 @@ def dump_system(model: SystemModel, path: str | os.PathLike | None = None) -> di
 
 
 def document_text(doc: Mapping[str, Any]) -> str:
-    """YAML text of a config document, keys in document order."""
-    return yaml.dump(doc, Dumper=SAFE_DUMPER, sort_keys=False)
+    """JSON text of a config document, keys in document order."""
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def _series_out(a: np.ndarray) -> list[float] | float:

@@ -162,12 +162,19 @@ class TightenedSchedule:
         lines = ["family,step,row,unit,original_bound,reduction,tightened_bound"]
         for name, fam in self.families.items():
             poly = fam.polyhedron
-            rows = [(label, unit_of(label)) for label in poly.labels]
-            for si, t in enumerate(fam.steps):
-                for ri, (label, unit) in enumerate(rows):
-                    r = poly.bounds[ri]
-                    red = fam.reductions[si, ri]
-                    lines.append(f"{name},{t},{label},{unit},{r:.12g},{red:.12g},{r - red:.12g}")
+            # the text between step and reduction is fixed per row
+            rows = [
+                f",{label},{unit_of(label)},{r:.12g},"
+                for label, r in zip(poly.labels, poly.bounds.tolist())
+            ]
+            for t, reds, tights in zip(
+                fam.steps.tolist(), fam.reductions.tolist(), fam.tightened_bounds.tolist()
+            ):
+                head = f"{name},{t}"
+                lines.extend(
+                    f"{head}{row}{red:.12g},{tight:.12g}"
+                    for row, red, tight in zip(rows, reds, tights)
+                )
         return "\n".join(lines) + "\n"
 
 

@@ -34,6 +34,8 @@ __all__ = [
 VIOLATION_SLACK = 1e-9
 # output elements (samples x steps x outputs) simulated per chunk in evaluate
 EVALUATE_CHUNK_ELEMENTS = 1_000_000
+# disturbance entries (samples x steps x channels) per chunk of vertex bits
+VERTEX_CHUNK_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,14 @@ def sample_disturbances(
             for k, (t, j) in enumerate(flat_idx):
                 samples[bits[:, k] == 1, t, j] = tube.w_max[t, j]
         else:
-            bits = rng.integers(0, 2, (count, T, n_w))
-            samples = np.where(bits == 1, tube.w_max, tube.w_min)
+            # int64 bits drawn chunk by chunk along the sample axis give the
+            # same stream as one draw, without a batch-sized temporary
+            samples = np.empty((count, T, n_w))
+            chunk = max(1, VERTEX_CHUNK_ELEMENTS // max(1, T * n_w))
+            for start in range(0, count, chunk):
+                block = samples[start : start + chunk]
+                bits = rng.integers(0, 2, block.shape)
+                block[...] = np.where(bits == 1, tube.w_max, tube.w_min)
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     return ScenarioBatch(mode=mode, seed=seed, samples=samples)

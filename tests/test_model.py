@@ -1,10 +1,19 @@
 """Domain-model invariants and diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 import yaml
 
-from chpdispatch.config_io import ModelValidationError, dump_system, load_system
+from chpdispatch.config_io import (
+    SAFE_LOADER,
+    ConfigError,
+    ModelValidationError,
+    document_text,
+    dump_system,
+    load_system,
+)
 from chpdispatch.model import validate_system
 from chpdispatch.reference import build_reference_system, reference_document
 
@@ -83,17 +92,68 @@ def test_roundtrip_field_identical(ref24):
 
 def test_roundtrip_through_file(tmp_path, ref24):
     path = tmp_path / "system.yaml"
-    dump_system(ref24.model, path)
-    again = load_system(path)
-    assert ref24.model.equals(again)
+    for model in (ref24.model, build_reference_system(288, 300.0)):
+        dump_system(model, path)
+        again = load_system(path)
+        assert model.equals(again)
 
 
-@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
 def test_libyaml_and_python_yaml_agree():
-    doc = reference_document(24, 3600.0)
-    text = yaml.dump(doc, Dumper=yaml.CSafeDumper, sort_keys=False)
-    assert text.encode() == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False).encode()
+    text = document_text(reference_document(24, 3600.0))
     assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("horizon, dt", [(24, 3600.0), (48, 1800.0), (96, 900.0), (288, 300.0)])
+def test_written_config_reads_the_same_as_yaml(horizon, dt):
+    # a YAML 1.1 parser reads a dotless exponent such as 1e-05 as a string;
+    # the reference documents have none, so YAML tools read them unchanged
+    doc = reference_document(horizon, dt)
+    text = document_text(doc)
+    assert json.loads(text) == yaml.load(text, Loader=SAFE_LOADER) == doc
+
+
+def test_json_nan_is_refused_as_yaml_string(tmp_path):
+    doc = minimal_document()
+    doc["grid"]["price"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")   # "price": NaN
+    with pytest.raises(ConfigError) as err:
+        load_system(path)
+    # YAML reads the bare NaN as the string "NaN"
+    with pytest.raises(ConfigError) as as_yaml:
+        load_system(yaml.load(path.read_text(encoding="utf-8"), Loader=SAFE_LOADER))
+    assert str(err.value) == str(as_yaml.value)
+    assert err.value.path == "grid.price"
+
+
+def test_truncated_json_names_file_line_and_column(tmp_path):
+    text = document_text(minimal_document())
+    head = text[: len(text) // 2]
+    path = tmp_path / "truncated.yaml"
+    path.write_text(head, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_system(path)
+    assert "YAML syntax error" in str(err.value)
+    # the parser stops at the end of the last line
+    last_line = head.count("\n") + 1
+    assert err.value.path == f"{path}:{last_line}:{len(head.splitlines()[-1]) + 1}"
+
+
+def test_json_list_root_is_refused(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([minimal_document()]), encoding="utf-8")
+    with pytest.raises(ConfigError, match="document must be a mapping"):
+        load_system(path)
+
+
+def test_block_yaml_with_comments_loads(tmp_path):
+    path = tmp_path / "system.yaml"
+    # block style and comments: not JSON, read by the YAML parser
+    text = "# a one-battery system\n" + yaml.safe_dump(minimal_document(), sort_keys=False)
+    path.write_text(text.replace("base_mva: 1.0", "base_mva: 1.0  # MVA"), encoding="utf-8")
+    model = load_system(path)
+    assert model.equals(load_system(minimal_document()))
 
 
 def test_forecast_ordering_holds_after_load(ref24):

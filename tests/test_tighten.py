@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chpdispatch.compile import ConstraintFamily, StateSpaceModel, LiftedOutputMap
+from chpdispatch.compile import (
+    ConstraintFamily,
+    LiftedOutputMap,
+    StateSpaceModel,
+    compile_constraints,
+    compile_state_space,
+    compile_uncertainty_tube,
+    unit_of,
+)
 from chpdispatch.lp import LinearProgram, solve_lp, solve_lp_simplex
+from chpdispatch.reference import build_reference_system
 from chpdispatch.sets import PolyhedronH, UncertaintyTube
 from chpdispatch.tighten import (
     FeedbackGain,
@@ -358,6 +367,30 @@ class TestTighten:
         header = text.splitlines()[0]
         assert header == "family,step,row,unit,original_bound,reduction,tightened_bound"
         assert "battery_energy[bat_10] upper" in text
+
+    @pytest.mark.parametrize(
+        "horizon, dt, mode, budget",
+        [(24, 3600.0, "box", None), (24, 3600.0, "budget", 10.0), (288, 300.0, "box", None)],
+    )
+    def test_csv_matches_per_cell_writer(self, horizon, dt, mode, budget):
+        model = build_reference_system(horizon, dt)
+        ssm = compile_state_space(model)
+        sched = tighten(
+            ssm, compile_constraints(model, ssm), compile_uncertainty_tube(model),
+            choose_gain(ssm), mode=mode, budget=budget,
+        )
+        # one f-string per cell over numpy scalars, as the schedule was first written
+        lines = ["family,step,row,unit,original_bound,reduction,tightened_bound"]
+        for name, fam in sched.families.items():
+            poly = fam.polyhedron
+            for si, t in enumerate(fam.steps):
+                for ri, label in enumerate(poly.labels):
+                    r = poly.bounds[ri]
+                    red = fam.reductions[si, ri]
+                    lines.append(
+                        f"{name},{t},{label},{unit_of(label)},{r:.12g},{red:.12g},{r - red:.12g}"
+                    )
+        assert sched.to_csv().encode() == ("\n".join(lines) + "\n").encode()
 
 
 class TestIterativeEquivalence:

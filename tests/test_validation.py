@@ -65,6 +65,16 @@ class TestSampling:
         for s in batch.samples:
             assert np.all((s == lo) | (s == hi))
 
+    def test_vertex_sampling_matches_one_draw(self, ref24):
+        tube = ref24.tube
+        shape = (tube.horizon, tube.n_channels)
+        chunk = validation.VERTEX_CHUNK_ELEMENTS // (shape[0] * shape[1])
+        # one sample, an odd count inside one chunk, and three chunks
+        for count in (1, 7, 2 * chunk + 3):
+            batch = sample_disturbances(tube, count, seed=11, mode="vertex")
+            bits = np.random.default_rng(11).integers(0, 2, (count, *shape))
+            assert np.array_equal(batch.samples, np.where(bits == 1, tube.w_max, tube.w_min))
+
 
 def scalar_policy(phi: float, horizon: int):
     A = np.array([[phi]])
