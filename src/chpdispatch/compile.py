@@ -137,13 +137,18 @@ class LiftedOutputMap:
         """S dy(t)/dw(t - k), shaped as in :meth:`u_blocks`."""
         return self._blocks(s_rows, self.feed_w, self.heat_w, diff)
 
+    def _lags(self) -> np.ndarray:
+        """The lags whose kernel block is not all zero (transport delays
+        leave the others empty: 116 of 288 in the full-day reference)."""
+        return np.flatnonzero(self.temps.kernel.any(axis=(1, 2)))
+
     def _blocks(self, s_rows, feed, heat, diff):
         blocks = np.zeros((self.horizon, s_rows.shape[0], feed.shape[1]))
         if self._has_memory:
             sel = s_rows[:, self.memory_rows]
             # one lag at a time: no temporary as large as the result
-            for k, kernel in enumerate(self.temps.kernel):
-                blocks[k] = sel @ kernel @ heat
+            for k in self._lags():
+                blocks[k] = sel @ self.temps.kernel[k] @ heat
         blocks[0] += s_rows @ feed
         if diff:
             blocks[1:] = np.diff(blocks, axis=0)
@@ -159,7 +164,7 @@ class LiftedOutputMap:
         if self._has_memory:
             inputs = u_seq @ self.heat_u.T + w_seq @ self.heat_w.T  # (..., T, n_ch)
             mem = np.zeros(inputs.shape[:-1] + (len(self.memory_rows),))
-            for lag in range(T):
+            for lag in self._lags():
                 mem[..., lag:, :] += inputs[..., : T - lag, :] @ self.temps.kernel[lag].T
             out[..., self.memory_rows] += mem
         return out

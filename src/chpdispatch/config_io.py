@@ -463,8 +463,16 @@ def dump_system(model: SystemModel, path: str | os.PathLike | None = None) -> di
 
 
 def document_text(doc: Mapping[str, Any]) -> str:
-    """JSON text of a config document, keys in document order."""
-    return json.dumps(doc, indent=1) + "\n"
+    """JSON text of a config document, keys in document order.
+
+    JSON has no infinity, so a document with a non-finite number (a ``.inf``
+    ramp limit, say) is written as block YAML, whose ``.inf`` and ``.nan``
+    ``load_system`` reads back as the same floats.
+    """
+    try:
+        return json.dumps(doc, indent=1, allow_nan=False) + "\n"
+    except ValueError:
+        return yaml.safe_dump(doc, sort_keys=False)
 
 
 def _series_out(a: np.ndarray) -> list[float] | float:

@@ -3,13 +3,16 @@
 Disturbance scenarios are drawn from the uncertainty tube, closed-loop
 trajectories are rolled out under the affine policy, realized trajectories
 are checked against the ORIGINAL (untightened) constraint families, and
-realized costs are aggregated.  The comparison harness runs several
-tightening methods on one shared scenario batch with wall-clock timings.
+realized costs are aggregated.  A batch is a seeded stream drawn one chunk
+at a time, so memory does not grow with the sample count.  The comparison
+harness runs several tightening methods on the same scenarios with
+wall-clock timings.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,21 +37,62 @@ __all__ = [
 VIOLATION_SLACK = 1e-9
 # output elements (samples x steps x outputs) simulated per chunk in evaluate
 EVALUATE_CHUNK_ELEMENTS = 1_000_000
-# disturbance entries (samples x steps x channels) per chunk of vertex bits
-VERTEX_CHUNK_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
 class ScenarioBatch:
-    """Disturbance sequences drawn from the tube; (count, T, n_w)."""
+    """``count`` disturbance sequences (T, n_w) from the tube, held as one
+    seeded stream rather than an array.
+
+    :meth:`chunks` draws them from ``np.random.default_rng(seed)`` in sample
+    order, so every chunk split yields the samples of one (count, T, n_w)
+    draw, and memory does not grow with ``count``.  ``budget`` is the
+    resolved 1-norm budget of "budget" mode.
+    """
 
     mode: str
     seed: int
-    samples: np.ndarray
+    count: int
+    tube: UncertaintyTube
+    budget: float | None = None
 
     @property
-    def count(self) -> int:
-        return self.samples.shape[0]
+    def samples(self) -> np.ndarray:
+        """The whole (count, T, n_w) batch as one array."""
+        return next(self.chunks(self.count))
+
+    def chunks(self, size: int) -> Iterator[np.ndarray]:
+        """The samples in order, ``size`` at a time (the last chunk may be shorter)."""
+        tube = self.tube
+        rng = np.random.default_rng(self.seed)
+        free = _free_entries(tube)
+        enumerate_corners = self.mode == "vertex" and _corner_count(tube, self.count) is not None
+        width = tube.w_max - tube.w_min
+        half_width = tube.half_width
+        center = tube.w_center + tube.center_shift
+        # draws are scaled and shifted in place
+        for start in range(0, self.count, size):
+            stop = min(start + size, self.count)
+            shape = (stop - start, tube.horizon, tube.n_channels)
+            if self.mode == "uniform":
+                block = rng.random(shape)
+                block *= width
+                block += tube.w_min
+            elif self.mode == "budget":
+                block = rng.uniform(-1.0, 1.0, shape)
+                norms = np.sum(np.abs(block), axis=1, keepdims=True)   # (n, 1, n_w)
+                block *= np.minimum(1.0, self.budget / np.maximum(norms, 1e-300))
+                block *= half_width
+                block += center
+            elif enumerate_corners:
+                # corner i sets free entry k to w_max when bit k of i is 1
+                bits = (np.arange(start, stop)[:, np.newaxis] >> np.arange(len(free[0]))) & 1
+                block = np.broadcast_to(tube.w_min, shape).copy()
+                block[:, free[0], free[1]] = np.where(bits == 1, tube.w_max[free], tube.w_min[free])
+            else:
+                bits = rng.integers(0, 2, shape)
+                block = np.where(bits == 1, tube.w_max, tube.w_min)
+            yield block
 
 
 def sample_disturbances(
@@ -58,7 +102,7 @@ def sample_disturbances(
     mode: str = "uniform",
     budget: float | None = None,
 ) -> ScenarioBatch:
-    """Reproducible scenario generation.
+    """Reproducible scenario generation; nothing is drawn until the batch is read.
 
     "uniform": independent uniform draws inside every interval.
     "budget": uniform draws whose normalized per-channel deviation sequences
@@ -68,48 +112,32 @@ def sample_disturbances(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    T, n_w = tube.horizon, tube.n_channels
-
-    # every draw is scaled and shifted in place: no batch-sized temporaries
-    if mode == "uniform":
-        samples = rng.random((count, T, n_w))
-        samples *= tube.w_max - tube.w_min
-        samples += tube.w_min
-    elif mode == "budget":
+    if mode == "budget":
         if budget is None:
             budget = tube.budget
         if budget is None:
             raise ValueError("budget mode requires a budget")
-        tilde = rng.uniform(-1.0, 1.0, (count, T, n_w))
-        norms = np.sum(np.abs(tilde), axis=1, keepdims=True)      # (count, 1, n_w)
-        scale = np.minimum(1.0, budget / np.maximum(norms, 1e-300))
-        samples = tilde
-        samples *= scale
-        samples *= tube.half_width
-        samples += tube.w_center + tube.center_shift
     elif mode == "vertex":
-        width_mask = (tube.w_max - tube.w_min) > 0
-        n_free = int(np.sum(width_mask))
-        if n_free <= 30 and 2**n_free <= count:
-            picks = np.arange(2**n_free)
-            bits = (picks[:, np.newaxis] >> np.arange(n_free)) & 1
-            samples = np.broadcast_to(tube.w_min, (2**n_free, T, n_w)).copy()
-            flat_idx = np.argwhere(width_mask)
-            for k, (t, j) in enumerate(flat_idx):
-                samples[bits[:, k] == 1, t, j] = tube.w_max[t, j]
-        else:
-            # int64 bits drawn chunk by chunk along the sample axis give the
-            # same stream as one draw, without a batch-sized temporary
-            samples = np.empty((count, T, n_w))
-            chunk = max(1, VERTEX_CHUNK_ELEMENTS // max(1, T * n_w))
-            for start in range(0, count, chunk):
-                block = samples[start : start + chunk]
-                bits = rng.integers(0, 2, block.shape)
-                block[...] = np.where(bits == 1, tube.w_max, tube.w_min)
-    else:
+        count = _corner_count(tube, count) or count
+    elif mode != "uniform":
         raise ValueError(f"unknown sampling mode {mode!r}")
-    return ScenarioBatch(mode=mode, seed=seed, samples=samples)
+    return ScenarioBatch(
+        mode=mode, seed=seed, count=count, tube=tube,
+        budget=budget if mode == "budget" else None,
+    )
+
+
+def _free_entries(tube: UncertaintyTube) -> tuple[np.ndarray, np.ndarray]:
+    """(step, channel) indices of the entries with a nonzero interval width."""
+    return np.nonzero(tube.w_max - tube.w_min > 0)
+
+
+def _corner_count(tube: UncertaintyTube, count: int) -> int | None:
+    """The number of box corners when vertex mode enumerates them all."""
+    n_free = len(_free_entries(tube)[0])
+    if n_free <= 30 and 2**n_free <= count:
+        return 2**n_free
+    return None
 
 
 def simulate(
@@ -172,7 +200,8 @@ def evaluate(
 ):
     """Check every sample against the original families and price it.
 
-    The batch is rolled out and checked one chunk at a time and priced one
+    Each chunk of the batch is drawn right before it is rolled out, checked
+    and priced, so no array holds the whole batch.  Prices are taken one
     sample per ``realized_cost`` call (``bench/test_bench.py`` counts those
     calls per sample, although ``realized_cost`` takes a whole chunk).  With
     ``return_traces`` the per-sample violation flags and realized costs, and
@@ -183,6 +212,7 @@ def evaluate(
     if not sol.is_optimal:
         raise ValueError("cannot evaluate a non-optimal dispatch solution")
     count = batch.count
+    limits = _limit_rows(constraints)
 
     violated = np.zeros(count, dtype=bool)
     by_row: dict[str, int] = {}
@@ -191,10 +221,10 @@ def evaluate(
     state_max = np.full((ssm.horizon + 1, ssm.n_x), -np.inf)
 
     chunk = _chunk_size(ssm, count)
-    for start in range(0, count, chunk):
-        rows = slice(start, min(start + chunk, count))
-        x_c, u_c, y_c = simulate(policy, ssm, batch.samples[rows])
-        violated[rows] = _violations(constraints, x_c, u_c, y_c, slack, by_row)
+    for start, w_c in zip(range(0, count, chunk), batch.chunks(chunk)):
+        rows = slice(start, start + len(w_c))
+        x_c, u_c, y_c = simulate(policy, ssm, w_c)
+        violated[rows] = _violations(limits, x_c, u_c, y_c, slack, by_row)
         costs_out[rows] = [realized_cost(ssm, costs, u_s, y_s) for u_s, y_s in zip(u_c, y_c)]
         state_min = np.minimum(state_min, x_c.min(axis=0))
         state_max = np.maximum(state_max, x_c.max(axis=0))
@@ -224,25 +254,76 @@ def _chunk_size(ssm: StateSpaceModel, count: int) -> int:
     return max(1, min(count, EVALUATE_CHUNK_ELEMENTS // max(1, ssm.horizon * ssm.n_y)))
 
 
+@dataclass(frozen=True)
+class _LimitRows:
+    """One family's rows c z[j] <= r, each with one nonzero coefficient c."""
+
+    family: str
+    columns: np.ndarray        # the distinct columns j the rows reference
+    column_of_row: np.ndarray  # (M,) position of each row's j in ``columns``
+    coefficients: np.ndarray   # (M,) c
+    bounds: np.ndarray         # (M,) r
+    labels: tuple[str, ...]
+
+
+def _limit_rows(constraints: ConstraintFamily) -> list[_LimitRows]:
+    """The (column, coefficient) of every row; a row on two or more columns is refused."""
+    limits = []
+    for name, poly in constraints.families().items():
+        if poly.n_rows == 0:
+            continue
+        nonzero = poly.coefficients != 0.0
+        per_row = nonzero.sum(axis=1)
+        if np.any(per_row != 1):
+            ri = int(np.flatnonzero(per_row != 1)[0])
+            raise ValueError(
+                f"{name} row {poly.labels[ri]!r} has {per_row[ri]} nonzero coefficients; "
+                "the Monte Carlo limit check takes one per row"
+            )
+        j = np.argmax(nonzero, axis=1)
+        columns, column_of_row = np.unique(j, return_inverse=True)
+        limits.append(_LimitRows(
+            family=name,
+            columns=columns,
+            column_of_row=column_of_row,
+            coefficients=poly.coefficients[np.arange(poly.n_rows), j],
+            bounds=poly.bounds,
+            labels=poly.labels,
+        ))
+    return limits
+
+
 def _violations(
-    constraints: ConstraintFamily,
+    limits: list[_LimitRows],
     x: np.ndarray,
     u: np.ndarray,
     y: np.ndarray,
     slack: float,
     by_row: dict[str, int],
 ) -> np.ndarray:
-    """Per-sample any-violation flags; adds per-row offender counts to ``by_row``."""
-    series = {"x": x[:, 1:], "u": u, "y": y, "du": np.diff(u, axis=1), "dy": np.diff(y, axis=1)}
+    """Per-sample any-violation flags; adds per-row offender counts to ``by_row``.
+
+    c z - r is monotone in z under rounding, so a row is violated at some
+    step exactly when it is violated at the step maximum of z[j] (c > 0) or
+    the step minimum (c < 0): the flags and counts of the per-step
+    ``PolyhedronH.violations`` check, without its matrix product.
+    """
+    series = {"x": x[:, 1:], "u": u, "y": y, "du": u, "dy": y}
     flags = np.zeros(x.shape[0], dtype=bool)
-    for name, poly in constraints.families().items():
-        if poly.n_rows == 0:
+    for lim in limits:
+        z = series[lim.family][:, :, lim.columns]          # (count, steps, columns)
+        if lim.family in ("du", "dy"):
+            z = np.diff(z, axis=1)
+        if z.shape[1] == 0:
             continue
-        bad = poly.violations(series[name]) > slack       # (count, steps, rows)
-        flags |= bad.any(axis=(1, 2))
-        per_row = bad.any(axis=1).sum(axis=0)
+        z_max = z.max(axis=1)[:, lim.column_of_row]        # (count, rows)
+        z_min = z.min(axis=1)[:, lim.column_of_row]
+        extreme = np.where(lim.coefficients > 0, z_max, z_min)
+        bad = extreme * lim.coefficients - lim.bounds > slack
+        flags |= bad.any(axis=1)
+        per_row = bad.sum(axis=0)
         for ri in np.flatnonzero(per_row):
-            by_row[poly.labels[ri]] = by_row.get(poly.labels[ri], 0) + int(per_row[ri])
+            by_row[lim.labels[ri]] = by_row.get(lim.labels[ri], 0) + int(per_row[ri])
     return flags
 
 
@@ -327,7 +408,8 @@ def compare_methods(
     sample_count: int = 10000,
     seed: int = 0,
 ) -> ComparisonReport:
-    """Tighten + dispatch + evaluate each method on one shared batch."""
+    """Tighten + dispatch + evaluate each method on the same scenarios: one
+    seeded stream that each ``evaluate`` draws afresh, chunk by chunk."""
     batch = sample_disturbances(tube, sample_count, seed, mode="uniform")
     results: list[MethodResult] = []
     for spec in methods:

@@ -127,6 +127,24 @@ def test_json_nan_is_refused_as_yaml_string(tmp_path):
     assert err.value.path == "grid.price"
 
 
+@pytest.mark.parametrize("which", ["minimal", "reference"])
+def test_infinite_limit_roundtrips_through_file(tmp_path, which):
+    if which == "minimal":
+        doc = minimal_document()
+        doc["batteries"][0]["ramp_p"] = float("inf")
+    else:
+        doc = reference_document(24, 3600.0)
+        doc["chp_units"][0]["ramp_p"] = float("inf")
+        doc["grid"]["p_min"] = float("-inf")
+    model = load_system(doc)
+    path = tmp_path / "system.yaml"
+    dump_system(model, path)
+    again = load_system(path)
+    assert model.equals(again)
+    # a finite document is still written as JSON
+    assert json.loads(document_text(minimal_document())) == minimal_document()
+
+
 def test_truncated_json_names_file_line_and_column(tmp_path):
     text = document_text(minimal_document())
     head = text[: len(text) // 2]

@@ -1,6 +1,8 @@
 """Scenario sampling, closed-loop simulation, and Monte Carlo metrics."""
 
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,12 +70,83 @@ class TestSampling:
     def test_vertex_sampling_matches_one_draw(self, ref24):
         tube = ref24.tube
         shape = (tube.horizon, tube.n_channels)
-        chunk = validation.VERTEX_CHUNK_ELEMENTS // (shape[0] * shape[1])
-        # one sample, an odd count inside one chunk, and three chunks
-        for count in (1, 7, 2 * chunk + 3):
+        for count in (1, 7, 1001):
             batch = sample_disturbances(tube, count, seed=11, mode="vertex")
             bits = np.random.default_rng(11).integers(0, 2, (count, *shape))
             assert np.array_equal(batch.samples, np.where(bits == 1, tube.w_max, tube.w_min))
+
+
+BUDGET = 2.5
+
+
+def small_tube() -> UncertaintyTube:
+    """Three free entries (8 corners) and one degenerate entry."""
+    lo = np.array([[0.0, -1.0], [0.5, 2.0]])
+    hi = np.array([[1.0, -0.5], [0.5, 3.0]])
+    return UncertaintyTube(lo, (lo + hi) / 2, hi)
+
+
+def direct_draw(tube: UncertaintyTube, mode: str, count: int, seed: int) -> np.ndarray:
+    """The whole (count, T, n_w) batch from one draw of default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    shape = (count, tube.horizon, tube.n_channels)
+    if mode == "uniform":
+        return rng.random(shape) * (tube.w_max - tube.w_min) + tube.w_min
+    if mode == "budget":
+        tilde = rng.uniform(-1.0, 1.0, shape)
+        norms = np.abs(tilde).sum(axis=1, keepdims=True)
+        scale = np.minimum(1.0, BUDGET / np.maximum(norms, 1e-300))
+        return tilde * scale * tube.half_width + (tube.w_center + tube.center_shift)
+    if mode == "vertex":
+        bits = rng.integers(0, 2, shape)
+        return np.where(bits == 1, tube.w_max, tube.w_min)
+    # every corner, free entry k at its upper end when bit k of the index is 1
+    free = list(zip(*np.nonzero(tube.w_max > tube.w_min)))
+    corners = []
+    for i in range(2 ** len(free)):
+        w = tube.w_min.copy()
+        for k, (t, j) in enumerate(free):
+            if (i >> k) & 1:
+                w[t, j] = tube.w_max[t, j]
+        corners.append(w)
+    return np.array(corners)
+
+
+class TestScenarioStream:
+    @pytest.mark.parametrize("mode", ["uniform", "budget", "vertex", "vertex-enumerated"])
+    def test_chunk_splits_match_one_direct_draw(self, ref24, mode):
+        if mode == "vertex-enumerated":
+            tube, count = small_tube(), 8
+            batch = sample_disturbances(tube, 50, seed=3, mode="vertex")
+        else:
+            tube, count = ref24.tube, 50
+            batch = sample_disturbances(tube, count, seed=3, mode=mode, budget=BUDGET)
+        assert batch.count == count
+        want = direct_draw(tube, mode, count, seed=3)
+        # one sample at a time, a size that does not divide the count, more than the count
+        for size in (1, 3, 7, count + 5):
+            chunks = list(batch.chunks(size))
+            assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+            assert np.array_equal(np.concatenate(chunks), want)
+        assert np.array_equal(batch.samples, want)
+
+    def test_batch_holds_no_samples(self, ref24):
+        batch = sample_disturbances(ref24.tube, 10**9, seed=0)
+        assert batch.count == 10**9
+        first = next(batch.chunks(2))
+        assert np.array_equal(first, direct_draw(ref24.tube, "uniform", 2, seed=0))
+
+    def test_evaluate_memory_does_not_grow_with_the_batch(self, ref24, ref24_box_policy):
+        count = 10_000
+        whole = count * ref24.tube.horizon * ref24.tube.n_channels * 8   # 146 MB
+        tracemalloc.start()
+        try:
+            batch = sample_disturbances(ref24.tube, count, seed=5)
+            evaluate(ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20 < whole
 
 
 def scalar_policy(phi: float, horizon: int):
@@ -222,6 +295,58 @@ class TestEvaluate:
         assert np.array_equal(traces["state_max"], x.max(axis=0))
         want = [per_sample_cost(ref24.ssm, ref24.costs, u[i], y[i]) for i in range(batch.count)]
         np.testing.assert_allclose(traces["realized_cost"], want, rtol=1e-12, atol=0)
+
+
+def scaled_limits(constraints: ConstraintFamily, series: dict, quantile: float) -> ConstraintFamily:
+    """Rows scaled by 2.0, -0.5 and 1.0 in turn, each bound at a value the
+    row takes in ``series``, so some samples break it and some do not."""
+    families = {}
+    for name, poly in constraints.families().items():
+        if poly.n_rows == 0:
+            families[name] = poly
+            continue
+        coeff = poly.coefficients * np.resize([2.0, -0.5, 1.0], poly.n_rows)[:, np.newaxis]
+        values = (series[name] @ coeff.T).reshape(-1, poly.n_rows)
+        bounds = np.sort(values, axis=0)[int(quantile * (len(values) - 1))]
+        families[name] = dataclasses.replace(poly, coefficients=coeff, bounds=bounds)
+    return ConstraintFamily(**families)
+
+
+class TestLimitCheck:
+    @pytest.mark.parametrize("quantile", [0.5, 0.99])
+    def test_step_extrema_match_per_step_oracle(self, ref24, ref24_do_policy, quantile):
+        batch = sample_disturbances(ref24.tube, 60, seed=8)
+        x, u, y = simulate(ref24_do_policy, ref24.ssm, batch.samples)
+        series = {"x": x[:, 1:], "u": u, "y": y, "du": np.diff(u, axis=1), "dy": np.diff(y, axis=1)}
+        constraints = scaled_limits(ref24.constraints, series, quantile)
+        by_row: dict[str, int] = {}
+        flags = validation._violations(
+            validation._limit_rows(constraints), x, u, y, VIOLATION_SLACK, by_row
+        )
+        want: dict[str, int] = {}
+        want_flags = np.zeros(batch.count, dtype=bool)
+        for i in range(batch.count):
+            for name, poly in constraints.families().items():
+                hit = np.zeros(poly.n_rows, dtype=bool)
+                for z in series[name][i]:
+                    hit |= poly.violations(z) > VIOLATION_SLACK
+                for ri in np.flatnonzero(hit):
+                    want[poly.labels[ri]] = want.get(poly.labels[ri], 0) + 1
+                want_flags[i] |= hit.any()
+        assert by_row == want
+        assert np.array_equal(flags, want_flags)
+        assert 0 < want_flags.sum() <= batch.count
+
+    def test_row_on_two_columns_is_refused(self, ref24, ref24_box_policy):
+        u = ref24.constraints.u
+        coeff = u.coefficients.copy()
+        coeff[3, (np.flatnonzero(coeff[3])[0] + 1) % u.dimension] = 0.5
+        constraints = dataclasses.replace(
+            ref24.constraints, u=dataclasses.replace(u, coefficients=coeff)
+        )
+        batch = sample_disturbances(ref24.tube, 2, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"u row {u.labels[3]!r} has 2 nonzero")):
+            evaluate(ref24_box_policy, ref24.ssm, constraints, ref24.costs, batch)
 
 
 def per_sample_cost(ssm, costs, u, y) -> float:
