@@ -13,6 +13,7 @@ memory through the heat kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +50,20 @@ class VariableManifest:
     y: tuple[tuple[str, str], ...]
     w: tuple[tuple[str, str], ...]
 
+    @cached_property
+    def _kind_indices(self) -> dict[str, dict[str, list[int]]]:
+        """vector -> kind -> positions, built once per manifest."""
+        table: dict[str, dict[str, list[int]]] = {}
+        for vector in ("x", "u", "y", "w"):
+            kinds = table[vector] = {}
+            for i, (kind, _) in enumerate(getattr(self, vector)):
+                kinds.setdefault(kind, []).append(i)
+        return table
+
     def index(self, vector: str, kind: str, name: str) -> int:
         entries = getattr(self, vector)
-        for i, (k, n) in enumerate(entries):
-            if k == kind and n == name:
+        for i in self._kind_indices[vector].get(kind, ()):
+            if entries[i][1] == name:
                 return i
         raise KeyError(f"{vector} has no entry ({kind}, {name})")
 
@@ -60,7 +71,8 @@ class VariableManifest:
         return getattr(self, vector)[index]
 
     def indices(self, vector: str, kind: str) -> list[int]:
-        return [i for i, (k, _) in enumerate(getattr(self, vector)) if k == kind]
+        """Positions of ``kind`` in ``vector``, as a new list the caller may change."""
+        return list(self._kind_indices[vector].get(kind, ()))
 
 
 # physical unit per manifest kind, for CSV headers
@@ -154,19 +166,53 @@ class LiftedOutputMap:
             blocks[1:] = np.diff(blocks, axis=0)
         return blocks
 
+    @cached_property
+    def _rollout_operands(self):
+        """What :meth:`evaluate` multiplies by, built once: feed_u.T, feed_w.T,
+        heat_u.T, heat_w.T, (lag, kernel[lag].T) for the nonzero lags, and
+        the memory rows as a slice when they are one block (a compiled model's
+        supply and return temperatures are).  A transposed view sends each
+        OpenBLAS product down a path 2-3x slower on a scenario chunk, so most
+        operands are C-contiguous copies.  heat_w.T and the last lag's
+        one-row product keep the view: their copies round differently (a
+        small-matrix GEMM kernel and a GEMV) and take under a tenth of the
+        rollout."""
+        c = np.ascontiguousarray
+        T = self.horizon
+        kernels = []
+        if self._has_memory:
+            kernels = [
+                (int(lag), self.temps.kernel[lag].T if lag == T - 1 else c(self.temps.kernel[lag].T))
+                for lag in self._lags()
+            ]
+        rows = self.memory_rows
+        if len(rows) and np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows))):
+            rows = slice(int(rows[0]), int(rows[0]) + len(rows))
+        return c(self.feed_u.T), c(self.feed_w.T), c(self.heat_u.T), self.heat_w.T, kernels, rows
+
     def evaluate(self, u_seq: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
-        """All y(t) for sequences shaped (..., T, n_u) and (..., T, n_w);
-        leading axes (e.g. a scenario batch) carry through."""
+        """All y(t) for sequences shaped (..., T, n_u) and (..., T, n_w) with
+        the same leading axes (e.g. a scenario batch), which carry through.
+
+        Each product is a 3-D ``@``, one BLAS call per sequence, and the
+        sums are taken in place in the order of the formula above.  Folding
+        the sample axis into the GEMM rows is avoided: it changes the
+        rounding and can make OpenBLAS start a second thread.
+        """
+        feed_u, feed_w, heat_u, heat_w, kernels, memory_rows = self._rollout_operands
         u_seq = np.atleast_2d(u_seq)
         w_seq = np.atleast_2d(w_seq)
         T = self.horizon
-        out = self.const + u_seq @ self.feed_u.T + w_seq @ self.feed_w.T
-        if self._has_memory:
-            inputs = u_seq @ self.heat_u.T + w_seq @ self.heat_w.T  # (..., T, n_ch)
+        out = u_seq @ feed_u
+        out += self.const
+        out += w_seq @ feed_w
+        if kernels:
+            inputs = u_seq @ heat_u
+            inputs += w_seq @ heat_w                     # (..., T, n_ch)
             mem = np.zeros(inputs.shape[:-1] + (len(self.memory_rows),))
-            for lag in self._lags():
-                mem[..., lag:, :] += inputs[..., : T - lag, :] @ self.temps.kernel[lag].T
-            out[..., self.memory_rows] += mem
+            for lag, kernel_t in kernels:
+                mem[..., lag:, :] += inputs[..., : T - lag, :] @ kernel_t
+            out[..., memory_rows] += mem
         return out
 
 

@@ -311,13 +311,18 @@ def _violations(
     series = {"x": x[:, 1:], "u": u, "y": y, "du": u, "dy": y}
     flags = np.zeros(x.shape[0], dtype=bool)
     for lim in limits:
-        z = series[lim.family][:, :, lim.columns]          # (count, steps, columns)
+        z = series[lim.family]
+        row_columns = lim.columns[lim.column_of_row]
         if lim.family in ("du", "dy"):
-            z = np.diff(z, axis=1)
+            # differences of the referenced columns only
+            z = np.diff(z[:, :, lim.columns], axis=1)
+            row_columns = lim.column_of_row
         if z.shape[1] == 0:
             continue
-        z_max = z.max(axis=1)[:, lim.column_of_row]        # (count, rows)
-        z_min = z.min(axis=1)[:, lim.column_of_row]
+        # step extrema of the whole series are faster than those of a
+        # fancy-indexed column copy
+        z_max = z.max(axis=1)[:, row_columns]              # (count, rows)
+        z_min = z.min(axis=1)[:, row_columns]
         extreme = np.where(lim.coefficients > 0, z_max, z_min)
         bad = extreme * lim.coefficients - lim.bounds > slack
         flags |= bad.any(axis=1)
@@ -410,6 +415,8 @@ def compare_methods(
 ) -> ComparisonReport:
     """Tighten + dispatch + evaluate each method on the same scenarios: one
     seeded stream that each ``evaluate`` draws afresh, chunk by chunk."""
+    if not methods:
+        raise ValueError("no methods given")
     batch = sample_disturbances(tube, sample_count, seed, mode="uniform")
     results: list[MethodResult] = []
     for spec in methods:

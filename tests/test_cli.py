@@ -142,6 +142,13 @@ def test_unknown_method_is_domain_error(tmp_path):
     assert code == 1
 
 
+def test_empty_method_list_is_domain_error(tmp_path, capsys):
+    code = run(["compare", *HORIZON, "--methods", ",", "--out", str(tmp_path)])
+    assert code == 1
+    assert "no methods given" in capsys.readouterr().err
+    assert not (tmp_path / "comparison.json").exists()
+
+
 def test_malformed_yaml_is_domain_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema_version: 1\nhorizon: [1, 2\n", encoding="utf-8")

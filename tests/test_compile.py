@@ -1,5 +1,7 @@
 """State-space compilation: eliminations, manifest, constraints, tube."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from chpdispatch.compile import (
 )
 from chpdispatch.config_io import load_system
 from chpdispatch.dispatch import DispatchSolution, Policy
+from chpdispatch.reference import build_reference_system
 from chpdispatch.sets import UncertaintyTube
 from chpdispatch.tighten import choose_gain
 from chpdispatch.validation import simulate
@@ -70,6 +73,27 @@ def test_manifest_round_trip_and_completeness(ref24):
             assert man.name(vec, i) == (kind, name)
 
 
+def test_manifest_lookups_match_linear_scan(ref24):
+    man = ref24.ssm.manifest
+    for vector in ("x", "u", "y", "w"):
+        entries = getattr(man, vector)
+        for kind in {k for k, _ in entries}:
+            want = [i for i, (k, _) in enumerate(entries) if k == kind]
+            assert man.indices(vector, kind) == want
+        for i, entry in enumerate(entries):
+            assert man.index(vector, *entry) == entries.index(entry) == i
+        assert man.indices(vector, "no_such_kind") == []
+    rows = man.indices("y", "voltage")
+    want = list(rows)
+    rows.append(0)
+    rows[0] = -1
+    assert man.indices("y", "voltage") == want
+    with pytest.raises(KeyError):
+        man.index("y", "voltage", "no_such_bus")
+    with pytest.raises(KeyError):
+        man.index("y", "no_such_kind", "0")
+
+
 def test_u_ordering_follows_compact_form(ref24):
     kinds = [k for k, _ in ref24.ssm.manifest.u]
     assert kinds == ["chp_p", "chp_q", "grid_p", "grid_q", "hp_p"]
@@ -107,6 +131,68 @@ def test_lifted_map_additive_and_homogeneous(ref24):
     lhs = f(2.5 * u1 + u2, 2.5 * w1 + w2)
     rhs = 2.5 * f(u1, w1) + f(u2, w2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
+
+
+def lag_loop(out, u_seq, w_seq):
+    """y(t) from the raw fields of a LiftedOutputMap: a 3-D ``@`` against the
+    transposed feed and heat maps, then one against each transposed kernel lag."""
+    T = out.horizon
+    y = out.const + u_seq @ out.feed_u.T + w_seq @ out.feed_w.T
+    inputs = u_seq @ out.heat_u.T + w_seq @ out.heat_w.T
+    mem = np.zeros(inputs.shape[:-1] + (len(out.memory_rows),))
+    for lag in range(T):
+        mem[..., lag:, :] += inputs[..., : T - lag, :] @ out.temps.kernel[lag].T
+    y[..., out.memory_rows] += mem
+    return y
+
+
+@pytest.fixture(scope="module", params=[(24, 3600.0), (48, 1800.0)], ids=["T24", "T48"])
+def reference_output(request):
+    return compile_state_space(build_reference_system(*request.param)).output
+
+
+@pytest.mark.parametrize("lead", [(), (4, 10), (502,)], ids=["single", "grid", "chunk"])
+def test_lifted_map_matches_lag_loop(reference_output, lead):
+    out = reference_output
+    rng = np.random.default_rng(len(lead))
+    u_seq = rng.normal(size=lead + (out.horizon, out.feed_u.shape[1]))
+    w_seq = rng.normal(size=lead + (out.horizon, out.feed_w.shape[1]))
+    got = out.evaluate(u_seq, w_seq)
+    want = lag_loop(out, u_seq, w_seq)
+    assert got.shape == want.shape == lead + (out.horizon, out.n_y)
+    if not lead:
+        # one sequence is the dispatch path: bit for bit
+        assert np.array_equal(got, want)
+    memoryless = np.setdiff1d(np.arange(out.n_y), out.memory_rows)
+    assert len(out.memory_rows) > 0 and len(memoryless) > 0
+    assert np.array_equal(got[..., memoryless], want[..., memoryless])
+    # temperatures of random inputs can cancel to near zero, so the 1e-12 is
+    # relative to the largest one
+    mem_got, mem_want = got[..., out.memory_rows], want[..., out.memory_rows]
+    np.testing.assert_allclose(mem_got, mem_want, rtol=0, atol=1e-12 * np.max(np.abs(mem_want)))
+
+
+def test_lifted_map_with_scattered_memory_rows(ref24):
+    """Memory rows that are not one block give the block map's outputs, permuted."""
+    out = ref24.ssm.output
+    perm = np.random.default_rng(3).permutation(out.n_y)     # new row i is old row perm[i]
+    where = np.argsort(perm)
+    scattered = dataclasses.replace(
+        out,
+        feed_u=out.feed_u[perm],
+        feed_w=out.feed_w[perm],
+        const=out.const[:, perm],
+        memory_rows=where[out.memory_rows],
+    )
+    assert np.any(np.diff(scattered.memory_rows) != 1)
+    rng = np.random.default_rng(4)
+    u_seq = rng.normal(size=(7, out.horizon, out.feed_u.shape[1]))
+    w_seq = rng.normal(size=(7, out.horizon, out.feed_w.shape[1]))
+    want = out.evaluate(u_seq, w_seq)[..., perm]
+    # permuted operands may round differently in their last bits
+    np.testing.assert_allclose(
+        scattered.evaluate(u_seq, w_seq), want, rtol=0, atol=1e-12 * np.max(np.abs(want))
+    )
 
 
 def test_lossless_storage_conserves_energy():

@@ -26,7 +26,7 @@ from chpdispatch.tighten import (
     tighten_iterative_lp,
 )
 
-from conftest import random_system, synthetic_manifest
+from synthetic import random_system, synthetic_manifest
 
 
 def scalar_system(phi: float, d: float, horizon: int, widths) -> tuple:

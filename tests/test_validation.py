@@ -10,7 +10,7 @@ import pytest
 from chpdispatch import validation
 from chpdispatch.compile import ConstraintFamily, LiftedOutputMap, StateSpaceModel
 from chpdispatch.dispatch import DispatchSolution, Policy, realized_cost
-from chpdispatch.sets import UncertaintyTube
+from chpdispatch.sets import PolyhedronH, UncertaintyTube
 from chpdispatch.tighten import FeedbackGain
 from chpdispatch.validation import (
     VIOLATION_SLACK,
@@ -20,7 +20,7 @@ from chpdispatch.validation import (
     simulate,
 )
 
-from conftest import synthetic_manifest
+from synthetic import synthetic_manifest
 
 
 class TestSampling:
@@ -312,13 +312,28 @@ def scaled_limits(constraints: ConstraintFamily, series: dict, quantile: float) 
     return ConstraintFamily(**families)
 
 
+def subset_limits(constraints: ConstraintFamily, series: dict, quantile: float) -> ConstraintFamily:
+    """Rows on a subset of each family's columns, out of order and repeated
+    (y rows on columns 40, 3, 40, ...), scaled and bounded as in
+    :func:`scaled_limits`."""
+    picks = {"x": [1, 0, 1], "u": [4, 0, 4, 2], "y": [40, 3, 40, 70], "du": [2, 0], "dy": [1, 1, 0]}
+    families = {}
+    for name, poly in constraints.families().items():
+        cols = picks[name]
+        coeff = np.zeros((len(cols), poly.dimension))
+        coeff[np.arange(len(cols)), cols] = 1.0
+        labels = [f"{name}[{j}]#{k}" for k, j in enumerate(cols)]
+        families[name] = PolyhedronH(coeff, np.zeros(len(cols)), labels)
+    return scaled_limits(ConstraintFamily(**families), series, quantile)
+
+
 class TestLimitCheck:
-    @pytest.mark.parametrize("quantile", [0.5, 0.99])
-    def test_step_extrema_match_per_step_oracle(self, ref24, ref24_do_policy, quantile):
+    @staticmethod
+    def check_against_oracle(ref24, policy, limits, quantile):
         batch = sample_disturbances(ref24.tube, 60, seed=8)
-        x, u, y = simulate(ref24_do_policy, ref24.ssm, batch.samples)
+        x, u, y = simulate(policy, ref24.ssm, batch.samples)
         series = {"x": x[:, 1:], "u": u, "y": y, "du": np.diff(u, axis=1), "dy": np.diff(y, axis=1)}
-        constraints = scaled_limits(ref24.constraints, series, quantile)
+        constraints = limits(ref24.constraints, series, quantile)
         by_row: dict[str, int] = {}
         flags = validation._violations(
             validation._limit_rows(constraints), x, u, y, VIOLATION_SLACK, by_row
@@ -336,6 +351,15 @@ class TestLimitCheck:
         assert by_row == want
         assert np.array_equal(flags, want_flags)
         assert 0 < want_flags.sum() <= batch.count
+
+    @pytest.mark.parametrize("quantile", [0.5, 0.99])
+    def test_step_extrema_match_per_step_oracle(self, ref24, ref24_do_policy, quantile):
+        self.check_against_oracle(ref24, ref24_do_policy, scaled_limits, quantile)
+
+    @pytest.mark.parametrize("quantile", [0.5, 0.99])
+    def test_subset_columns_match_per_step_oracle(self, ref24, ref24_do_policy, quantile):
+        # every reference family has a row on each column, in column order
+        self.check_against_oracle(ref24, ref24_do_policy, subset_limits, quantile)
 
     def test_row_on_two_columns_is_refused(self, ref24, ref24_box_policy):
         u = ref24.constraints.u
