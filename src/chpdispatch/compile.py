@@ -169,14 +169,12 @@ class LiftedOutputMap:
     @cached_property
     def _rollout_operands(self):
         """What :meth:`evaluate` multiplies by, built once: feed_u.T, feed_w.T,
-        heat_u.T, heat_w.T, (lag, kernel[lag].T) for the nonzero lags, and
-        the memory rows as a slice when they are one block (a compiled model's
-        supply and return temperatures are).  A transposed view sends each
-        OpenBLAS product down a path 2-3x slower on a scenario chunk, so most
-        operands are C-contiguous copies.  heat_w.T and the last lag's
-        one-row product keep the view: their copies round differently (a
-        small-matrix GEMM kernel and a GEMV) and take under a tenth of the
-        rollout."""
+        heat_u.T, heat_w.T and (lag, kernel[lag].T) for the nonzero lags.
+        A transposed view sends each OpenBLAS product down a path 2-3x
+        slower on a scenario chunk, so most operands are C-contiguous
+        copies.  heat_w.T and the last lag's one-row product keep the view:
+        their copies round differently (a small-matrix GEMM kernel and a
+        GEMV) and take under a tenth of the rollout."""
         c = np.ascontiguousarray
         T = self.horizon
         kernels = []
@@ -185,10 +183,7 @@ class LiftedOutputMap:
                 (int(lag), self.temps.kernel[lag].T if lag == T - 1 else c(self.temps.kernel[lag].T))
                 for lag in self._lags()
             ]
-        rows = self.memory_rows
-        if len(rows) and np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows))):
-            rows = slice(int(rows[0]), int(rows[0]) + len(rows))
-        return c(self.feed_u.T), c(self.feed_w.T), c(self.heat_u.T), self.heat_w.T, kernels, rows
+        return c(self.feed_u.T), c(self.feed_w.T), c(self.heat_u.T), self.heat_w.T, kernels
 
     def evaluate(self, u_seq: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
         """All y(t) for sequences shaped (..., T, n_u) and (..., T, n_w) with
@@ -199,7 +194,7 @@ class LiftedOutputMap:
         the sample axis into the GEMM rows is avoided: it changes the
         rounding and can make OpenBLAS start a second thread.
         """
-        feed_u, feed_w, heat_u, heat_w, kernels, memory_rows = self._rollout_operands
+        feed_u, feed_w, heat_u, heat_w, kernels = self._rollout_operands
         u_seq = np.atleast_2d(u_seq)
         w_seq = np.atleast_2d(w_seq)
         T = self.horizon
@@ -212,7 +207,7 @@ class LiftedOutputMap:
             mem = np.zeros(inputs.shape[:-1] + (len(self.memory_rows),))
             for lag, kernel_t in kernels:
                 mem[..., lag:, :] += inputs[..., : T - lag, :] @ kernel_t
-            out[..., memory_rows] += mem
+            out[..., self.memory_rows] += mem
         return out
 
 

@@ -259,8 +259,7 @@ class _LimitRows:
     """One family's rows c z[j] <= r, each with one nonzero coefficient c."""
 
     family: str
-    columns: np.ndarray        # the distinct columns j the rows reference
-    column_of_row: np.ndarray  # (M,) position of each row's j in ``columns``
+    columns: np.ndarray        # (M,) j
     coefficients: np.ndarray   # (M,) c
     bounds: np.ndarray         # (M,) r
     labels: tuple[str, ...]
@@ -281,11 +280,9 @@ def _limit_rows(constraints: ConstraintFamily) -> list[_LimitRows]:
                 "the Monte Carlo limit check takes one per row"
             )
         j = np.argmax(nonzero, axis=1)
-        columns, column_of_row = np.unique(j, return_inverse=True)
         limits.append(_LimitRows(
             family=name,
-            columns=columns,
-            column_of_row=column_of_row,
+            columns=j,
             coefficients=poly.coefficients[np.arange(poly.n_rows), j],
             bounds=poly.bounds,
             labels=poly.labels,
@@ -312,17 +309,14 @@ def _violations(
     flags = np.zeros(x.shape[0], dtype=bool)
     for lim in limits:
         z = series[lim.family]
-        row_columns = lim.columns[lim.column_of_row]
         if lim.family in ("du", "dy"):
-            # differences of the referenced columns only
-            z = np.diff(z[:, :, lim.columns], axis=1)
-            row_columns = lim.column_of_row
+            z = np.diff(z, axis=1)
         if z.shape[1] == 0:
             continue
         # step extrema of the whole series are faster than those of a
         # fancy-indexed column copy
-        z_max = z.max(axis=1)[:, row_columns]              # (count, rows)
-        z_min = z.min(axis=1)[:, row_columns]
+        z_max = z.max(axis=1)[:, lim.columns]              # (count, rows)
+        z_min = z.min(axis=1)[:, lim.columns]
         extreme = np.where(lim.coefficients > 0, z_max, z_min)
         bad = extreme * lim.coefficients - lim.bounds > slack
         flags |= bad.any(axis=1)

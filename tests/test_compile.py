@@ -1,7 +1,5 @@
 """State-space compilation: eliminations, manifest, constraints, tube."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -160,9 +158,6 @@ def test_lifted_map_matches_lag_loop(reference_output, lead):
     got = out.evaluate(u_seq, w_seq)
     want = lag_loop(out, u_seq, w_seq)
     assert got.shape == want.shape == lead + (out.horizon, out.n_y)
-    if not lead:
-        # one sequence is the dispatch path: bit for bit
-        assert np.array_equal(got, want)
     memoryless = np.setdiff1d(np.arange(out.n_y), out.memory_rows)
     assert len(out.memory_rows) > 0 and len(memoryless) > 0
     assert np.array_equal(got[..., memoryless], want[..., memoryless])
@@ -170,29 +165,9 @@ def test_lifted_map_matches_lag_loop(reference_output, lead):
     # relative to the largest one
     mem_got, mem_want = got[..., out.memory_rows], want[..., out.memory_rows]
     np.testing.assert_allclose(mem_got, mem_want, rtol=0, atol=1e-12 * np.max(np.abs(mem_want)))
-
-
-def test_lifted_map_with_scattered_memory_rows(ref24):
-    """Memory rows that are not one block give the block map's outputs, permuted."""
-    out = ref24.ssm.output
-    perm = np.random.default_rng(3).permutation(out.n_y)     # new row i is old row perm[i]
-    where = np.argsort(perm)
-    scattered = dataclasses.replace(
-        out,
-        feed_u=out.feed_u[perm],
-        feed_w=out.feed_w[perm],
-        const=out.const[:, perm],
-        memory_rows=where[out.memory_rows],
-    )
-    assert np.any(np.diff(scattered.memory_rows) != 1)
-    rng = np.random.default_rng(4)
-    u_seq = rng.normal(size=(7, out.horizon, out.feed_u.shape[1]))
-    w_seq = rng.normal(size=(7, out.horizon, out.feed_w.shape[1]))
-    want = out.evaluate(u_seq, w_seq)[..., perm]
-    # permuted operands may round differently in their last bits
-    np.testing.assert_allclose(
-        scattered.evaluate(u_seq, w_seq), want, rtol=0, atol=1e-12 * np.max(np.abs(want))
-    )
+    # the memory rows are bit for bit too, for one sequence (the dispatch
+    # path) and for batches: written Monte Carlo flags and costs rest on it
+    assert np.array_equal(mem_got, mem_want)
 
 
 def test_lossless_storage_conserves_energy():
