@@ -260,10 +260,11 @@ def build_nominal_problem(
     return NominalProblem(lp=lp, ssm=ssm, layout=prob)
 
 
-def _cost_weights(ssm: StateSpaceModel, costs: CostModel) -> tuple[np.ndarray, list[int], np.ndarray]:
+def _cost_weights(ssm: StateSpaceModel, costs: CostModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cost as weights: per-step control weights (T, n_u), and the y rows
-    priced on their absolute value (battery power, then tank flow) with
-    their weights.  The LP objective and ``realized_cost`` both read this."""
+    priced on their absolute value (battery power, then tank flow, as an
+    index array) with their weights.  The LP objective and
+    ``realized_cost`` both read this."""
     T, man = ssm.horizon, ssm.manifest
     if len(costs.grid_price) != T:
         raise ValueError(f"price series length {len(costs.grid_price)} != horizon {T}")
@@ -271,7 +272,7 @@ def _cost_weights(ssm: StateSpaceModel, costs: CostModel) -> tuple[np.ndarray, l
     u_costs[:, man.indices("u", "chp_p")] = costs.chp
     u_costs[:, man.indices("u", "hp_p")] = costs.hp
     u_costs[:, man.index("u", "grid_p", "grid")] = costs.grid_price
-    abs_rows = man.indices("y", "battery_power") + man.indices("y", "tank_flow")
+    abs_rows = np.array(man.indices("y", "battery_power") + man.indices("y", "tank_flow"), dtype=np.intp)
     return u_costs, abs_rows, np.concatenate([costs.battery, costs.tank])
 
 
@@ -341,14 +342,20 @@ def solve_dispatch(
 
 
 def realized_cost(
-    ssm: StateSpaceModel, costs: CostModel, u_seq: np.ndarray, y_seq: np.ndarray
+    ssm: StateSpaceModel,
+    costs: CostModel,
+    u_seq: np.ndarray,
+    y_seq: np.ndarray,
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float | np.ndarray:
     """Total cost with realized storage flows in the absolute-value terms.
 
     ``u_seq`` (..., T, n_u) and ``y_seq`` (..., T, n_y) give one cost per
     leading index; a single (T, n_u), (T, n_y) pair gives a float.
+    ``weights`` is ``_cost_weights(ssm, costs)`` built once by a caller
+    that prices many trajectories under the same costs.
     """
-    u_costs, abs_rows, abs_costs = _cost_weights(ssm, costs)
+    u_costs, abs_rows, abs_costs = _cost_weights(ssm, costs) if weights is None else weights
     u_seq = np.asarray(u_seq, dtype=float)
     y_seq = np.asarray(y_seq, dtype=float)
     total = u_seq.reshape(u_seq.shape[:-2] + (-1,)) @ u_costs.ravel()

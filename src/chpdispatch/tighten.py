@@ -303,7 +303,10 @@ def _output_deviation(ssm: StateSpaceModel, sy: np.ndarray, gain: FeedbackGain, 
 
 def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
     """Per step and row, sum over tau and the (values, weights) terms of
-    weights[tau] . values[lag(t, tau)] for a lag-structured family."""
+    weights[tau] . values[lag(t, tau)] for a lag-structured family.
+
+    Every term's values are zero wherever ``fam.lag`` is, so the all-zero
+    lags (transport delays, a zero gain) are skipped."""
     steps = fam.steps
     rho = np.zeros((len(steps), fam.poly.n_rows))
     if not len(steps):
@@ -311,7 +314,7 @@ def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
     state_like = fam.kind == "state"
     first = int(steps[0])
     hi_t = int(steps[-1])
-    for k in range(fam.lag.shape[0]):
+    for k in np.flatnonzero(fam.lag.any(axis=(1, 2))):
         # steps with a contribution at this lag
         lo_t = max(first, k + 1) if state_like else max(first, k)
         if lo_t > hi_t:

@@ -1,6 +1,9 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and the package does not
+import the benchmark harness."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import chpdispatch
@@ -15,3 +18,21 @@ def test_every_export_resolves():
         assert not missing, (name, missing)
     # the package's re-exports are plain imports, resolved when it was imported
     assert chpdispatch.LiftedOutputMap is importlib.import_module("chpdispatch.compile").LiftedOutputMap
+
+
+def test_package_does_not_import_the_benchmark():
+    # the benchmark harness wraps the package from outside; the package never
+    # reaches back into it
+    harness = {"bench", "tracing", "workloads", "worker"}
+    root = pathlib.Path(chpdispatch.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [(path.name, m) for m in modules if m.split(".")[0] in harness]
+    assert not found

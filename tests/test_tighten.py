@@ -20,6 +20,8 @@ from chpdispatch.sets import PolyhedronH, UncertaintyTube
 from chpdispatch.tighten import (
     FeedbackGain,
     TighteningInfeasibleError,
+    _DeviationFamily,
+    _lag_convolve,
     choose_gain,
     gamma,
     tighten,
@@ -587,3 +589,42 @@ def test_budget_kernel_matches_sorted_reference(
                     assert abs(fam.reductions[si, ri] - ref) <= 1e-12 * scale, (
                         name, int(fam.steps[si]), ri, budget
                     )
+
+
+def all_lags_convolve(fam, terms) -> np.ndarray:
+    """The lag convolution summed over every lag, zero blocks included."""
+    steps = fam.steps
+    rho = np.zeros((len(steps), fam.poly.n_rows))
+    state_like = fam.kind == "state"
+    first, hi_t = int(steps[0]), int(steps[-1])
+    for k in range(fam.lag.shape[0]):
+        lo_t = max(first, k + 1) if state_like else max(first, k)
+        if lo_t > hi_t:
+            continue
+        pos = lo_t - first
+        tau_first = (lo_t - 1 - k) if state_like else (lo_t - k)
+        count = hi_t - lo_t + 1
+        rho[pos : pos + count] += sum(
+            weights[tau_first : tau_first + count] @ values[k].T for values, weights in terms
+        )
+    return rho
+
+
+@pytest.mark.parametrize("kind,first,stop", [("state", 1, 13), ("state", 0, 12), ("output", 1, 12)],
+                         ids=["state-x", "state-u", "output-dy"])
+def test_lag_convolve_skips_only_zero_lags(kind, first, stop):
+    T, M, n_w = 12, 4, 3
+    rng = np.random.default_rng(first)
+    lag = rng.normal(size=(T, M, n_w))
+    lag[[3, 4, 7, T - 2, T - 1]] = 0.0          # zero blocks inside and at the end
+    lag[5, :2] = 0.0                            # and a block that is zero in part
+    poly = PolyhedronH(rng.normal(size=(M, 2)), np.ones(M), [f"r{i}" for i in range(M)])
+    fam = _DeviationFamily("f", poly, np.arange(first, stop), kind, lag)
+    widths = rng.uniform(0.0, 1.0, size=(T, n_w))
+    shifts = rng.normal(size=(T, n_w))
+    abs_lag = np.abs(lag)
+    abs_lag[:, 1, 0] = 0.0                      # as the budget kernel zeroes long pairs
+    terms = [(abs_lag, widths), (lag, shifts)]
+    got = _lag_convolve(fam, terms)
+    assert np.array_equal(got, all_lags_convolve(fam, terms))
+    assert np.all(got[-1] != 0.0)

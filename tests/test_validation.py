@@ -9,11 +9,12 @@ import pytest
 
 from chpdispatch import validation
 from chpdispatch.compile import ConstraintFamily, LiftedOutputMap, StateSpaceModel
-from chpdispatch.dispatch import DispatchSolution, Policy, realized_cost
+from chpdispatch.dispatch import CostModel, DispatchSolution, Policy, _cost_weights, realized_cost
 from chpdispatch.sets import PolyhedronH, UncertaintyTube
 from chpdispatch.tighten import FeedbackGain
 from chpdispatch.validation import (
     VIOLATION_SLACK,
+    Metrics,
     evaluate,
     parse_method,
     sample_disturbances,
@@ -358,7 +359,9 @@ class TestLimitCheck:
 
     @pytest.mark.parametrize("quantile", [0.5, 0.99])
     def test_subset_columns_match_per_step_oracle(self, ref24, ref24_do_policy, quantile):
-        # every reference family has a row on each column, in column order
+        # the reference's x, u and y rows cover every column in column order,
+        # and its du and dy rows read 3 of u's and 2 of y's columns; these
+        # rows also take columns out of order and repeat them
         self.check_against_oracle(ref24, ref24_do_policy, subset_limits, quantile)
 
     def test_row_on_two_columns_is_refused(self, ref24, ref24_box_policy):
@@ -404,6 +407,17 @@ class TestRealizedCost:
         single = realized_cost(ref24.ssm, ref24.costs, u[0], y[0])
         assert isinstance(single, float) and single == pytest.approx(want[0], rel=1e-12)
 
+    def test_weights_built_once_match_default(self, ref24, ref24_box_policy):
+        batch = sample_disturbances(ref24.tube, 40, seed=9, mode="uniform")
+        _, u, y = simulate(ref24_box_policy, ref24.ssm, batch.samples)
+        weights = _cost_weights(ref24.ssm, ref24.costs)
+        once = realized_cost(ref24.ssm, ref24.costs, u, y, weights)
+        assert once.shape == (40,)
+        assert np.array_equal(once, realized_cost(ref24.ssm, ref24.costs, u, y))
+        single = realized_cost(ref24.ssm, ref24.costs, u[3], y[3], weights)
+        assert isinstance(single, float)
+        assert single == realized_cost(ref24.ssm, ref24.costs, u[3], y[3])
+
     @pytest.mark.parametrize("which", ["do", "box"])
     def test_nominal_trajectory_prices_at_lp_objective(
         self, ref24, ref24_do_solution, ref24_box_solution, which
@@ -411,6 +425,41 @@ class TestRealizedCost:
         sol = ref24_do_solution if which == "do" else ref24_box_solution
         cost = realized_cost(ref24.ssm, ref24.costs, sol.u_seq, sol.y_seq)
         assert cost == pytest.approx(sol.objective, rel=1e-9)
+
+
+class TestMetrics:
+    @staticmethod
+    def metrics(j_min, j_expected, j_max):
+        return Metrics(
+            violation_rate=0.0, j_nominal=j_expected, j_expected=j_expected,
+            j_max=j_max, j_min=j_min, sample_count=10000,
+        )
+
+    def test_mean_of_equal_large_costs_is_accepted(self):
+        cost = 17123456.789
+        mean = float(np.mean(np.full(10000, cost)))
+        assert mean - cost > 1e-9     # the mean rounds past the costs
+        m = self.metrics(cost, mean, cost)
+        assert m.j_min == m.j_max == cost
+
+    @pytest.mark.parametrize("triple", [
+        (1.7e7 + 1.0, 1.7e7, 1.7e7 + 2.0),
+        (1.7e7 - 2.0, 1.7e7, 1.7e7 - 1.0),
+        (0.0, 2e-9, 0.0),
+        (-1.7e7, -1.7e7 - 1.0, 0.0),
+    ], ids=["mean-below-min", "mean-above-max", "small", "negative"])
+    def test_out_of_order_costs_raise(self, triple):
+        with pytest.raises(ValueError, match="cost ordering"):
+            self.metrics(*triple)
+
+    def test_zero_width_tube_at_large_costs_evaluates(self, ref24, ref24_do_policy):
+        # equal realized costs near 1.7e7, whose mean rounds past them
+        costs = CostModel(*(getattr(ref24.costs, f.name) * 1e4 for f in dataclasses.fields(CostModel)))
+        center = ref24.tube.w_center
+        batch = sample_disturbances(UncertaintyTube(center, center, center), 1000, seed=0)
+        m = evaluate(ref24_do_policy, ref24.ssm, ref24.constraints, costs, batch)
+        assert m.j_min == m.j_max > 1e7
+        assert m.j_expected == pytest.approx(m.j_min, rel=1e-14)
 
 
 def test_parse_method():
