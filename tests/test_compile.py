@@ -1,8 +1,11 @@
 """State-space compilation: eliminations, manifest, constraints, tube."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from chpdispatch import compile as compile_module
 from chpdispatch.compile import (
     StructuralError,
     balance_residuals,
@@ -144,15 +147,21 @@ def lag_loop(out, u_seq, w_seq):
     return y
 
 
-@pytest.fixture(scope="module", params=[(24, 3600.0), (48, 1800.0)], ids=["T24", "T48"])
+# horizon -> step seconds of the reference system
+HORIZONS = {1: 3600.0, 24: 3600.0, 48: 1800.0, 96: 900.0, 288: 300.0}
+
+
+@pytest.fixture(scope="module", params=sorted(HORIZONS), ids=lambda T: f"T{T}")
 def reference_output(request):
-    return compile_state_space(build_reference_system(*request.param)).output
+    return compile_state_space(build_reference_system(request.param, HORIZONS[request.param])).output
 
 
-@pytest.mark.parametrize("lead", [(), (4, 10), (502,)], ids=["single", "grid", "chunk"])
-def test_lifted_map_matches_lag_loop(reference_output, lead):
-    out = reference_output
-    rng = np.random.default_rng(len(lead))
+def assert_matches_lag_loop(out, lead):
+    """evaluate on random sequences with leading axes ``lead`` against
+    :func:`lag_loop`: the GEMM blocks and the lifted convolution sum in another
+    order than the loop, so each group of rows (memoryless and memory) agrees
+    to 1e-13 of its largest value."""
+    rng = np.random.default_rng(len(lead) + out.horizon)
     u_seq = rng.normal(size=lead + (out.horizon, out.feed_u.shape[1]))
     w_seq = rng.normal(size=lead + (out.horizon, out.feed_w.shape[1]))
     got = out.evaluate(u_seq, w_seq)
@@ -160,14 +169,53 @@ def test_lifted_map_matches_lag_loop(reference_output, lead):
     assert got.shape == want.shape == lead + (out.horizon, out.n_y)
     memoryless = np.setdiff1d(np.arange(out.n_y), out.memory_rows)
     assert len(out.memory_rows) > 0 and len(memoryless) > 0
-    assert np.array_equal(got[..., memoryless], want[..., memoryless])
-    # temperatures of random inputs can cancel to near zero, so the 1e-12 is
-    # relative to the largest one
-    mem_got, mem_want = got[..., out.memory_rows], want[..., out.memory_rows]
-    np.testing.assert_allclose(mem_got, mem_want, rtol=0, atol=1e-12 * np.max(np.abs(mem_want)))
-    # the memory rows are bit for bit too, for one sequence (the dispatch
-    # path) and for batches: written Monte Carlo flags and costs rest on it
-    assert np.array_equal(mem_got, mem_want)
+    for rows in (memoryless, out.memory_rows):
+        np.testing.assert_allclose(
+            got[..., rows], want[..., rows], rtol=0, atol=1e-13 * np.max(np.abs(want[..., rows]))
+        )
+
+
+def lead_shape(out, lead: str) -> tuple[int, ...]:
+    # "chunk" is the sample count of one Monte Carlo chunk (502 at T=24, 41 at T=288)
+    chunk = max(1, 1_000_000 // (out.horizon * out.n_y))
+    return {"single": (), "grid": (4, 10)}.get(lead, (chunk,))
+
+
+@pytest.mark.parametrize(
+    "lead", ["single", "grid", "chunk", "chunk-without-u", "chunk-scattered-rows"]
+)
+def test_lifted_map_matches_lag_loop(reference_output, lead):
+    out = reference_output
+    # the Toeplitz operator up to its byte budget (T=48: 4.7 MB), the rFFT
+    # above it (T=96: 18.9 MB)
+    assert (out._rollout_operands.spectra is not None) == (out.horizon >= 96)
+    if lead == "chunk-without-u":
+        # the shape heatnet.TemperatureMaps.evaluate passes: no control columns
+        out = dataclasses.replace(out, feed_u=out.feed_u[:, :0], heat_u=out.heat_u[:, :0])
+    elif lead == "chunk-scattered-rows":
+        # the y rows reversed: the memory rows run backwards, not as one range
+        order = np.arange(out.n_y)[::-1]
+        out = dataclasses.replace(
+            out, feed_u=out.feed_u[order], feed_w=out.feed_w[order], const=out.const[:, order],
+            memory_rows=out.n_y - 1 - out.memory_rows,
+        )
+        assert not isinstance(out._rollout_operands.memory_rows, slice)
+    assert_matches_lag_loop(out, lead_shape(out, lead))
+
+
+@pytest.mark.parametrize("reference_output", [1, 24, 48, 96], indirect=True, ids=lambda T: f"T{T}")
+@pytest.mark.parametrize("method", ["toeplitz", "rfft"])
+@pytest.mark.parametrize("lead", ["single", "chunk"])
+def test_both_convolution_methods_match_lag_loop(reference_output, method, lead, monkeypatch):
+    out = reference_output
+    toeplitz_bytes = (out.horizon * out.heat_w.shape[0]) * (out.horizon * len(out.memory_rows)) * 8
+    monkeypatch.setattr(
+        compile_module, "_TOEPLITZ_MAX_BYTES", toeplitz_bytes if method == "toeplitz" else 0
+    )
+    out = dataclasses.replace(out)         # operands are built afresh under the budget
+    ops = out._rollout_operands
+    assert (ops.toeplitz is None, ops.spectra is None) == (method == "rfft", method == "toeplitz")
+    assert_matches_lag_loop(out, lead_shape(out, lead))
 
 
 def test_lossless_storage_conserves_energy():

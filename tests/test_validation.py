@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 
 from chpdispatch import validation
-from chpdispatch.compile import ConstraintFamily, LiftedOutputMap, StateSpaceModel
+from chpdispatch.compile import (
+    ConstraintFamily,
+    LiftedOutputMap,
+    StateSpaceModel,
+    compile_constraints,
+    compile_state_space,
+    compile_uncertainty_tube,
+)
 from chpdispatch.dispatch import CostModel, DispatchSolution, Policy, _cost_weights, realized_cost
+from chpdispatch.reference import build_reference_system
 from chpdispatch.sets import PolyhedronH, UncertaintyTube
-from chpdispatch.tighten import FeedbackGain
+from chpdispatch.tighten import FeedbackGain, choose_gain
 from chpdispatch.validation import (
     VIOLATION_SLACK,
     Metrics,
@@ -22,6 +30,7 @@ from chpdispatch.validation import (
 )
 
 from synthetic import synthetic_manifest
+from test_compile import lag_loop
 
 
 class TestSampling:
@@ -148,6 +157,24 @@ class TestScenarioStream:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20 < whole
+
+    def test_t288_chunk_memory_stays_chunk_sized(self, ref288):
+        ssm, _, tube, _, _ = ref288
+        out = dataclasses.replace(ssm.output)     # operands built under the trace
+        count = validation._chunk_size(ssm, 10_000)
+        w = np.broadcast_to(tube.w_center, (count,) + tube.w_center.shape).copy()
+        u = np.zeros((count, ssm.horizon, ssm.n_u))
+        n_ch, n_mem = out.heat_w.shape[0], len(out.memory_rows)
+        toeplitz = (ssm.horizon * n_ch) * (ssm.horizon * n_mem) * 8   # 170 MB
+        tracemalloc.start()
+        try:
+            y = out.evaluate(u, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out._rollout_operands.toeplitz is None
+        # the output (41 samples, 7.5 MB) and spectra of the same order
+        assert peak < 4 * y.nbytes < toeplitz
 
 
 def scalar_policy(phi: float, horizon: int):
@@ -374,6 +401,99 @@ class TestLimitCheck:
         batch = sample_disturbances(ref24.tube, 2, seed=0)
         with pytest.raises(ValueError, match=re.escape(f"u row {u.labels[3]!r} has 2 nonzero")):
             evaluate(ref24_box_policy, ref24.ssm, constraints, ref24.costs, batch)
+
+
+def oracle_rollout(policy, ssm, w):
+    """x, u and y of a batch by a per-step state loop and the per-lag heat loop."""
+    sol, k = policy.solution, policy.gain.k
+    count, T = len(w), ssm.horizon
+    x = np.empty((count, T + 1, ssm.n_x))
+    u = np.empty((count, T, ssm.n_u))
+    x[:, 0] = sol.x_seq[0]
+    for t in range(T):
+        u[:, t] = sol.u_seq[t] + (x[:, t] - sol.x_seq[t]) @ k.T
+        x[:, t + 1] = x[:, t] @ ssm.A.T + u[:, t] @ ssm.B.T + w[:, t] @ ssm.D.T
+    return x, u, lag_loop(ssm.output, u, w)
+
+
+def oracle_verdicts(constraints, x, u, y):
+    """Per-sample flags and per-row offender counts from PolyhedronH.violations at every step."""
+    series = {"x": x[:, 1:], "u": u, "y": y, "du": np.diff(u, axis=1), "dy": np.diff(y, axis=1)}
+    flags = np.zeros(len(x), dtype=bool)
+    by_row: dict[str, int] = {}
+    for name, poly in constraints.families().items():
+        hit = (poly.violations(series[name]) > VIOLATION_SLACK).any(axis=1)   # (count, rows)
+        flags |= hit.any(axis=1)
+        for ri in np.flatnonzero(hit.any(axis=0)):
+            by_row[poly.labels[ri]] = int(hit[:, ri].sum())
+    return flags, by_row
+
+
+@pytest.fixture(scope="module")
+def ref288():
+    """The full-day reference with a feedback gain and a fixed nominal
+    schedule (controls at mid-range, no LP): evaluate takes the rFFT path."""
+    model = build_reference_system(288, 300.0)
+    ssm = compile_state_space(model)
+    constraints = compile_constraints(model, ssm)
+    tube = compile_uncertainty_tube(model)
+    # each u row is +-e_j <= bound: the mean of a column's two limits
+    on = constraints.u.coefficients != 0
+    limits = constraints.u.bounds / constraints.u.coefficients.sum(axis=1)
+    u_seq = np.tile(on.T @ limits / on.sum(axis=0), (ssm.horizon, 1))
+    x_seq = np.empty((ssm.horizon + 1, ssm.n_x))
+    x_seq[0] = ssm.x0
+    for t in range(ssm.horizon):
+        x_seq[t + 1] = ssm.A @ x_seq[t] + ssm.B @ u_seq[t] + ssm.D @ tube.w_center[t]
+    sol = DispatchSolution(
+        status="optimal", objective=0.0, x_seq=x_seq, u_seq=u_seq, y_seq=None,
+        schedule=None, kkt=None, iterations=0,
+    )
+    policy = Policy(solution=sol, gain=choose_gain(ssm, k=-5.0 * ssm.B.T))
+    return ssm, constraints, tube, CostModel.from_model(model), policy
+
+
+class TestVerdictGate:
+    """evaluate against an oracle rollout: identical verdicts, costs and the
+    state envelope within 1e-12 relative."""
+
+    @staticmethod
+    def check(policy, ssm, constraints, costs, batch):
+        met, traces = evaluate(policy, ssm, constraints, costs, batch, return_traces=True)
+        x, u, y = oracle_rollout(policy, ssm, batch.samples)
+        flags, by_row = oracle_verdicts(constraints, x, u, y)
+        assert np.array_equal(traces["violated"], flags)
+        assert met.violations_by_row == by_row
+        np.testing.assert_allclose(
+            traces["realized_cost"], realized_cost(ssm, costs, u, y), rtol=1e-12, atol=0
+        )
+        for got, want in ((traces["state_min"], x.min(axis=0)), (traces["state_max"], x.max(axis=0))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        return by_row
+
+    @pytest.mark.parametrize("case", ["do", "do-zero", "box"])
+    def test_t24(self, ref24, ref24_do_policy, ref24_box_policy, case):
+        policy = ref24_box_policy if case == "box" else ref24_do_policy
+        batch = sample_disturbances(ref24.tube, 2000, seed=29)
+        constraints = ref24.constraints
+        if case == "do-zero":
+            # every bound at zero: every family offends
+            constraints = ConstraintFamily(**{
+                name: dataclasses.replace(poly, bounds=np.zeros(poly.n_rows))
+                for name, poly in constraints.families().items()
+            })
+        by_row = self.check(policy, ref24.ssm, constraints, ref24.costs, batch)
+        families = {
+            name for name, poly in constraints.families().items() if set(poly.labels) & set(by_row)
+        }
+        want = {"box": set(), "do": {"x", "y", "dy"}, "do-zero": set(constraints.families())}
+        assert families == want[case]
+
+    def test_t288_rfft(self, ref288):
+        ssm, constraints, tube, costs, policy = ref288
+        assert ssm.output._rollout_operands.spectra is not None
+        by_row = self.check(policy, ssm, constraints, costs, sample_disturbances(tube, 200, seed=3))
+        assert by_row
 
 
 def per_sample_cost(ssm, costs, u, y) -> float:
