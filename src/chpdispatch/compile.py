@@ -185,10 +185,10 @@ class LiftedOutputMap:
         enough that the circular wrap-around misses the T outputs, taken
         against one (n_ch, n_mem) matrix per frequency.  The choice reads
         only T, n_ch and n_mem.  On a Monte Carlo chunk of the reference
-        the GEMM is 4-5x faster than the rFFT at T=24 and 3x at T=48, and
-        the two meet near T=140 (a 40 MiB operator); the budget stops
-        below that so that the operator, kept for the life of the map,
-        stays small.
+        the GEMM is 5-7x faster than the rFFT at T=24 and 3-4x at T=48,
+        the two meet near T=140 (a 40 MiB operator), and at T=288 the GEMM
+        is 3x slower (162 MiB); the budget stops below the crossover so
+        that the operator, kept for the life of the map, stays small.
         """
         c = np.ascontiguousarray
         feed = c(np.vstack([self.feed_u.T, self.feed_w.T]))
