@@ -27,6 +27,7 @@ from .dispatch import (
     Policy,
     build_nominal_problem,
     deterministic_schedule,
+    lp_shape,
     solve_dispatch,
 )
 from .lp import import_solver
@@ -194,11 +195,11 @@ def _dispatch_command(args) -> int:
 
         import_solver()
         schedule, label = _schedule(args, ssm, constraints, tube, gain)
-        est_rows = (constraints.y.n_rows + 14) * ssm.horizon
-        est_cols = ssm.horizon * (ssm.n_u + ssm.n_x + 2) + ssm.n_x
-        if est_rows * est_cols * 8 > 3e8:
+        n_ineq, n_eq, n_vars = lp_shape(ssm, schedule)
+        if (n_ineq + n_eq) * n_vars * 8 > 3e8:
             print(
-                f"warning: dense dispatch LP of roughly {est_rows} x {est_cols};"
+                f"warning: dense dispatch LP of {n_ineq} inequality and {n_eq} equality"
+                f" rows over {n_vars} variables;"
                 " consider a coarser horizon (e.g. --horizon 24 --dt 3600)",
                 file=sys.stderr,
             )

@@ -143,22 +143,21 @@ class LiftedOutputMap:
     def _has_memory(self) -> bool:
         return self.temps is not None and len(self.memory_rows) > 0
 
-    def u_blocks(self, s_rows: np.ndarray, diff: bool = False) -> np.ndarray:
+    def u_blocks(self, s_rows: np.ndarray) -> np.ndarray:
         """S dy(t)/du(t - k) for the row selector S = ``s_rows`` (M, n_y), as
-        lag blocks (T, M, n_u) indexed by k.  ``diff`` gives the blocks of
-        the step difference S (y(t) - y(t-1))."""
-        return self._blocks(s_rows, self.feed_u, self.heat_u, diff)
+        lag blocks (T, M, n_u) indexed by k."""
+        return self._blocks(s_rows, self.feed_u, self.heat_u)
 
-    def w_blocks(self, s_rows: np.ndarray, diff: bool = False) -> np.ndarray:
+    def w_blocks(self, s_rows: np.ndarray) -> np.ndarray:
         """S dy(t)/dw(t - k), shaped as in :meth:`u_blocks`."""
-        return self._blocks(s_rows, self.feed_w, self.heat_w, diff)
+        return self._blocks(s_rows, self.feed_w, self.heat_w)
 
     def _lags(self) -> np.ndarray:
         """The lags whose kernel block is not all zero (transport delays
         leave the others empty: 116 of 288 in the full-day reference)."""
         return np.flatnonzero(self.temps.kernel.any(axis=(1, 2)))
 
-    def _blocks(self, s_rows, feed, heat, diff):
+    def _blocks(self, s_rows, feed, heat):
         blocks = np.zeros((self.horizon, s_rows.shape[0], feed.shape[1]))
         if self._has_memory:
             sel = s_rows[:, self.memory_rows]
@@ -166,8 +165,6 @@ class LiftedOutputMap:
             for k in self._lags():
                 blocks[k] = sel @ self.temps.kernel[k] @ heat
         blocks[0] += s_rows @ feed
-        if diff:
-            blocks[1:] = np.diff(blocks, axis=0)
         return blocks
 
     @cached_property

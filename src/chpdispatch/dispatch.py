@@ -25,6 +25,7 @@ __all__ = [
     "DispatchSolution",
     "Policy",
     "build_nominal_problem",
+    "lp_shape",
     "solve_dispatch",
     "deterministic_schedule",
     "realized_cost",
@@ -67,6 +68,16 @@ class _Layout:
     n_x: int
     n_u: int
     n_epi: int
+    reactive: bool           # one reactive balance equality per step
+
+    @classmethod
+    def of(cls, ssm: StateSpaceModel) -> "_Layout":
+        reactive = ssm.reactive_u is not None and bool(np.any(ssm.reactive_u))
+        return cls(ssm.horizon, ssm.n_x, ssm.n_u, len(_priced_rows(ssm)), reactive)
+
+    @property
+    def n_vars(self) -> int:
+        return (self.horizon + 1) * self.n_x + self.horizon * (self.n_u + self.n_epi)
 
     def x_slice(self, t: int) -> slice:
         return slice(t * self.n_x, (t + 1) * self.n_x)
@@ -133,12 +144,22 @@ def deterministic_schedule(
     return tighten(ssm, constraints, degenerate, gain, mode="box")
 
 
+def lp_shape(ssm: StateSpaceModel, schedule: TightenedSchedule) -> tuple[int, int, int]:
+    """(n_ineq, n_eq, n_vars) of the nominal LP: one inequality per tightened
+    row and step plus a pos and a neg epigraph row per priced flow and step;
+    the initial state, the dynamics and any reactive balance as equalities."""
+    layout = _Layout.of(ssm)
+    T = layout.horizon
+    n_ineq = sum(fam.reductions.size for fam in schedule.families.values()) + 2 * layout.n_epi * T
+    n_eq = (T + 1) * layout.n_x + (T if layout.reactive else 0)
+    return n_ineq, n_eq, layout.n_vars
+
+
 def build_nominal_problem(
     ssm: StateSpaceModel,
     schedule: TightenedSchedule,
     costs: CostModel,
     w_center: np.ndarray,
-    x0: np.ndarray | None = None,
 ) -> NominalProblem:
     """Assemble the nominal LP over x(0..T), u(0..T-1), and epigraph terms.
 
@@ -152,16 +173,14 @@ def build_nominal_problem(
     w_center = np.atleast_2d(np.asarray(w_center, dtype=float))
     if w_center.shape != (T, ssm.n_w):
         raise ValueError(f"w_center shape {w_center.shape} != ({T}, {ssm.n_w})")
-    if x0 is None:
-        x0 = ssm.x0
 
     u_costs, epi_rows, epi_costs = _cost_weights(ssm, costs)
     n_epi = len(epi_rows)
     if any(r in out.memory_rows for r in epi_rows):
         raise ValueError("storage flow rows unexpectedly carry heat-kernel memory")
 
-    n_vars = (T + 1) * n_x + T * n_u + T * n_epi
-    prob = _Layout(horizon=T, n_x=n_x, n_u=n_u, n_epi=n_epi)
+    prob = _Layout.of(ssm)
+    n_ineq, n_eq, n_vars = lp_shape(ssm, schedule)
     u0 = prob.u_slice(0).start
     e0 = prob.epi_slice(0).start
     y_base = out.evaluate(np.zeros((T, n_u)), w_center)   # w and constant parts
@@ -173,12 +192,10 @@ def build_nominal_problem(
 
     # equalities: initial state, dynamics, reactive balance
     x_names = [man.name("x", i)[1] for i in range(n_x)]
-    reactive = ssm.reactive_u is not None and np.any(ssm.reactive_u)
-    n_eq = (T + 1) * n_x + (T if reactive else 0)
     a_eq = np.zeros((n_eq, n_vars))
     b_eq = np.zeros(n_eq)
     a_eq[:n_x, prob.x_slice(0)] = np.eye(n_x)
-    b_eq[:n_x] = x0
+    b_eq[:n_x] = ssm.x0
     eq_labels = [f"initial_state[{name}]" for name in x_names]
     # row by row, D[i] . w(t): a matrix product rounds the last bit differently
     dyn_rhs = [[d_row @ w for d_row in ssm.D] for w in w_center]
@@ -189,7 +206,7 @@ def build_nominal_problem(
         a_eq[rows, prob.u_slice(t)] -= ssm.B
         b_eq[rows] = dyn_rhs[t]
         eq_labels += [f"dynamics[{name}][t={t}]" for name in x_names]
-    if reactive:
+    if prob.reactive:
         for t in range(T):
             a_eq[(T + 1) * n_x + t, prob.u_slice(t)] = ssm.reactive_u
         b_eq[(T + 1) * n_x :] = [-ssm.reactive_w @ w for w in w_center]
@@ -215,7 +232,6 @@ def build_nominal_problem(
         "dy": lambda steps: (y_base[steps] - y_base[steps - 1]) @ coeff["dy"].T,
     }
 
-    n_ineq = sum(fam.reductions.size for fam in fams.values()) + 2 * n_epi * T
     g = np.zeros((n_ineq, n_vars))
     h = np.zeros(n_ineq)
     g_labels: list[str] = []
@@ -272,14 +288,21 @@ def _cost_weights(ssm: StateSpaceModel, costs: CostModel) -> tuple[np.ndarray, n
     u_costs[:, man.indices("u", "chp_p")] = costs.chp
     u_costs[:, man.indices("u", "hp_p")] = costs.hp
     u_costs[:, man.index("u", "grid_p", "grid")] = costs.grid_price
-    abs_rows = np.array(man.indices("y", "battery_power") + man.indices("y", "tank_flow"), dtype=np.intp)
-    return u_costs, abs_rows, np.concatenate([costs.battery, costs.tank])
+    return u_costs, _priced_rows(ssm), np.concatenate([costs.battery, costs.tank])
+
+
+def _priced_rows(ssm: StateSpaceModel) -> np.ndarray:
+    """The y rows priced on their absolute value: battery power, then tank flow."""
+    man = ssm.manifest
+    return np.array(man.indices("y", "battery_power") + man.indices("y", "tank_flow"), dtype=np.intp)
 
 
 def _u_row_coefficients(out: LiftedOutputMap, s_rows: np.ndarray, diff: bool):
     """t -> (M, (t+1) n_u): the coefficients of S y(t) (of S (y(t) - y(t-1))
     with ``diff``) on u(0..t), laid out like the LP's u variables."""
-    lag = out.u_blocks(s_rows, diff=diff)
+    lag = out.u_blocks(s_rows)
+    if diff:
+        lag[1:] = np.diff(lag, axis=0)
 
     def at(t: int) -> np.ndarray:
         return lag[t::-1].transpose(1, 0, 2).reshape(len(s_rows), -1)
@@ -308,11 +331,10 @@ def solve_dispatch(
     schedule: TightenedSchedule,
     costs: CostModel,
     w_center: np.ndarray,
-    x0: np.ndarray | None = None,
     problem: NominalProblem | None = None,
 ) -> DispatchSolution:
     """Build and solve the nominal problem; audit the result with KKT."""
-    prob = problem or build_nominal_problem(ssm, schedule, costs, w_center, x0)
+    prob = problem or build_nominal_problem(ssm, schedule, costs, w_center)
     sol = solve_lp(prob.lp)
     if not sol.is_optimal:
         return DispatchSolution(

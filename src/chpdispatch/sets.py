@@ -118,18 +118,6 @@ class UncertaintyTube:
         """Deviation-set center (w_max + w_min)/2 - w_center, (T, n_w)."""
         return (self.w_max + self.w_min) / 2.0 - self.w_center
 
-    def normalized_offset(self) -> np.ndarray:
-        """Per-step offset of the normalized deviation set; zero-width -> 0.
-
-        (w_max + w_min - 2 w_center) / (w_max - w_min): the center of the
-        deviation interval in half-width units (vanishes when the forecast
-        center is the interval midpoint).
-        """
-        width = self.w_max - self.w_min
-        out = np.zeros_like(width)
-        np.divide(self.w_max + self.w_min - 2.0 * self.w_center, width, out=out, where=width > 0)
-        return out
-
     def deviation_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounds of the deviation w - w_center, (lo, hi)."""
         return self.w_min - self.w_center, self.w_max - self.w_center

@@ -65,11 +65,7 @@ class FeedbackGain:
         return float(np.max(np.abs(np.linalg.eigvals(self.phi))))
 
 
-def choose_gain(
-    ssm: StateSpaceModel,
-    k: np.ndarray | None = None,
-    spectral_cap: float = SPECTRAL_CAP,
-) -> FeedbackGain:
+def choose_gain(ssm: StateSpaceModel, k: np.ndarray | None = None) -> FeedbackGain:
     """K = 0 by default; a configured K is validated against the radius cap."""
     n_x, n_u = ssm.n_x, ssm.n_u
     if k is None:
@@ -79,9 +75,9 @@ def choose_gain(
         raise ValueError(f"gain shape {k.shape} != ({n_u}, {n_x})")
     gain = FeedbackGain(k=k, phi=ssm.A + ssm.B @ k)
     rho = gain.spectral_radius()
-    if rho > spectral_cap:
+    if rho > SPECTRAL_CAP:
         raise ValueError(
-            f"closed-loop spectral radius {rho:.6g} exceeds the cap {spectral_cap:.6g}"
+            f"closed-loop spectral radius {rho:.6g} exceeds the cap {SPECTRAL_CAP:.6g}"
         )
     if rho > SPECTRAL_WARN:
         warnings.warn(
@@ -181,10 +177,9 @@ class TightenedSchedule:
 class _DeviationFamily:
     """Deviation coefficients of one constraint family's rows.
 
-    For each step t the family's rows deviate by sum_tau theta(t, tau) w_dev(tau),
-    and theta depends on the lag only: ``lag`` holds it per lag.  ``kind``
-    fixes the lag convention: "state" rows see disturbances up to t-1
-    (lag = t-1-tau), "output" rows up to t (lag = t-tau).
+    At step t the family's rows deviate by sum_k lag[k] w_dev(t - k) over
+    the lags k with 0 <= t - k <= T - 1: ``lag[k]`` is their response to
+    the disturbance k steps earlier, one convention for every family.
 
     Row pairs are fixed once: ``gamma_rows`` drops every row 2i+1 whose
     coefficients negate row 2i (same |theta|, so the same budget term) and
@@ -192,18 +187,10 @@ class _DeviationFamily:
     the rows i labelled "... upper" that row i+1 closes as "... lower".
     """
 
-    def __init__(
-        self,
-        name: str,
-        poly: PolyhedronH,
-        steps: np.ndarray,
-        kind: str,
-        lag: np.ndarray,
-    ):
+    def __init__(self, name: str, poly: PolyhedronH, steps: np.ndarray, lag: np.ndarray):
         self.name = name
         self.poly = poly
         self.steps = steps
-        self.kind = kind
         self.lag = lag
         coeff = poly.coefficients
         even = np.arange(0, poly.n_rows - 1, 2)
@@ -218,110 +205,65 @@ class _DeviationFamily:
             dtype=int,
         )
 
-    def theta_for_step(self, t: int) -> np.ndarray:
-        """(tau_count, M, n_w) with tau = 0..t-1 (state) or 0..t (output)."""
-        count = t if self.kind == "state" else t + 1
-        if count == 0:
-            return np.zeros((0,) + self.lag.shape[1:])
-        if self.kind == "state":
-            idx = t - 1 - np.arange(count)
-        else:
-            idx = t - np.arange(count)
-        return self.lag[idx]
-
-
-def _phi_power_images(front: np.ndarray, phi: np.ndarray, d: np.ndarray, count: int) -> np.ndarray:
-    """Stack front @ Phi^k @ D for k = 0..count-1."""
-    out = np.zeros((count, front.shape[0], d.shape[1]))
-    cur = front.copy()
-    for k in range(count):
-        out[k] = cur @ d
-        cur = cur @ phi
-    return out
+    def theta_for_step(self, t: int, horizon: int) -> np.ndarray:
+        """(tau_count, M, n_w) for tau = 0..min(t, horizon - 1)."""
+        return self.lag[t - np.arange(min(t + 1, horizon))]
 
 
 def _build_families(
     ssm: StateSpaceModel, constraints: ConstraintFamily, gain: FeedbackGain
 ) -> list[_DeviationFamily]:
+    """Every family from one closed-loop state response: x(t) responds to
+    w_dev(t - k) through rx[k] = Phi^(k-1) D (rx[0] = 0) and u(t) = K x(t)
+    through ru = K rx.  The rows over y see the disturbance directly and
+    through u: theta_y[k] = S dy(t)/dw(t - k) + sum_a S dy(t)/du(t - a) ru[k - a].
+    The ramp families take the step difference of their lags."""
     T = ssm.horizon
-    n_w = ssm.n_w
-    fams: list[_DeviationFamily] = []
-
-    sx = constraints.x.coefficients
-    fams.append(
-        _DeviationFamily(
-            "x", constraints.x, np.arange(1, T + 1), "state",
-            _phi_power_images(sx, gain.phi, ssm.D, T) if sx.size else np.zeros((T, 0, n_w)),
-        )
-    )
-
-    su = constraints.u.coefficients
-    front_u = su @ gain.k if su.size else np.zeros((0, ssm.n_x))
-    fams.append(
-        _DeviationFamily(
-            "u", constraints.u, np.arange(0, T), "state",
-            _phi_power_images(front_u, gain.phi, ssm.D, T) if su.size else np.zeros((T, 0, n_w)),
-        )
-    )
-
-    sdu = constraints.du.coefficients
-    if sdu.size and T > 1:
-        front = sdu @ gain.k
-        lag_du = np.zeros((T, sdu.shape[0], n_w))
-        lag_du[0] = front @ ssm.D
-        if T > 1:
-            lag_du[1:] = _phi_power_images(front @ (gain.phi - np.eye(ssm.n_x)), gain.phi, ssm.D, T - 1)
-    else:
-        lag_du = np.zeros((T, sdu.shape[0] if sdu.size else 0, n_w))
-    fams.append(_DeviationFamily("du", constraints.du, np.arange(1, T), "state", lag_du))
-
-    for name, steps, diff in (("y", np.arange(0, T), False), ("dy", np.arange(1, T), True)):
-        poly = getattr(constraints, name)
-        lag = _output_deviation(ssm, poly.coefficients, gain, diff)
-        fams.append(_DeviationFamily(name, poly, steps, "output", lag))
-    return fams
-
-
-def _output_deviation(ssm: StateSpaceModel, sy: np.ndarray, gain: FeedbackGain, diff: bool):
-    """Deviation coefficients by lag for rows over y (over its step
-    difference with ``diff``).
-
-    theta(t, tau) = S dy(t)/dw(tau) + sum_{tau < sigma <= t} S dy(t)/du(sigma)
-    K Phi^(sigma-1-tau) D: the disturbance reaches y directly and through the
-    control response u_dev(sigma) = K x_dev(sigma).
-    """
-    T = ssm.horizon
+    rx = np.zeros((T + 1, ssm.n_x, ssm.n_w))
+    power = np.eye(ssm.n_x)
+    for k in range(1, T + 1):
+        rx[k] = power @ ssm.D
+        power = power @ gain.phi
+    ru = gain.k @ rx
     out = ssm.output
-    lag = out.w_blocks(sy, diff=diff)
-    if not gain.is_zero and T > 1:
-        powers = _phi_power_images(np.eye(ssm.n_x), gain.phi, ssm.D, T - 1)  # Phi^j D
-        u_k = out.u_blocks(sy, diff=diff) @ gain.k     # (T, M, n_x) by lag
-        for a in range(T - 1):
-            lag[a + 1 :] += np.matmul(u_k[a], powers[: T - 1 - a])
-    return lag
+    fams: list[_DeviationFamily] = []
+    for name, first, stop in (("x", 1, T + 1), ("u", 0, T), ("du", 1, T), ("y", 0, T), ("dy", 1, T)):
+        poly = getattr(constraints, name)
+        s = poly.coefficients
+        if name == "x":
+            lag = s @ rx
+        elif name in ("u", "du"):
+            lag = s @ ru[:T]
+        else:
+            lag = out.w_blocks(s)
+            if not gain.is_zero:
+                u_lag = out.u_blocks(s)
+                for a in range(T - 1):
+                    lag[a + 1 :] += u_lag[a] @ ru[1 : T - a]
+        if name in ("du", "dy"):
+            lag[1:] = np.diff(lag, axis=0)
+        fams.append(_DeviationFamily(name, poly, np.arange(first, stop), lag))
+    return fams
 
 
 def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
     """Per step and row, sum over tau and the (values, weights) terms of
-    weights[tau] . values[lag(t, tau)] for a lag-structured family.
+    weights[tau] . values[t - tau] for a lag-structured family.
 
     Every term's values are zero wherever ``fam.lag`` is, so the all-zero
-    lags (transport delays, a zero gain) are skipped."""
+    lags (transport delays, a zero gain, lag 0 of x and u) are skipped."""
     steps = fam.steps
     rho = np.zeros((len(steps), fam.poly.n_rows))
     if not len(steps):
         return rho
-    state_like = fam.kind == "state"
-    first = int(steps[0])
-    hi_t = int(steps[-1])
+    horizon = terms[0][1].shape[0]
+    first, last = int(steps[0]), int(steps[-1])
     for k in np.flatnonzero(fam.lag.any(axis=(1, 2))):
-        # steps with a contribution at this lag
-        lo_t = max(first, k + 1) if state_like else max(first, k)
+        # steps t with a contribution at this lag: 0 <= t - k <= T - 1
+        lo_t, hi_t = max(first, k), min(last, k + horizon - 1)
         if lo_t > hi_t:
             continue
-        pos = lo_t - first
-        tau_first = (lo_t - 1 - k) if state_like else (lo_t - k)
-        count = hi_t - lo_t + 1
+        pos, tau_first, count = lo_t - first, lo_t - k, hi_t - lo_t + 1
         rho[pos : pos + count] += sum(
             weights[tau_first : tau_first + count] @ values[k].T for values, weights in terms
         )
@@ -346,8 +288,8 @@ def _budget_reductions(
     has gamma equal to min(budget, 1) times its 1-norm, so those pairs (the
     identically zero ones included) go through the box convolution.  The
     remaining pairs are ranked one step at a time, where step t's scaled
-    sequence is the contiguous product |lag[0:count]| * widths[count-1::-1];
-    mirrored rows reuse their partner's gamma.
+    sequence is the contiguous product |lag[t-count+1:t+1]| * widths[count-1::-1]
+    with count = min(t + 1, T); mirrored rows reuse their partner's gamma.
     """
     steps = fam.steps
     M = fam.poly.n_rows
@@ -357,7 +299,7 @@ def _budget_reductions(
     abs_lag = np.abs(fam.lag)
     long = np.count_nonzero(abs_lag[:, rows], axis=0) > max(int(budget), 1)   # (len(rows), n_w)
     pair_row, pair_ch = np.nonzero(long)
-    mags_lag = np.ascontiguousarray(abs_lag[:, rows[pair_row], pair_ch].T)   # (P, T)
+    mags_lag = np.ascontiguousarray(abs_lag[:, rows[pair_row], pair_ch].T)   # (P, lags)
     abs_lag[:, long[fam.gamma_index]] = 0.0
     abs_lag *= min(budget, 1.0)
     rho = _lag_convolve(fam, [(abs_lag, widths), (fam.lag, shifts)])
@@ -365,12 +307,10 @@ def _budget_reductions(
         return rho
     widths_rev = np.ascontiguousarray(widths[::-1, pair_ch].T)              # (P, T)
     horizon = widths.shape[0]
-    offset = 1 if fam.kind == "state" else 0
-    for si, t in enumerate(steps):
-        count = int(t) + 1 - offset
-        if count <= 0:
-            continue
-        per_pair = _top_k_sums(mags_lag[:, :count] * widths_rev[:, horizon - count :], budget)
+    for si, t in enumerate(steps.tolist()):
+        count = min(t + 1, horizon)
+        window = mags_lag[:, t + 1 - count : t + 1]
+        per_pair = _top_k_sums(window * widths_rev[:, horizon - count :], budget)
         per_row = np.bincount(pair_row, weights=per_pair, minlength=len(rows))
         rho[si] += per_row[fam.gamma_index]
     return rho
@@ -483,7 +423,7 @@ def tighten_iterative_lp(
         M = fam.poly.n_rows
         rho = np.zeros((len(fam.steps), M))
         for si, t in enumerate(fam.steps):
-            theta = fam.theta_for_step(int(t))   # (count, M, n_w)
+            theta = fam.theta_for_step(int(t), ssm.horizon)   # (count, M, n_w)
             count = theta.shape[0]
             if count == 0 or M == 0:
                 continue

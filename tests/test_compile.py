@@ -312,20 +312,12 @@ class TestUncertaintyTube:
         center = ref24.tube.w_center
         tube = UncertaintyTube(center, center, center)
         assert np.all(tube.half_width == 0.0)
-        assert np.all(tube.normalized_offset() == 0.0)
 
     def test_symmetric_unit_interval(self):
         tube = UncertaintyTube(
             w_min=np.array([[-1.0]]), w_center=np.array([[0.0]]), w_max=np.array([[1.0]])
         )
         assert tube.half_width[0, 0] == 1.0
-        assert tube.normalized_offset()[0, 0] == 0.0
-
-    def test_center_at_lower_edge(self):
-        tube = UncertaintyTube(
-            w_min=np.array([[2.0]]), w_center=np.array([[2.0]]), w_max=np.array([[6.0]])
-        )
-        assert tube.normalized_offset()[0, 0] == pytest.approx(1.0)
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):

@@ -3,16 +3,23 @@
 import numpy as np
 import pytest
 
-from chpdispatch.compile import balance_residuals
+from chpdispatch.compile import (
+    balance_residuals,
+    compile_constraints,
+    compile_state_space,
+    compile_uncertainty_tube,
+)
 from chpdispatch.dispatch import (
     CostModel,
     Policy,
     build_nominal_problem,
     deterministic_schedule,
+    lp_shape,
     solve_dispatch,
 )
+from chpdispatch.reference import build_reference_system
 from chpdispatch.sets import UncertaintyTube
-from chpdispatch.tighten import tighten
+from chpdispatch.tighten import choose_gain, tighten
 from chpdispatch.validation import simulate
 
 
@@ -45,6 +52,25 @@ def test_epigraph_rows_counted(ref24, ref_sched):
     epi_rows = [lab for lab in prob.lp.row_labels if lab.startswith("epigraph")]
     n_storage = len(ref24.model.batteries) + len(ref24.model.tanks)
     assert len(epi_rows) == 2 * n_storage * ref24.ssm.horizon
+
+
+@pytest.mark.parametrize("horizon,dt", [(24, 3600.0), (48, 1800.0)])
+def test_lp_shape_matches_built_lp(horizon, dt):
+    model = build_reference_system(horizon, dt)
+    ssm = compile_state_space(model)
+    cons = compile_constraints(model, ssm)
+    tube = compile_uncertainty_tube(model)
+    gain = choose_gain(ssm)
+    costs = CostModel.from_model(model)
+    for sched in (
+        deterministic_schedule(ssm, cons, tube, gain),
+        tighten(ssm, cons, tube, gain, mode="box"),
+        tighten(ssm, cons, tube, gain, mode="budget", budget=10.0),
+    ):
+        lp = build_nominal_problem(ssm, sched, costs, tube.w_center).lp
+        n_ineq, n_eq, n_vars = lp_shape(ssm, sched)
+        assert lp.g.shape == (n_ineq, n_vars)
+        assert lp.a_eq.shape == (n_eq, n_vars)
 
 
 def test_variable_count_order_of_magnitude(ref24, ref_sched):

@@ -1,5 +1,7 @@
 """Reachable-set supports, dual-norm supports, budget closed form, tightening."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from chpdispatch.sets import PolyhedronH, UncertaintyTube
 from chpdispatch.tighten import (
     FeedbackGain,
     TighteningInfeasibleError,
+    _build_families,
     _DeviationFamily,
     _lag_convolve,
     choose_gain,
@@ -269,7 +272,7 @@ class TestGainGuard:
         ssm, cons, tube, _ = random_system(rng, n_x=2, n_u=2, horizon=4)
         k = np.full((2, 2), 10.0)
         with pytest.raises(ValueError):
-            choose_gain(ssm, k, spectral_cap=1.1)
+            choose_gain(ssm, k)
 
     def test_explicit_zero_matches_default(self, ref24):
         a = choose_gain(ref24.ssm)
@@ -593,33 +596,30 @@ def test_budget_kernel_matches_sorted_reference(
 
 def all_lags_convolve(fam, terms) -> np.ndarray:
     """The lag convolution summed over every lag, zero blocks included."""
-    steps = fam.steps
-    rho = np.zeros((len(steps), fam.poly.n_rows))
-    state_like = fam.kind == "state"
-    first, hi_t = int(steps[0]), int(steps[-1])
+    horizon = terms[0][1].shape[0]
+    rho = np.zeros((len(fam.steps), fam.poly.n_rows))
     for k in range(fam.lag.shape[0]):
-        lo_t = max(first, k + 1) if state_like else max(first, k)
-        if lo_t > hi_t:
-            continue
-        pos = lo_t - first
-        tau_first = (lo_t - 1 - k) if state_like else (lo_t - k)
-        count = hi_t - lo_t + 1
-        rho[pos : pos + count] += sum(
-            weights[tau_first : tau_first + count] @ values[k].T for values, weights in terms
-        )
+        hit = (fam.steps >= k) & (fam.steps - k < horizon)
+        if hit.any():
+            tau = fam.steps[hit] - k
+            rho[hit] += sum(weights[tau] @ values[k].T for values, weights in terms)
     return rho
 
 
-@pytest.mark.parametrize("kind,first,stop", [("state", 1, 13), ("state", 0, 12), ("output", 1, 12)],
+# x: steps 1..T over T+1 lags, lag 0 zero; u: steps 0..T-1, lag 0 zero;
+# dy: steps 1..T-1 with a nonzero lag 0
+@pytest.mark.parametrize("first,stop,n_lags,zero_first", [(1, 13, 13, True), (0, 12, 12, True), (1, 12, 12, False)],
                          ids=["state-x", "state-u", "output-dy"])
-def test_lag_convolve_skips_only_zero_lags(kind, first, stop):
+def test_lag_convolve_skips_only_zero_lags(first, stop, n_lags, zero_first):
     T, M, n_w = 12, 4, 3
-    rng = np.random.default_rng(first)
-    lag = rng.normal(size=(T, M, n_w))
-    lag[[3, 4, 7, T - 2, T - 1]] = 0.0          # zero blocks inside and at the end
+    rng = np.random.default_rng(first + n_lags)
+    lag = rng.normal(size=(n_lags, M, n_w))
+    lag[[3, 4, 7, T - 2, T - 1]] = 0.0          # zero blocks inside and near the end
     lag[5, :2] = 0.0                            # and a block that is zero in part
+    if zero_first:
+        lag[0] = 0.0
     poly = PolyhedronH(rng.normal(size=(M, 2)), np.ones(M), [f"r{i}" for i in range(M)])
-    fam = _DeviationFamily("f", poly, np.arange(first, stop), kind, lag)
+    fam = _DeviationFamily("f", poly, np.arange(first, stop), lag)
     widths = rng.uniform(0.0, 1.0, size=(T, n_w))
     shifts = rng.normal(size=(T, n_w))
     abs_lag = np.abs(lag)
@@ -628,3 +628,46 @@ def test_lag_convolve_skips_only_zero_lags(kind, first, stop):
     got = _lag_convolve(fam, terms)
     assert np.array_equal(got, all_lags_convolve(fam, terms))
     assert np.all(got[-1] != 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_lag_convention_matches_simulated_responses(seed):
+    """theta_for_step(t, T) of every family is its rows' simulated response
+    to w_dev(tau) for tau = 0..min(t, T-1), and later impulses move nothing."""
+    rng = np.random.default_rng(seed)
+    ssm, cons, _, gain = random_system(rng, n_x=3, n_u=2, n_y=4, n_w=2, horizon=7, nonzero_gain=True)
+    assert not gain.is_zero
+    T = ssm.horizon
+    responses = family_responses(ssm, gain)
+    covered = set()
+    for fam in _build_families(ssm, cons, gain):
+        steps, resp = responses[fam.name]
+        assert list(fam.steps) == list(steps)
+        for si, t in enumerate(fam.steps.tolist()):
+            want = np.tensordot(fam.poly.coefficients, resp[si], axes=1).transpose(1, 0, 2)
+            theta = fam.theta_for_step(t, T)                  # (count, M, n_w)
+            count = theta.shape[0]
+            assert count == min(t + 1, T)
+            assert np.max(np.abs(theta - want[:count])) <= 1e-12, (fam.name, t)
+            assert np.max(np.abs(want[count:]), initial=0.0) <= 1e-12, (fam.name, t)
+            covered.add((fam.name, t))
+    assert {("x", T), ("du", 1), ("dy", 1)} <= covered
+
+
+@pytest.mark.parametrize("mode,budget,parent_mib", [("box", None, 60.9), ("budget", 10.0, 75.6)])
+def test_full_day_tighten_peak_memory(mode, budget, parent_mib):
+    """Tightening keeps its lags at the row level: a T=288 tighten of the
+    reference peaks at 60.9 MiB (box) and 75.6 MiB (budget:10) of Python
+    allocations, and a full-output response per family would add about 15."""
+    model = build_reference_system(288, 300.0)
+    ssm = compile_state_space(model)
+    cons = compile_constraints(model, ssm)
+    tube = compile_uncertainty_tube(model)
+    gain = choose_gain(ssm)
+    tracemalloc.start()
+    try:
+        tighten(ssm, cons, tube, gain, mode=mode, budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= 1.1 * parent_mib
