@@ -145,27 +145,45 @@ class LiftedOutputMap:
 
     def u_blocks(self, s_rows: np.ndarray) -> np.ndarray:
         """S dy(t)/du(t - k) for the row selector S = ``s_rows`` (M, n_y), as
-        lag blocks (T, M, n_u) indexed by k."""
-        return self._blocks(s_rows, self.feed_u, self.heat_u)
+        dense lag blocks (T, M, n_u) indexed by k."""
+        feed, rows, cols, memory = self._lag_blocks(s_rows, self.feed_u, self.heat_u)
+        blocks = np.zeros((self.horizon,) + feed.shape)
+        blocks[0] = feed
+        blocks[1:, rows[:, np.newaxis], cols] = memory
+        return blocks
 
-    def w_blocks(self, s_rows: np.ndarray) -> np.ndarray:
-        """S dy(t)/dw(t - k), shaped as in :meth:`u_blocks`."""
-        return self._blocks(s_rows, self.feed_w, self.heat_w)
+    def w_blocks(self, s_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """S dy(t)/dw(t - k) as sparse lag blocks ``(feed, rows, cols, memory)``:
+        lag 0 as a dense (M, n_w) ``feed``, and lags k = 1..T-1 as
+        ``memory[k - 1]`` over ``rows`` x ``cols`` only, the rows of S that
+        read a memory row and the channels the heat inputs read (32 x 8 of
+        166 x 76 for the full-day reference's y rows); zero elsewhere."""
+        return self._lag_blocks(s_rows, self.feed_w, self.heat_w)
 
     def _lags(self) -> np.ndarray:
         """The lags whose kernel block is not all zero (transport delays
         leave the others empty: 116 of 288 in the full-day reference)."""
         return np.flatnonzero(self.temps.kernel.any(axis=(1, 2)))
 
-    def _blocks(self, s_rows, feed, heat):
-        blocks = np.zeros((self.horizon, s_rows.shape[0], feed.shape[1]))
+    def _lag_blocks(self, s_rows, feed, heat):
+        """The sparse lag blocks of :meth:`w_blocks` for one input's feed and
+        heat matrices; the kernel's lag 0 adds to the feed-through."""
+        lag0 = s_rows @ feed
+        rows = cols = np.zeros(0, dtype=np.intp)
         if self._has_memory:
             sel = s_rows[:, self.memory_rows]
-            # one lag at a time: no temporary as large as the result
+            rows = np.flatnonzero(sel.any(axis=1))
+            cols = np.flatnonzero(heat.any(axis=0))
+            sel, heat = sel[rows], heat[:, cols]
+        memory = np.zeros((self.horizon - 1, len(rows), len(cols)))
+        if rows.size and cols.size:
             for k in self._lags():
-                blocks[k] = sel @ self.temps.kernel[k] @ heat
-        blocks[0] += s_rows @ feed
-        return blocks
+                block = sel @ self.temps.kernel[k] @ heat
+                if k:
+                    memory[k - 1] = block
+                else:
+                    lag0[np.ix_(rows, cols)] += block
+        return lag0, rows, cols, memory
 
     @cached_property
     def _rollout_operands(self) -> _RolloutOperands:

@@ -174,12 +174,47 @@ class TightenedSchedule:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class _LagBlock:
+    """Lags ``first``..``first + len(values) - 1`` of a family over the rows
+    and channels they touch: ``values[j]`` is the (len(rows), len(cols))
+    part of lag ``first + j``, and every entry outside it is zero."""
+
+    first: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def _lag_block(first: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> _LagBlock | None:
+    """The block of ``values`` (lags from ``first`` over rows x cols) trimmed
+    to the lags, rows and channels with a nonzero entry; None if all zero."""
+    lags = np.flatnonzero(values.any(axis=(1, 2)))
+    if not lags.size:
+        return None
+    r = np.flatnonzero(values.any(axis=(0, 2)))
+    c = np.flatnonzero(values.any(axis=(0, 1)))
+    kept = values[np.ix_(np.arange(lags[0], lags[-1] + 1), r, c)]
+    return _LagBlock(first + int(lags[0]), rows[r], cols[c], kept)
+
+
+def _embed(values: np.ndarray, rows, cols, all_rows, all_cols) -> np.ndarray:
+    """``values`` (n, rows, cols) inside zeros over the sorted supersets
+    all_rows x all_cols."""
+    out = np.zeros((len(values), len(all_rows), len(all_cols)))
+    out[:, np.searchsorted(all_rows, rows)[:, np.newaxis], np.searchsorted(all_cols, cols)] = values
+    return out
+
+
 class _DeviationFamily:
     """Deviation coefficients of one constraint family's rows.
 
     At step t the family's rows deviate by sum_k lag[k] w_dev(t - k) over
     the lags k with 0 <= t - k <= T - 1: ``lag[k]`` is their response to
-    the disturbance k steps earlier, one convention for every family.
+    the disturbance k steps earlier, one convention for every family.  The
+    lags are held as ``blocks``, lag-disjoint blocks (:class:`_LagBlock`)
+    in lag order, lag 0 and then the memory lags, never as one dense
+    (lags, M, n_w) array.
 
     Row pairs are fixed once: ``gamma_rows`` drops every row 2i+1 whose
     coefficients negate row 2i (same |theta|, so the same budget term) and
@@ -187,11 +222,14 @@ class _DeviationFamily:
     the rows i labelled "... upper" that row i+1 closes as "... lower".
     """
 
-    def __init__(self, name: str, poly: PolyhedronH, steps: np.ndarray, lag: np.ndarray):
+    def __init__(
+        self, name: str, poly: PolyhedronH, steps: np.ndarray, blocks: list[_LagBlock], n_w: int
+    ):
         self.name = name
         self.poly = poly
         self.steps = steps
-        self.lag = lag
+        self.blocks = blocks
+        self.n_w = n_w
         coeff = poly.coefficients
         even = np.arange(0, poly.n_rows - 1, 2)
         mirrored = even[np.all(coeff[even + 1] == -coeff[even], axis=1)] + 1
@@ -206,77 +244,120 @@ class _DeviationFamily:
         )
 
     def theta_for_step(self, t: int, horizon: int) -> np.ndarray:
-        """(tau_count, M, n_w) for tau = 0..min(t, horizon - 1)."""
-        return self.lag[t - np.arange(min(t + 1, horizon))]
+        """(tau_count, M, n_w) for tau = 0..min(t, horizon - 1), dense."""
+        lags = t - np.arange(min(t + 1, horizon))
+        theta = np.zeros((len(lags), self.poly.n_rows, self.n_w))
+        for b in self.blocks:
+            j = lags - b.first
+            hit = (j >= 0) & (j < len(b.values))
+            theta[np.ix_(hit, b.rows, b.cols)] = b.values[j[hit]]
+        return theta
+
+
+def _family_blocks(feed, rows, cols, memory, diff: bool) -> list[_LagBlock]:
+    """The blocks of a family whose lag 0 is the dense (M, n_w) ``feed`` and
+    whose lags 1.. are ``memory`` over rows x cols; with ``diff``, those of
+    its step difference, whose lag 1 (lag 1 - lag 0) also reaches lag 0's
+    support."""
+    M, n_w = feed.shape
+    if diff:
+        all_rows = np.union1d(rows, np.flatnonzero(feed.any(axis=1)))
+        all_cols = np.union1d(cols, np.flatnonzero(feed.any(axis=0)))
+        memory = np.diff(
+            _embed(memory, rows, cols, all_rows, all_cols),
+            axis=0,
+            prepend=feed[np.ix_(all_rows, all_cols)][np.newaxis],
+        )
+        rows, cols = all_rows, all_cols
+    blocks = (
+        _lag_block(0, np.arange(M), np.arange(n_w), feed[np.newaxis]),
+        _lag_block(1, rows, cols, memory),
+    )
+    return [b for b in blocks if b is not None]
 
 
 def _build_families(
     ssm: StateSpaceModel, constraints: ConstraintFamily, gain: FeedbackGain
 ) -> list[_DeviationFamily]:
     """Every family from one closed-loop state response: x(t) responds to
-    w_dev(t - k) through rx[k] = Phi^(k-1) D (rx[0] = 0) and u(t) = K x(t)
-    through ru = K rx.  The rows over y see the disturbance directly and
-    through u: theta_y[k] = S dy(t)/dw(t - k) + sum_a S dy(t)/du(t - a) ru[k - a].
+    w_dev(t - k) through rx[k] = Phi^(k-1) D (k >= 1, on the channels D
+    reads) and u(t) = K x(t) through ru = K rx; neither has a lag 0.  The
+    rows over y see the disturbance directly (``w_blocks``) and through u:
+    theta_y[k] gains sum_{a < k} S dy(t)/du(t - a) ru[k - a] = c[k] D, with
+    c[1] = U[0] K and c[k+1] = c[k] Phi + U[k] K for the u lag blocks U.
     The ramp families take the step difference of their lags."""
-    T = ssm.horizon
-    rx = np.zeros((T + 1, ssm.n_x, ssm.n_w))
+    T, n_w = ssm.horizon, ssm.n_w
+    d_cols = np.flatnonzero(ssm.D.any(axis=0))
+    d = ssm.D[:, d_cols]
+    rx = np.zeros((T, ssm.n_x, len(d_cols)))          # rx[k - 1], k = 1..T
     power = np.eye(ssm.n_x)
-    for k in range(1, T + 1):
-        rx[k] = power @ ssm.D
+    for k in range(T):
+        rx[k] = power @ d
         power = power @ gain.phi
-    ru = gain.k @ rx
+    ru = gain.k @ rx[: T - 1]
     out = ssm.output
     fams: list[_DeviationFamily] = []
     for name, first, stop in (("x", 1, T + 1), ("u", 0, T), ("du", 1, T), ("y", 0, T), ("dy", 1, T)):
         poly = getattr(constraints, name)
         s = poly.coefficients
-        if name == "x":
-            lag = s @ rx
-        elif name in ("u", "du"):
-            lag = s @ ru[:T]
-        else:
-            lag = out.w_blocks(s)
+        M = poly.n_rows
+        if name in ("y", "dy"):
+            feed, rows, cols, memory = out.w_blocks(s)
             if not gain.is_zero:
-                u_lag = out.u_blocks(s)
-                for a in range(T - 1):
-                    lag[a + 1 :] += u_lag[a] @ ru[1 : T - a]
-        if name in ("du", "dy"):
-            lag[1:] = np.diff(lag, axis=0)
-        fams.append(_DeviationFamily(name, poly, np.arange(first, stop), lag))
+                all_rows, all_cols = np.arange(M), np.union1d(cols, d_cols)
+                memory = _embed(memory, rows, cols, all_rows, all_cols)
+                rows, cols, on_d = all_rows, all_cols, np.searchsorted(all_cols, d_cols)
+                u_k = out.u_blocks(s) @ gain.k               # U[k] K
+                c = np.zeros((M, ssm.n_x))
+                for k in range(1, T):
+                    c = c @ gain.phi + u_k[k - 1]
+                    memory[k - 1][:, on_d] += c @ d
+        else:
+            feed, rows, cols = np.zeros((M, n_w)), np.arange(M), d_cols
+            memory = s @ (rx if name == "x" else ru)
+        blocks = _family_blocks(feed, rows, cols, memory, diff=name in ("du", "dy"))
+        fams.append(_DeviationFamily(name, poly, np.arange(first, stop), blocks, n_w))
     return fams
 
 
 def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
     """Per step and row, sum over tau and the (values, weights) terms of
-    weights[tau] . values[t - tau] for a lag-structured family.
+    weights[tau] . values[t - tau] for a lag-structured family, where each
+    term's values hold one array per block of ``fam.blocks`` (shaped as its
+    values) and its weights are (T, n_w).
 
-    Every term's values are zero wherever ``fam.lag`` is, so the all-zero
-    lags (transport delays, a zero gain, lag 0 of x and u) are skipped."""
+    Every block runs over its own channels and its lags with a nonzero
+    entry only (transport delays, lag 0 of x and u hold none).  Its rows
+    are read from ``rho`` and written back once, so a row in two blocks
+    sums its lags in lag order, as a dense convolution would."""
     steps = fam.steps
     rho = np.zeros((len(steps), fam.poly.n_rows))
     if not len(steps):
         return rho
     horizon = terms[0][1].shape[0]
     first, last = int(steps[0]), int(steps[-1])
-    for k in np.flatnonzero(fam.lag.any(axis=(1, 2))):
-        # steps t with a contribution at this lag: 0 <= t - k <= T - 1
-        lo_t, hi_t = max(first, k), min(last, k + horizon - 1)
-        if lo_t > hi_t:
-            continue
-        pos, tau_first, count = lo_t - first, lo_t - k, hi_t - lo_t + 1
-        rho[pos : pos + count] += sum(
-            weights[tau_first : tau_first + count] @ values[k].T for values, weights in terms
-        )
+    for bi, b in enumerate(fam.blocks):
+        block_terms = [(values[bi], weights[:, b.cols]) for values, weights in terms]
+        part = rho[:, b.rows]
+        for j in np.flatnonzero(b.values.any(axis=(1, 2))):
+            k = b.first + int(j)
+            # steps t with a contribution at this lag: 0 <= t - k <= T - 1
+            lo_t, hi_t = max(first, k), min(last, k + horizon - 1)
+            if lo_t > hi_t:
+                continue
+            pos, tau_first, count = lo_t - first, lo_t - k, hi_t - lo_t + 1
+            part[pos : pos + count] += sum(
+                weights[tau_first : tau_first + count] @ values[j].T for values, weights in block_terms
+            )
+        rho[:, b.rows] = part
     return rho
 
 
 def _box_reductions(fam: _DeviationFamily, widths: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Closed-form reductions: per row, sum over channels of |theta| W plus
     the deviation-center term."""
-    M = fam.poly.n_rows
-    if M == 0:
-        return np.zeros((len(fam.steps), M))
-    return _lag_convolve(fam, [(np.abs(fam.lag), widths), (fam.lag, shifts)])
+    values = [b.values for b in fam.blocks]
+    return _lag_convolve(fam, [([np.abs(v) for v in values], widths), (values, shifts)])
 
 
 def _budget_reductions(
@@ -284,27 +365,44 @@ def _budget_reductions(
 ) -> np.ndarray:
     """gamma per channel on the scaled coefficient sequences, plus offsets.
 
-    A (row, channel) pair with at most max(floor(budget), 1) nonzero lags
-    has gamma equal to min(budget, 1) times its 1-norm, so those pairs (the
-    identically zero ones included) go through the box convolution.  The
-    remaining pairs are ranked one step at a time, where step t's scaled
-    sequence is the contiguous product |lag[t-count+1:t+1]| * widths[count-1::-1]
-    with count = min(t + 1, T); mirrored rows reuse their partner's gamma.
+    A (row, channel) pair with at most max(floor(budget), 1) nonzero lags,
+    counted over every block, has gamma equal to min(budget, 1) times its
+    1-norm, so those pairs (the identically zero ones included) go through
+    the box convolution.  The remaining pairs are ranked one step at a
+    time, where step t's scaled sequence is the contiguous product
+    |lag[t-count+1:t+1]| * widths[count-1::-1] with count = min(t + 1, T);
+    mirrored rows reuse their partner's gamma.
     """
     steps = fam.steps
     M = fam.poly.n_rows
-    if M == 0:
+    if M == 0 or not len(steps):
         return np.zeros((len(steps), M))
     rows = fam.gamma_rows
-    abs_lag = np.abs(fam.lag)
-    long = np.count_nonzero(abs_lag[:, rows], axis=0) > max(int(budget), 1)   # (len(rows), n_w)
+    nonzero = np.zeros((M, fam.n_w), dtype=np.intp)
+    for b in fam.blocks:
+        nonzero[np.ix_(b.rows, b.cols)] += np.count_nonzero(b.values, axis=0)
+    long = nonzero[rows] > max(int(budget), 1)                              # (len(rows), n_w)
     pair_row, pair_ch = np.nonzero(long)
-    mags_lag = np.ascontiguousarray(abs_lag[:, rows[pair_row], pair_ch].T)   # (P, lags)
-    abs_lag[:, long[fam.gamma_index]] = 0.0
-    abs_lag *= min(budget, 1.0)
-    rho = _lag_convolve(fam, [(abs_lag, widths), (fam.lag, shifts)])
+    long = long[fam.gamma_index]                                            # mirrors included
+    short = []
+    for b in fam.blocks:
+        mags = np.abs(b.values)
+        mags[:, long[np.ix_(b.rows, b.cols)]] = 0.0
+        mags *= min(budget, 1.0)
+        short.append(mags)
+    rho = _lag_convolve(fam, [(short, widths), ([b.values for b in fam.blocks], shifts)])
+    del short                                   # before the per-pair buffers below
     if not pair_row.size:
         return rho
+    # each long pair's magnitudes over lags 0..last step, gathered per block
+    n_lags = max([int(steps[-1]) + 1] + [b.first + len(b.values) for b in fam.blocks])
+    mags_lag = np.zeros((pair_row.size, n_lags))                            # (P, lags)
+    for b in fam.blocks:
+        r = _positions(b.rows, M)[rows[pair_row]]
+        c = _positions(b.cols, fam.n_w)[pair_ch]
+        hit = (r >= 0) & (c >= 0)
+        gathered = b.values[:, r[hit], c[hit]]
+        mags_lag[hit, b.first : b.first + len(b.values)] = np.abs(gathered, out=gathered).T
     widths_rev = np.ascontiguousarray(widths[::-1, pair_ch].T)              # (P, T)
     horizon = widths.shape[0]
     for si, t in enumerate(steps.tolist()):
@@ -314,6 +412,13 @@ def _budget_reductions(
         per_row = np.bincount(pair_row, weights=per_pair, minlength=len(rows))
         rho[si] += per_row[fam.gamma_index]
     return rho
+
+
+def _positions(index: np.ndarray, n: int) -> np.ndarray:
+    """Position of each of 0..n-1 in ``index``, -1 where absent."""
+    pos = np.full(n, -1)
+    pos[index] = np.arange(len(index))
+    return pos
 
 
 def _empty_rows(fam: _DeviationFamily, rho: np.ndarray) -> tuple[np.ndarray, tuple | None]:

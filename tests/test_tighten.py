@@ -23,8 +23,10 @@ from chpdispatch.tighten import (
     FeedbackGain,
     TighteningInfeasibleError,
     _build_families,
+    _budget_reductions,
     _DeviationFamily,
     _lag_convolve,
+    _LagBlock,
     choose_gain,
     gamma,
     tighten,
@@ -545,20 +547,18 @@ def family_responses(ssm, gain) -> dict:
     }
 
 
-def sorted_budget_reduction(theta, widths, shifts, budget) -> tuple[float, float]:
-    """Budget reduction of one row from a full descending sort per channel,
-    and the scale (1-norm plus |shift term|) the tolerance is relative to."""
-    total = float(np.sum(theta * shifts))
-    scale = 1.0 + abs(total)
+def sorted_budget_reduction(theta, widths, shifts, budget):
+    """Budget reduction of rows theta (..., T, n_w) from a full descending
+    sort per channel, and the scale (1-norm plus |shift term|) the
+    tolerance is relative to; a budget of T or more gives the box one."""
+    total = np.sum(theta * shifts, axis=(-2, -1))
+    scale = 1.0 + np.abs(total)
+    mags = -np.sort(-np.abs(theta * widths), axis=-2)
     whole = int(np.floor(budget))
-    for j in range(theta.shape[1]):
-        mags = np.sort(np.abs(theta[:, j] * widths[:, j]))[::-1]
-        part = float(np.sum(mags[:whole]))
-        if whole < len(mags):
-            part += (budget - whole) * float(mags[whole])
-        total += part
-        scale += float(np.sum(mags))
-    return total, scale
+    total = total + mags[..., :whole, :].sum(axis=(-2, -1))
+    if whole < mags.shape[-2]:
+        total = total + (budget - whole) * mags[..., whole, :].sum(axis=-1)
+    return total, scale + mags.sum(axis=(-2, -1))
 
 
 @given(
@@ -594,40 +594,90 @@ def test_budget_kernel_matches_sorted_reference(
                     )
 
 
+def dense_lags(fam, per_block=None) -> np.ndarray:
+    """One (lags, M, n_w) array of the family's blocks, or of ``per_block``
+    arrays shaped as those blocks' values."""
+    per_block = [b.values for b in fam.blocks] if per_block is None else per_block
+    n_lags = max(b.first + len(b.values) for b in fam.blocks)
+    lag = np.zeros((n_lags, fam.poly.n_rows, fam.n_w))
+    for b, values in zip(fam.blocks, per_block):
+        lag[b.first : b.first + len(values), b.rows[:, np.newaxis], b.cols] += values
+    return lag
+
+
 def all_lags_convolve(fam, terms) -> np.ndarray:
-    """The lag convolution summed over every lag, zero blocks included."""
+    """The lag convolution of the dense lags summed over every lag, zero
+    blocks included."""
     horizon = terms[0][1].shape[0]
+    dense = [(dense_lags(fam, values), weights) for values, weights in terms]
     rho = np.zeros((len(fam.steps), fam.poly.n_rows))
-    for k in range(fam.lag.shape[0]):
+    for k in range(dense[0][0].shape[0]):
         hit = (fam.steps >= k) & (fam.steps - k < horizon)
         if hit.any():
             tau = fam.steps[hit] - k
-            rho[hit] += sum(weights[tau] @ values[k].T for values, weights in terms)
+            rho[hit] += sum(weights[tau] @ values[k].T for values, weights in dense)
     return rho
 
 
-# x: steps 1..T over T+1 lags, lag 0 zero; u: steps 0..T-1, lag 0 zero;
-# dy: steps 1..T-1 with a nonzero lag 0
-@pytest.mark.parametrize("first,stop,n_lags,zero_first", [(1, 13, 13, True), (0, 12, 12, True), (1, 12, 12, False)],
-                         ids=["state-x", "state-u", "output-dy"])
-def test_lag_convolve_skips_only_zero_lags(first, stop, n_lags, zero_first):
+def block_family(first, stop, n_lags, zero_first, mem_rows, mem_cols, shared=0):
+    """A family with steps first..stop-1 over lags 0..n_lags-1 in blocks: a
+    lag-0 block unless ``zero_first``, and a memory block over mem_rows x
+    mem_cols with all-zero lags inside and near the end and a lag zero in
+    part; the memory of pair (0, 0) is cut to ``shared`` nonzero lags."""
     T, M, n_w = 12, 4, 3
-    rng = np.random.default_rng(first + n_lags)
-    lag = rng.normal(size=(n_lags, M, n_w))
-    lag[[3, 4, 7, T - 2, T - 1]] = 0.0          # zero blocks inside and near the end
-    lag[5, :2] = 0.0                            # and a block that is zero in part
-    if zero_first:
-        lag[0] = 0.0
+    rng = np.random.default_rng(first + n_lags + len(mem_rows) + shared)
     poly = PolyhedronH(rng.normal(size=(M, 2)), np.ones(M), [f"r{i}" for i in range(M)])
-    fam = _DeviationFamily("f", poly, np.arange(first, stop), lag)
+    memory = rng.normal(size=(n_lags - 1, len(mem_rows), len(mem_cols)))
+    memory[[2, 3, 6, T - 3, T - 2]] = 0.0
+    memory[4, :2] = 0.0
+    if shared:
+        memory[shared:, 0, 0] = 0.0
+    blocks = [_LagBlock(1, np.array(mem_rows), np.array(mem_cols), memory)]
+    if not zero_first:
+        blocks.insert(0, _LagBlock(0, np.arange(M), np.arange(n_w), rng.normal(size=(1, M, n_w))))
+    fam = _DeviationFamily("f", poly, np.arange(first, stop), blocks, n_w)
     widths = rng.uniform(0.0, 1.0, size=(T, n_w))
     shifts = rng.normal(size=(T, n_w))
-    abs_lag = np.abs(lag)
-    abs_lag[:, 1, 0] = 0.0                      # as the budget kernel zeroes long pairs
-    terms = [(abs_lag, widths), (lag, shifts)]
+    return fam, widths, shifts
+
+
+FULL = ([0, 1, 2, 3], [0, 1, 2])
+
+
+# x: steps 1..T over T+1 lags, no lag 0; u: steps 0..T-1, no lag 0; dy:
+# steps 1..T-1 with a lag 0; a memory block over 2 of 4 rows and 2 of 3
+# channels; pair (0, 0) with 1 lag-0 and 2 memory lags, long at budget 2
+# only when the two blocks' counts are added
+@pytest.mark.parametrize(
+    "first,stop,n_lags,zero_first,mem,shared",
+    [
+        (1, 13, 13, True, FULL, 0),
+        (0, 12, 12, True, FULL, 0),
+        (1, 12, 12, False, FULL, 0),
+        (0, 12, 12, False, ([1, 3], [0, 2]), 0),
+        (0, 12, 12, False, FULL, 2),
+    ],
+    ids=["state-x", "state-u", "output-dy", "memory-subset", "pair-in-both"],
+)
+def test_lag_convolve_skips_only_zero_lags(first, stop, n_lags, zero_first, mem, shared):
+    """The block convolution against the dense one over every lag, and the
+    budget reductions built on it against a full sort of the dense lags."""
+    fam, widths, shifts = block_family(first, stop, n_lags, zero_first, *mem, shared=shared)
+    mags = [np.abs(b.values) for b in fam.blocks]
+    mags[-1][:, 0, 0] = 0.0                      # as the budget kernel zeroes long pairs
+    terms = [(mags, widths), ([b.values for b in fam.blocks], shifts)]
     got = _lag_convolve(fam, terms)
-    assert np.array_equal(got, all_lags_convolve(fam, terms))
+    want = all_lags_convolve(fam, terms)
+    assert np.array_equal(got, want)
     assert np.all(got[-1] != 0.0)
+    lag = dense_lags(fam)
+    budget = 2.0
+    reductions = _budget_reductions(fam, widths, shifts, budget)
+    for si, t in enumerate(fam.steps.tolist()):
+        count = min(t + 1, len(widths))
+        theta = lag[t - np.arange(count)].transpose(1, 0, 2)      # (M, count, n_w)
+        ref, scale = sorted_budget_reduction(theta, widths[:count], shifts[:count], budget)
+        assert np.all(np.abs(reductions[si] - ref) <= 1e-12 * scale), t
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -654,20 +704,54 @@ def test_one_lag_convention_matches_simulated_responses(seed):
     assert {("x", T), ("du", 1), ("dy", 1)} <= covered
 
 
-@pytest.mark.parametrize("mode,budget,parent_mib", [("box", None, 60.9), ("budget", 10.0, 75.6)])
-def test_full_day_tighten_peak_memory(mode, budget, parent_mib):
-    """Tightening keeps its lags at the row level: a T=288 tighten of the
-    reference peaks at 60.9 MiB (box) and 75.6 MiB (budget:10) of Python
-    allocations, and a full-output response per family would add about 15."""
+@pytest.fixture(scope="module")
+def ref24_responses(ref24):
+    """Gain name -> (gain, simulated family responses) on the T=24 reference."""
+    ssm = ref24.ssm
+    gains = {"k0": choose_gain(ssm), "k-pinv": choose_gain(ssm, -0.5 * np.linalg.pinv(ssm.B))}
+    return {name: (gain, family_responses(ssm, gain)) for name, gain in gains.items()}
+
+
+@pytest.mark.parametrize("gain_name", ["k0", "k-pinv"])
+@pytest.mark.parametrize("mode,budget", [("box", None), ("budget", 10.0)])
+def test_reference_reductions_match_simulated_responses(ref24, ref24_responses, gain_name, mode, budget):
+    """Every family, row and step of the T=24 reference, whose lags are
+    sparse blocks, against its simulated responses sorted per channel (a
+    box is a budget of T); nothing here reads the lag blocks."""
+    gain, responses = ref24_responses[gain_name]
+    tube = ref24.tube
+    sched = tighten(ref24.ssm, ref24.constraints, tube, gain, mode=mode, budget=budget, on_empty="flag")
+    per_mode = float(ref24.ssm.horizon) if budget is None else budget
+    for name, (steps, resp) in responses.items():
+        fam = sched.family(name)
+        assert list(fam.steps) == list(steps)
+        for si, t in enumerate(fam.steps.tolist()):
+            theta = np.tensordot(fam.polyhedron.coefficients, resp[si], axes=1)    # (M, T, n_w)
+            ref, scale = sorted_budget_reduction(theta, tube.half_width, tube.center_shift, per_mode)
+            bad = np.flatnonzero(np.abs(fam.reductions[si] - ref) > 1e-12 * scale)
+            assert not bad.size, (name, t, [fam.polyhedron.labels[i] for i in bad[:3]])
+
+
+@pytest.mark.parametrize(
+    "mode,budget,k_scale,mib",
+    [("box", None, 0.0, 4.76), ("budget", 10.0, 0.0, 3.85), ("box", None, -0.5, 34.86)],
+    ids=["box", "budget", "box-k-pinv"],
+)
+def test_full_day_tighten_peak_memory(mode, budget, k_scale, mib):
+    """Tightening reads the lifted map's sparse lag blocks and never builds a
+    dense (T, M, n_w) lag array: a T=288 tighten of the reference peaks at
+    4.76 MiB (box) and 3.85 MiB (budget:10) of Python allocations, against
+    60.9 and 75.6 MiB with the dense y lags, and at 34.86 MiB in box mode
+    with K = -0.5 pinv(B), whose y lags touch nearly every row."""
     model = build_reference_system(288, 300.0)
     ssm = compile_state_space(model)
     cons = compile_constraints(model, ssm)
     tube = compile_uncertainty_tube(model)
-    gain = choose_gain(ssm)
+    gain = choose_gain(ssm, k_scale * np.linalg.pinv(ssm.B))
     tracemalloc.start()
     try:
-        tighten(ssm, cons, tube, gain, mode=mode, budget=budget)
+        tighten(ssm, cons, tube, gain, mode=mode, budget=budget, on_empty="flag")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / 2**20 <= 1.1 * parent_mib
+    assert peak / 2**20 <= 1.1 * mib
