@@ -197,10 +197,11 @@ def _dispatch_command(args) -> int:
         schedule, label = _schedule(args, ssm, constraints, tube, gain)
         n_ineq, n_eq, n_vars = lp_shape(ssm, schedule)
         if (n_ineq + n_eq) * n_vars * 8 > 3e8:
+            # the horizon/dt flags apply to the bundled reference only
+            coarser = "fewer, longer steps in the config" if args.config else "--horizon 24 --dt 3600"
             print(
                 f"warning: dense dispatch LP of {n_ineq} inequality and {n_eq} equality"
-                f" rows over {n_vars} variables;"
-                " consider a coarser horizon (e.g. --horizon 24 --dt 3600)",
+                f" rows over {n_vars} variables; consider a coarser horizon (e.g. {coarser})",
                 file=sys.stderr,
             )
         t0 = time.perf_counter()

@@ -28,6 +28,8 @@ __all__ = [
     "VariableManifest",
     "KIND_UNITS",
     "unit_of",
+    "LagBlock",
+    "Lags",
     "LiftedOutputMap",
     "StateSpaceModel",
     "ConstraintFamily",
@@ -107,6 +109,81 @@ def unit_of(kind_or_label: str) -> str:
 
 
 @dataclass(frozen=True)
+class LagBlock:
+    """Lags ``first``..``first + len(values) - 1`` over the rows and input
+    channels they touch: ``values[j]`` is the (len(rows), len(cols)) part
+    of lag ``first + j``, and every entry outside it is zero."""
+
+    first: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class Lags:
+    """The response of ``n_rows`` rows at step t to one of ``n_in`` inputs
+    at step t - k, lag by lag, as lag-disjoint :class:`LagBlock` s in lag
+    order (lag 0, then the memory lags), never as one dense array."""
+
+    blocks: tuple[LagBlock, ...]
+    n_rows: int
+    n_in: int
+
+    @classmethod
+    def of(cls, feed, rows, cols, memory, diff: bool = False) -> "Lags":
+        """The lags whose lag 0 is the dense (n_rows, n_in) ``feed`` and
+        whose lags 1.. are ``memory`` over rows x cols, each block trimmed to
+        its nonzero lags, rows and channels; with ``diff``, those of the step
+        difference, whose lag 1 (lag 1 - lag 0) also reaches lag 0's support."""
+        n_rows, n_in = feed.shape
+        if diff:
+            all_rows = np.union1d(rows, np.flatnonzero(feed.any(axis=1)))
+            all_cols = np.union1d(cols, np.flatnonzero(feed.any(axis=0)))
+            embedded = np.zeros((len(memory), len(all_rows), len(all_cols)))
+            at_rows = np.searchsorted(all_rows, rows)[:, np.newaxis]
+            embedded[:, at_rows, np.searchsorted(all_cols, cols)] = memory
+            memory = np.diff(embedded, axis=0, prepend=feed[np.ix_(all_rows, all_cols)][np.newaxis])
+            rows, cols = all_rows, all_cols
+        blocks = (
+            _trimmed(0, np.arange(n_rows), np.arange(n_in), feed[np.newaxis]),
+            _trimmed(1, rows, cols, memory),
+        )
+        return cls(tuple(b for b in blocks if b is not None), n_rows, n_in)
+
+    @property
+    def first(self) -> int:
+        """The first lag held (0 if none is); :meth:`of` holds lags from the
+        earliest to the latest with a nonzero entry."""
+        return self.blocks[0].first if self.blocks else 0
+
+    @property
+    def stop(self) -> int:
+        """One past the last lag held (0 if none is)."""
+        return self.blocks[-1].first + len(self.blocks[-1].values) if self.blocks else 0
+
+    def dense(self, n_lags: int) -> np.ndarray:
+        """Lags 0..n_lags-1 as one (n_lags, n_rows, n_in) array."""
+        out = np.zeros((n_lags, self.n_rows, self.n_in))
+        for b in self.blocks:
+            values = b.values[: max(n_lags - b.first, 0)]
+            out[b.first : b.first + len(values), b.rows[:, np.newaxis], b.cols] = values
+        return out
+
+
+def _trimmed(first: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> LagBlock | None:
+    """The block of ``values`` (lags from ``first`` over rows x cols) trimmed
+    to the lags, rows and channels with a nonzero entry; None if all zero."""
+    lags = np.flatnonzero(values.any(axis=(1, 2)))
+    if not lags.size:
+        return None
+    r = np.flatnonzero(values.any(axis=(0, 2)))
+    c = np.flatnonzero(values.any(axis=(0, 1)))
+    kept = values[np.ix_(np.arange(lags[0], lags[-1] + 1), r, c)]
+    return LagBlock(first + int(lags[0]), rows[r], cols[c], kept)
+
+
+@dataclass(frozen=True)
 class LiftedOutputMap:
     """y(t) as an affine function of the control and disturbance sequences.
 
@@ -115,12 +192,13 @@ class LiftedOutputMap:
 
     where K embeds the heat-network lag kernel into the temperature rows
     listed in ``memory_rows`` (all other rows are memoryless).  This class
-    is the only reader of the kernel: the LP rows and the tightening
-    coefficients take y(t) from its lag blocks (``u_blocks``, ``w_blocks``),
-    and the LP right-hand side and the closed-loop rollout from
-    ``evaluate``, which applies the whole sum over tau as one lifted
-    convolution operator (a block-Toeplitz GEMM at short horizons, an rFFT
-    at long ones) instead of one product per lag.
+    is the only reader of the kernel.  A row selector's response to u and
+    to w comes as the raw sparse lags of ``u_blocks`` and ``w_blocks``,
+    from which :meth:`Lags.of` builds the :class:`Lags` that the LP rows
+    (over u) and the tightening (over w) read.  The LP right-hand side and
+    the closed-loop rollout come from ``evaluate``, which applies the whole
+    sum over tau as one lifted convolution operator (a block-Toeplitz GEMM
+    at short horizons, an rFFT at long ones) instead of one product per lag.
     """
 
     feed_u: np.ndarray          # (n_y, n_u)
@@ -143,21 +221,18 @@ class LiftedOutputMap:
     def _has_memory(self) -> bool:
         return self.temps is not None and len(self.memory_rows) > 0
 
-    def u_blocks(self, s_rows: np.ndarray) -> np.ndarray:
+    def u_blocks(self, s_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """S dy(t)/du(t - k) for the row selector S = ``s_rows`` (M, n_y), as
-        dense lag blocks (T, M, n_u) indexed by k."""
-        feed, rows, cols, memory = self._lag_blocks(s_rows, self.feed_u, self.heat_u)
-        blocks = np.zeros((self.horizon,) + feed.shape)
-        blocks[0] = feed
-        blocks[1:, rows[:, np.newaxis], cols] = memory
-        return blocks
+        the sparse lag blocks of :meth:`w_blocks` over u."""
+        return self._lag_blocks(s_rows, self.feed_u, self.heat_u)
 
     def w_blocks(self, s_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """S dy(t)/dw(t - k) as sparse lag blocks ``(feed, rows, cols, memory)``:
-        lag 0 as a dense (M, n_w) ``feed``, and lags k = 1..T-1 as
-        ``memory[k - 1]`` over ``rows`` x ``cols`` only, the rows of S that
-        read a memory row and the channels the heat inputs read (32 x 8 of
-        166 x 76 for the full-day reference's y rows); zero elsewhere."""
+        """S dy(t)/dw(t - k) as sparse lag blocks ``(feed, rows, cols, memory)``
+        (the arguments of :meth:`Lags.of`): lag 0 as a dense (M, n_w)
+        ``feed``, and lags k = 1..T-1 as ``memory[k - 1]`` over ``rows`` x
+        ``cols`` only, the rows of S that read a memory row and the channels
+        the heat inputs read (32 x 8 of 166 x 76 for the full-day
+        reference's y rows); zero elsewhere."""
         return self._lag_blocks(s_rows, self.feed_w, self.heat_w)
 
     def _lags(self) -> np.ndarray:
@@ -166,8 +241,8 @@ class LiftedOutputMap:
         return np.flatnonzero(self.temps.kernel.any(axis=(1, 2)))
 
     def _lag_blocks(self, s_rows, feed, heat):
-        """The sparse lag blocks of :meth:`w_blocks` for one input's feed and
-        heat matrices; the kernel's lag 0 adds to the feed-through."""
+        """The sparse lag blocks of one input's feed and heat matrices; the
+        kernel's lag 0 adds to the feed-through."""
         lag0 = s_rows @ feed
         rows = cols = np.zeros(0, dtype=np.intp)
         if self._has_memory:

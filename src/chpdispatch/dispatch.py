@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compile import LiftedOutputMap, StateSpaceModel
+from .compile import Lags, StateSpaceModel
 from .lp import KktReport, LinearProgram, check_kkt, solve_lp
 from .model import SystemModel
 from .sets import UncertaintyTube
-from .tighten import FeedbackGain, TightenedSchedule, choose_gain, tighten
+from .tighten import FeedbackGain, TightenedSchedule, tighten
 
 __all__ = [
     "CostModel",
@@ -29,7 +29,6 @@ __all__ = [
     "solve_dispatch",
     "deterministic_schedule",
     "realized_cost",
-    "choose_gain",
 ]
 
 
@@ -163,8 +162,11 @@ def build_nominal_problem(
 ) -> NominalProblem:
     """Assemble the nominal LP over x(0..T), u(0..T-1), and epigraph terms.
 
-    The dense G and A are allocated once and filled block by block; y and
-    dy rows take their u-coefficients from the lifted output blocks.
+    The dense G and A are allocated once and filled block by block.  The
+    x rows read x(t); the u, du, y and dy rows and the epigraph rows take
+    their coefficients on u from the :class:`~chpdispatch.compile.Lags` of
+    their row selector over u (``LiftedOutputMap.u_blocks`` for the rows
+    over y), written from each step's latest to its earliest nonzero lag.
     """
     T = ssm.horizon
     n_x, n_u = ssm.n_x, ssm.n_u
@@ -176,8 +178,6 @@ def build_nominal_problem(
 
     u_costs, epi_rows, epi_costs = _cost_weights(ssm, costs)
     n_epi = len(epi_rows)
-    if any(r in out.memory_rows for r in epi_rows):
-        raise ValueError("storage flow rows unexpectedly carry heat-kernel memory")
 
     prob = _Layout.of(ssm)
     n_ineq, n_eq, n_vars = lp_shape(ssm, schedule)
@@ -212,55 +212,49 @@ def build_nominal_problem(
         b_eq[(T + 1) * n_x :] = [-ssm.reactive_w @ w for w in w_center]
         eq_labels += [f"reactive_balance[t={t}]" for t in range(T)]
 
-    # inequalities from the tightened families: per step, a block of rows
-    # whose coefficients start at a column given by the family's variables
-    fams = {name: schedule.family(name) for name in ("x", "u", "du", "y", "dy")}
-    coeff = {name: fam.polyhedron.coefficients for name, fam in fams.items()}
-    du_block = np.hstack([-coeff["du"], coeff["du"]])         # over u(t-1), u(t)
-    y_coeff = _u_row_coefficients(out, coeff["y"], diff=False)
-    dy_coeff = _u_row_coefficients(out, coeff["dy"], diff=True)
-    spans = {
-        "x": lambda t: (prob.x_slice(t).start, coeff["x"]),
-        "u": lambda t: (prob.u_slice(t).start, coeff["u"]),
-        "du": lambda t: (prob.u_slice(t - 1).start, du_block),
-        "y": lambda t: (u0, y_coeff(t)),
-        "dy": lambda t: (u0, dy_coeff(t)),
-    }
-    # the w and constant parts of y move to the right-hand side
-    offsets = {
-        "y": lambda steps: y_base[steps] @ coeff["y"].T,
-        "dy": lambda steps: (y_base[steps] - y_base[steps - 1]) @ coeff["dy"].T,
-    }
-
+    # inequalities: per step t, a block of rows for each family and then the
+    # epigraph rows |storage flow| <= auxiliary, a pos and a neg row each.
+    # The x rows read x(t); the others read u through the lags of their row
+    # selector over u, from u(t - latest lag), or u(0), to u(t - earliest
+    # lag), and the w and constant parts of y move to the right-hand side
+    epi_s = np.zeros((2 * n_epi, ssm.n_y))
+    epi_s[np.arange(2 * n_epi), np.repeat(epi_rows, 2)] = np.tile([1.0, -1.0], n_epi)
+    epi_aux = np.repeat(-np.eye(n_epi), 2, axis=0)
+    epi_labels = [(f"epigraph[{man.name('y', r)[1]}]", f" {side}") for r in epi_rows for side in ("pos", "neg")]
+    none = np.zeros(0, dtype=np.intp)
     g = np.zeros((n_ineq, n_vars))
     h = np.zeros(n_ineq)
     g_labels: list[str] = []
     row = 0
-    for name, fam in fams.items():
-        m_rows = fam.polyhedron.n_rows
-        rhs = fam.tightened_bounds
-        if name in offsets and len(fam.steps):
-            rhs = rhs - offsets[name](fam.steps)
+    for name in ("x", "u", "du", "y", "dy", "epigraph"):
+        if name == "epigraph":
+            s, steps, rhs, labels = epi_s, np.arange(T), np.zeros((T, 2 * n_epi)), epi_labels
+        else:
+            fam = schedule.family(name)
+            s, steps, rhs = fam.polyhedron.coefficients, fam.steps, fam.tightened_bounds
+            labels = [(name, f" {label}") for label in fam.polyhedron.labels]
+        if name in ("y", "epigraph"):
+            rhs = rhs - y_base[steps] @ s.T
+        elif name == "dy":
+            rhs = rhs - (y_base[steps] - y_base[steps - 1]) @ s.T
         h[row : row + rhs.size] = rhs.ravel()
-        for t in fam.steps:
-            t = int(t)
-            start, block = spans[name](t)
-            g[row : row + m_rows, start : start + block.shape[1]] = block
-            g_labels += [f"{name}[t={t}] {label}" for label in fam.polyhedron.labels]
-            row += m_rows
-
-    # epigraph rows: |storage flow| <= auxiliary, a pos and a neg row each
-    signs = np.array([1.0, -1.0])
-    epi_u = (signs[np.newaxis, :, np.newaxis] * out.feed_u[epi_rows][:, np.newaxis, :]).reshape(-1, n_u)
-    epi_aux = np.repeat(-np.eye(n_epi), 2, axis=0)
-    epi_names = [man.name("y", r)[1] for r in epi_rows]
-    for t in range(T):
-        rows = slice(row, row + 2 * n_epi)
-        g[rows, prob.u_slice(t)] = epi_u
-        g[rows, prob.epi_slice(t)] = epi_aux
-        h[rows] = (-signs[np.newaxis, :] * y_base[t, epi_rows][:, np.newaxis]).ravel()
-        g_labels += [f"epigraph[{name}][t={t}] {side}" for name in epi_names for side in ("pos", "neg")]
-        row += 2 * n_epi
+        if name != "x":
+            raw = (s, none, none, np.zeros((T - 1, 0, 0))) if name in ("u", "du") else out.u_blocks(s)
+            lags = Lags.of(*raw, diff=name in ("du", "dy"))
+            n, first = lags.stop, lags.first
+            # (M, n n_u): lag n - 1 over the first n_u columns, lag 0 over the last
+            rev = lags.dense(n)[::-1].transpose(1, 0, 2).reshape(len(s), n * n_u)
+        for t in steps.tolist():
+            if name == "x":
+                start, block = prob.x_slice(t).start, s
+            else:
+                lo = max(t - n + 1, 0)           # the earliest u(tau) read
+                start, block = prob.u_slice(lo).start, rev[:, (lo - t + n - 1) * n_u : (n - first) * n_u]
+            g[row : row + len(s), start : start + block.shape[1]] = block
+            if name == "epigraph":
+                g[row : row + len(s), prob.epi_slice(t)] = epi_aux
+            g_labels += [f"{prefix}[t={t}]{suffix}" for prefix, suffix in labels]
+            row += len(s)
 
     names = _variable_names(ssm, prob, T, epi_rows)
     lp = LinearProgram(
@@ -295,19 +289,6 @@ def _priced_rows(ssm: StateSpaceModel) -> np.ndarray:
     """The y rows priced on their absolute value: battery power, then tank flow."""
     man = ssm.manifest
     return np.array(man.indices("y", "battery_power") + man.indices("y", "tank_flow"), dtype=np.intp)
-
-
-def _u_row_coefficients(out: LiftedOutputMap, s_rows: np.ndarray, diff: bool):
-    """t -> (M, (t+1) n_u): the coefficients of S y(t) (of S (y(t) - y(t-1))
-    with ``diff``) on u(0..t), laid out like the LP's u variables."""
-    lag = out.u_blocks(s_rows)
-    if diff:
-        lag[1:] = np.diff(lag, axis=0)
-
-    def at(t: int) -> np.ndarray:
-        return lag[t::-1].transpose(1, 0, 2).reshape(len(s_rows), -1)
-
-    return at
 
 
 def _variable_names(ssm, prob: _Layout, T: int, epi_rows) -> list[str]:

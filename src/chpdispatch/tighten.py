@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compile import ConstraintFamily, StateSpaceModel, unit_of
+from .compile import ConstraintFamily, Lags, StateSpaceModel, unit_of
 from .lp import LinearProgram, solve_lp_simplex
 from .sets import PolyhedronH, UncertaintyTube
 
@@ -174,46 +174,13 @@ class TightenedSchedule:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class _LagBlock:
-    """Lags ``first``..``first + len(values) - 1`` of a family over the rows
-    and channels they touch: ``values[j]`` is the (len(rows), len(cols))
-    part of lag ``first + j``, and every entry outside it is zero."""
-
-    first: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-
-def _lag_block(first: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> _LagBlock | None:
-    """The block of ``values`` (lags from ``first`` over rows x cols) trimmed
-    to the lags, rows and channels with a nonzero entry; None if all zero."""
-    lags = np.flatnonzero(values.any(axis=(1, 2)))
-    if not lags.size:
-        return None
-    r = np.flatnonzero(values.any(axis=(0, 2)))
-    c = np.flatnonzero(values.any(axis=(0, 1)))
-    kept = values[np.ix_(np.arange(lags[0], lags[-1] + 1), r, c)]
-    return _LagBlock(first + int(lags[0]), rows[r], cols[c], kept)
-
-
-def _embed(values: np.ndarray, rows, cols, all_rows, all_cols) -> np.ndarray:
-    """``values`` (n, rows, cols) inside zeros over the sorted supersets
-    all_rows x all_cols."""
-    out = np.zeros((len(values), len(all_rows), len(all_cols)))
-    out[:, np.searchsorted(all_rows, rows)[:, np.newaxis], np.searchsorted(all_cols, cols)] = values
-    return out
-
-
 class _DeviationFamily:
     """Deviation coefficients of one constraint family's rows.
 
     At step t the family's rows deviate by sum_k lag[k] w_dev(t - k) over
     the lags k with 0 <= t - k <= T - 1: ``lag[k]`` is their response to
-    the disturbance k steps earlier, one convention for every family.  The
-    lags are held as ``blocks``, lag-disjoint blocks (:class:`_LagBlock`)
-    in lag order, lag 0 and then the memory lags, never as one dense
+    the disturbance k steps earlier, one convention for every family, held
+    as ``lags`` (:class:`~chpdispatch.compile.Lags`), never as one dense
     (lags, M, n_w) array.
 
     Row pairs are fixed once: ``gamma_rows`` drops every row 2i+1 whose
@@ -222,14 +189,11 @@ class _DeviationFamily:
     the rows i labelled "... upper" that row i+1 closes as "... lower".
     """
 
-    def __init__(
-        self, name: str, poly: PolyhedronH, steps: np.ndarray, blocks: list[_LagBlock], n_w: int
-    ):
+    def __init__(self, name: str, poly: PolyhedronH, steps: np.ndarray, lags: Lags):
         self.name = name
         self.poly = poly
         self.steps = steps
-        self.blocks = blocks
-        self.n_w = n_w
+        self.lags = lags
         coeff = poly.coefficients
         even = np.arange(0, poly.n_rows - 1, 2)
         mirrored = even[np.all(coeff[even + 1] == -coeff[even], axis=1)] + 1
@@ -243,38 +207,6 @@ class _DeviationFamily:
             dtype=int,
         )
 
-    def theta_for_step(self, t: int, horizon: int) -> np.ndarray:
-        """(tau_count, M, n_w) for tau = 0..min(t, horizon - 1), dense."""
-        lags = t - np.arange(min(t + 1, horizon))
-        theta = np.zeros((len(lags), self.poly.n_rows, self.n_w))
-        for b in self.blocks:
-            j = lags - b.first
-            hit = (j >= 0) & (j < len(b.values))
-            theta[np.ix_(hit, b.rows, b.cols)] = b.values[j[hit]]
-        return theta
-
-
-def _family_blocks(feed, rows, cols, memory, diff: bool) -> list[_LagBlock]:
-    """The blocks of a family whose lag 0 is the dense (M, n_w) ``feed`` and
-    whose lags 1.. are ``memory`` over rows x cols; with ``diff``, those of
-    its step difference, whose lag 1 (lag 1 - lag 0) also reaches lag 0's
-    support."""
-    M, n_w = feed.shape
-    if diff:
-        all_rows = np.union1d(rows, np.flatnonzero(feed.any(axis=1)))
-        all_cols = np.union1d(cols, np.flatnonzero(feed.any(axis=0)))
-        memory = np.diff(
-            _embed(memory, rows, cols, all_rows, all_cols),
-            axis=0,
-            prepend=feed[np.ix_(all_rows, all_cols)][np.newaxis],
-        )
-        rows, cols = all_rows, all_cols
-    blocks = (
-        _lag_block(0, np.arange(M), np.arange(n_w), feed[np.newaxis]),
-        _lag_block(1, rows, cols, memory),
-    )
-    return [b for b in blocks if b is not None]
-
 
 def _build_families(
     ssm: StateSpaceModel, constraints: ConstraintFamily, gain: FeedbackGain
@@ -284,7 +216,7 @@ def _build_families(
     reads) and u(t) = K x(t) through ru = K rx; neither has a lag 0.  The
     rows over y see the disturbance directly (``w_blocks``) and through u:
     theta_y[k] gains sum_{a < k} S dy(t)/du(t - a) ru[k - a] = c[k] D, with
-    c[1] = U[0] K and c[k+1] = c[k] Phi + U[k] K for the u lag blocks U.
+    c[1] = U[0] K and c[k+1] = c[k] Phi + U[k] K for the u lags U.
     The ramp families take the step difference of their lags."""
     T, n_w = ssm.horizon, ssm.n_w
     d_cols = np.flatnonzero(ssm.D.any(axis=0))
@@ -304,27 +236,31 @@ def _build_families(
         if name in ("y", "dy"):
             feed, rows, cols, memory = out.w_blocks(s)
             if not gain.is_zero:
-                all_rows, all_cols = np.arange(M), np.union1d(cols, d_cols)
-                memory = _embed(memory, rows, cols, all_rows, all_cols)
-                rows, cols, on_d = all_rows, all_cols, np.searchsorted(all_cols, d_cols)
-                u_k = out.u_blocks(s) @ gain.k               # U[k] K
+                # the u path over every row and the channels D reads, plus
+                # the direct memory added at its rows and channels
+                u_k = Lags.of(*out.u_blocks(s)).dense(T) @ gain.k       # U[k] K
+                all_cols = np.union1d(cols, d_cols)
+                on_d = np.searchsorted(all_cols, d_cols)
+                path = np.zeros((T - 1, M, len(all_cols)))
                 c = np.zeros((M, ssm.n_x))
                 for k in range(1, T):
                     c = c @ gain.phi + u_k[k - 1]
-                    memory[k - 1][:, on_d] += c @ d
+                    path[k - 1][:, on_d] = c @ d
+                path[:, rows[:, np.newaxis], np.searchsorted(all_cols, cols)] += memory
+                rows, cols, memory = np.arange(M), all_cols, path
         else:
             feed, rows, cols = np.zeros((M, n_w)), np.arange(M), d_cols
             memory = s @ (rx if name == "x" else ru)
-        blocks = _family_blocks(feed, rows, cols, memory, diff=name in ("du", "dy"))
-        fams.append(_DeviationFamily(name, poly, np.arange(first, stop), blocks, n_w))
+        lags = Lags.of(feed, rows, cols, memory, diff=name in ("du", "dy"))
+        fams.append(_DeviationFamily(name, poly, np.arange(first, stop), lags))
     return fams
 
 
 def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
     """Per step and row, sum over tau and the (values, weights) terms of
     weights[tau] . values[t - tau] for a lag-structured family, where each
-    term's values hold one array per block of ``fam.blocks`` (shaped as its
-    values) and its weights are (T, n_w).
+    term's values hold one array per block of ``fam.lags.blocks`` (shaped
+    as its values) and its weights are (T, n_w).
 
     Every block runs over its own channels and its lags with a nonzero
     entry only (transport delays, lag 0 of x and u hold none).  Its rows
@@ -336,7 +272,7 @@ def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
         return rho
     horizon = terms[0][1].shape[0]
     first, last = int(steps[0]), int(steps[-1])
-    for bi, b in enumerate(fam.blocks):
+    for bi, b in enumerate(fam.lags.blocks):
         block_terms = [(values[bi], weights[:, b.cols]) for values, weights in terms]
         part = rho[:, b.rows]
         for j in np.flatnonzero(b.values.any(axis=(1, 2))):
@@ -356,7 +292,7 @@ def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
 def _box_reductions(fam: _DeviationFamily, widths: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Closed-form reductions: per row, sum over channels of |theta| W plus
     the deviation-center term."""
-    values = [b.values for b in fam.blocks]
+    values = [b.values for b in fam.lags.blocks]
     return _lag_convolve(fam, [([np.abs(v) for v in values], widths), (values, shifts)])
 
 
@@ -378,28 +314,28 @@ def _budget_reductions(
     if M == 0 or not len(steps):
         return np.zeros((len(steps), M))
     rows = fam.gamma_rows
-    nonzero = np.zeros((M, fam.n_w), dtype=np.intp)
-    for b in fam.blocks:
+    nonzero = np.zeros((M, fam.lags.n_in), dtype=np.intp)
+    for b in fam.lags.blocks:
         nonzero[np.ix_(b.rows, b.cols)] += np.count_nonzero(b.values, axis=0)
     long = nonzero[rows] > max(int(budget), 1)                              # (len(rows), n_w)
     pair_row, pair_ch = np.nonzero(long)
     long = long[fam.gamma_index]                                            # mirrors included
     short = []
-    for b in fam.blocks:
+    for b in fam.lags.blocks:
         mags = np.abs(b.values)
         mags[:, long[np.ix_(b.rows, b.cols)]] = 0.0
         mags *= min(budget, 1.0)
         short.append(mags)
-    rho = _lag_convolve(fam, [(short, widths), ([b.values for b in fam.blocks], shifts)])
+    rho = _lag_convolve(fam, [(short, widths), ([b.values for b in fam.lags.blocks], shifts)])
     del short                                   # before the per-pair buffers below
     if not pair_row.size:
         return rho
     # each long pair's magnitudes over lags 0..last step, gathered per block
-    n_lags = max([int(steps[-1]) + 1] + [b.first + len(b.values) for b in fam.blocks])
+    n_lags = max(int(steps[-1]) + 1, fam.lags.stop)
     mags_lag = np.zeros((pair_row.size, n_lags))                            # (P, lags)
-    for b in fam.blocks:
+    for b in fam.lags.blocks:
         r = _positions(b.rows, M)[rows[pair_row]]
-        c = _positions(b.cols, fam.n_w)[pair_ch]
+        c = _positions(b.cols, fam.lags.n_in)[pair_ch]
         hit = (r >= 0) & (c >= 0)
         gathered = b.values[:, r[hit], c[hit]]
         mags_lag[hit, b.first : b.first + len(b.values)] = np.abs(gathered, out=gathered).T
@@ -527,11 +463,10 @@ def tighten_iterative_lp(
     for fam in fams:
         M = fam.poly.n_rows
         rho = np.zeros((len(fam.steps), M))
-        for si, t in enumerate(fam.steps):
-            theta = fam.theta_for_step(int(t), ssm.horizon)   # (count, M, n_w)
-            count = theta.shape[0]
-            if count == 0 or M == 0:
-                continue
+        lag = fam.lags.dense(ssm.horizon + 1)
+        for si, t in enumerate(fam.steps.tolist()):
+            count = min(t + 1, ssm.horizon)
+            theta = lag[t - np.arange(count)]    # (count, M, n_w)
             for ri in range(M):
                 coeff = theta[:, ri, :]          # (count, n_w)
                 if not np.any(coeff):

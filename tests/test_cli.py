@@ -179,3 +179,25 @@ def test_zero_override_with_config_is_domain_error(tmp_path, capsys):
     code = run(["tighten", "--config", config, "--horizon", "0", "--out", str(tmp_path)])
     assert code == 1
     assert "overrides apply to the bundled reference only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_config", [False, True], ids=["reference", "config"])
+def test_dense_lp_warning_hint_fits_the_input(tmp_path, capsys, monkeypatch, with_config):
+    """The dense-LP warning suggests only what the run accepts: the
+    horizon/dt flags for the bundled reference, an edit of the config
+    otherwise (which refuses those flags)."""
+    source = HORIZON
+    if with_config:
+        assert run(["reference", *HORIZON, "--out", str(tmp_path)]) == 0
+        source = ["--config", str(tmp_path / "reference.yaml")]
+    monkeypatch.setattr("chpdispatch.cli.lp_shape", lambda ssm, schedule: (10**6, 10**3, 10**4))
+    capsys.readouterr()
+    assert run(["dispatch", *source, "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: dense dispatch LP of 1000000 inequality and 1000 equality rows over 10000" in err
+    if with_config:
+        assert "fewer, longer steps in the config" in err and "--horizon" not in err
+        code = run(["dispatch", *source, "--horizon", "24", "--dt", "3600", "--out", str(tmp_path)])
+        assert code == 1    # the flags the reference hint names
+    else:
+        assert "(e.g. --horizon 24 --dt 3600)" in err

@@ -7,6 +7,7 @@ import pytest
 
 from chpdispatch import compile as compile_module
 from chpdispatch.compile import (
+    Lags,
     StructuralError,
     balance_residuals,
     compile_constraints,
@@ -215,6 +216,40 @@ def test_both_convolution_methods_match_lag_loop(reference_output, method, lead,
     ops = out._rollout_operands
     assert (ops.toeplitz is None, ops.spectra is None) == (method == "rfft", method == "toeplitz")
     assert_matches_lag_loop(out, lead_shape(out, lead))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("zero_feed", [False, True], ids=["lag0", "no-lag0"])
+def test_lags_of_matches_dense_blocks(seed, zero_feed):
+    """Lags.of against the raw blocks embedded by hand, and with diff
+    against np.diff of that dense array with lag 0 kept, for a lag 0 wider
+    than the memory, memory on 2 of 6 rows and 2 of 5 channels, a zero lag
+    inside it and three all-zero trailing lags; both bit for bit."""
+    rng = np.random.default_rng(seed)
+    T, M, n_in = 10, 6, 5
+    rows, cols = np.array([1, 3]), np.array([0, 2])
+    feed = np.zeros((M, n_in)) if zero_feed else rng.normal(size=(M, n_in))
+    feed[4] = feed[:, 3] = 0.0
+    memory = rng.normal(size=(T - 1, len(rows), len(cols)))
+    memory[[2, -3, -2, -1]] = 0.0
+    memory[:, 1, 1] = 0.0
+    dense = np.zeros((T, M, n_in))
+    dense[0] = feed
+    dense[1:, rows[:, np.newaxis], cols] = memory
+    diffed = np.concatenate([dense[:1], np.diff(dense, axis=0)])
+    for lags, want, stop in (
+        (Lags.of(feed, rows, cols, memory), dense, T - 3),
+        (Lags.of(feed, rows, cols, memory, diff=True), diffed, T - 2),
+    ):
+        assert (lags.n_rows, lags.n_in) == (M, n_in)
+        assert (lags.first, lags.stop) == (int(zero_feed), stop)
+        for b in lags.blocks:      # trimmed: every lag, row and channel kept reads a nonzero
+            assert b.values.any(axis=(1, 2))[[0, -1]].all()
+            assert b.values.any(axis=(0, 2)).all() and b.values.any(axis=(0, 1)).all()
+        for n in (1, 3, T, T + 2):
+            cut = np.zeros((n, M, n_in))
+            cut[: min(n, T)] = want[:n]
+            assert np.array_equal(lags.dense(n), cut), n
 
 
 def test_lossless_storage_conserves_energy():

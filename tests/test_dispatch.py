@@ -29,22 +29,44 @@ def ref_sched(ref24):
 
 
 def test_output_rows_reproduce_lifted_map(ref24, ref_sched):
-    """At any point z, each y row's g.z - h plus its tightened bound is
-    S y(t), and each dy row's is S (y(t) - y(t-1)), with y from evaluate."""
+    """At any point z, each family row's g.z - h plus its tightened bound is
+    S x(t), S u(t), S (u(t) - u(t-1)), S y(t) or S (y(t) - y(t-1)), with x
+    and u from decode and y from evaluate, and each epigraph row's g.z - h
+    is +y_r(t) - aux_r(t) (pos) or -y_r(t) - aux_r(t) (neg)."""
     prob = build_nominal_problem(ref24.ssm, ref_sched, ref24.costs, ref24.tube.w_center)
     lp = prob.lp
     z = np.random.default_rng(11).normal(size=lp.n_vars)
-    _, u = prob.decode(z)
+    x, u = prob.decode(z)
     y = ref24.ssm.output.evaluate(u, ref24.tube.w_center)
-    for name in ("y", "dy"):
+    residual = lp.g @ z - lp.h
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+    series = {"x": x, "u": u, "y": y}
+    for name in ("x", "u", "du", "y", "dy"):
         fam = ref_sched.family(name)
         steps = fam.steps
         rows = [i for i, label in enumerate(lp.row_labels) if label.startswith(f"{name}[")]
         assert len(rows) == fam.reductions.size
-        got = (lp.g[rows] @ z - lp.h[rows]).reshape(len(steps), -1) + fam.tightened_bounds
-        value = y[steps] if name == "y" else y[steps] - y[steps - 1]
-        want = value @ fam.polyhedron.coefficients.T
-        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+        got = residual[rows].reshape(len(steps), -1) + fam.tightened_bounds
+        if name.startswith("d"):
+            value = series[name[1:]][steps] - series[name[1:]][steps - 1]
+        else:
+            value = series[name][steps]
+        assert close(got, value @ fam.polyhedron.coefficients.T), name
+
+    man = ref24.ssm.manifest
+    T = ref24.ssm.horizon
+    priced = man.indices("y", "battery_power") + man.indices("y", "tank_flow")
+    aux = np.stack([z[prob.layout.epi_slice(t)] for t in range(T)])        # (T, n_epi)
+    rows = [i for i, label in enumerate(lp.row_labels) if label.startswith("epigraph[")]
+    assert [lp.row_labels[i] for i in rows[: 2 * len(priced)]] == [
+        f"epigraph[{man.name('y', r)[1]}][t=0] {side}" for r in priced for side in ("pos", "neg")
+    ]
+    got = residual[rows].reshape(T, len(priced), 2)
+    assert close(got[..., 0], y[:, priced] - aux)
+    assert close(got[..., 1], -y[:, priced] - aux)
 
 
 def test_epigraph_rows_counted(ref24, ref_sched):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from chpdispatch.compile import (
     ConstraintFamily,
+    LagBlock,
+    Lags,
     LiftedOutputMap,
     StateSpaceModel,
     compile_constraints,
@@ -26,7 +28,6 @@ from chpdispatch.tighten import (
     _budget_reductions,
     _DeviationFamily,
     _lag_convolve,
-    _LagBlock,
     choose_gain,
     gamma,
     tighten,
@@ -597,10 +598,10 @@ def test_budget_kernel_matches_sorted_reference(
 def dense_lags(fam, per_block=None) -> np.ndarray:
     """One (lags, M, n_w) array of the family's blocks, or of ``per_block``
     arrays shaped as those blocks' values."""
-    per_block = [b.values for b in fam.blocks] if per_block is None else per_block
-    n_lags = max(b.first + len(b.values) for b in fam.blocks)
-    lag = np.zeros((n_lags, fam.poly.n_rows, fam.n_w))
-    for b, values in zip(fam.blocks, per_block):
+    blocks = fam.lags.blocks
+    per_block = [b.values for b in blocks] if per_block is None else per_block
+    lag = np.zeros((fam.lags.stop, fam.lags.n_rows, fam.lags.n_in))
+    for b, values in zip(blocks, per_block):
         lag[b.first : b.first + len(values), b.rows[:, np.newaxis], b.cols] += values
     return lag
 
@@ -632,10 +633,10 @@ def block_family(first, stop, n_lags, zero_first, mem_rows, mem_cols, shared=0):
     memory[4, :2] = 0.0
     if shared:
         memory[shared:, 0, 0] = 0.0
-    blocks = [_LagBlock(1, np.array(mem_rows), np.array(mem_cols), memory)]
+    blocks = [LagBlock(1, np.array(mem_rows), np.array(mem_cols), memory)]
     if not zero_first:
-        blocks.insert(0, _LagBlock(0, np.arange(M), np.arange(n_w), rng.normal(size=(1, M, n_w))))
-    fam = _DeviationFamily("f", poly, np.arange(first, stop), blocks, n_w)
+        blocks.insert(0, LagBlock(0, np.arange(M), np.arange(n_w), rng.normal(size=(1, M, n_w))))
+    fam = _DeviationFamily("f", poly, np.arange(first, stop), Lags(tuple(blocks), M, n_w))
     widths = rng.uniform(0.0, 1.0, size=(T, n_w))
     shifts = rng.normal(size=(T, n_w))
     return fam, widths, shifts
@@ -663,9 +664,9 @@ def test_lag_convolve_skips_only_zero_lags(first, stop, n_lags, zero_first, mem,
     """The block convolution against the dense one over every lag, and the
     budget reductions built on it against a full sort of the dense lags."""
     fam, widths, shifts = block_family(first, stop, n_lags, zero_first, *mem, shared=shared)
-    mags = [np.abs(b.values) for b in fam.blocks]
+    mags = [np.abs(b.values) for b in fam.lags.blocks]
     mags[-1][:, 0, 0] = 0.0                      # as the budget kernel zeroes long pairs
-    terms = [(mags, widths), ([b.values for b in fam.blocks], shifts)]
+    terms = [(mags, widths), ([b.values for b in fam.lags.blocks], shifts)]
     got = _lag_convolve(fam, terms)
     want = all_lags_convolve(fam, terms)
     assert np.array_equal(got, want)
@@ -682,8 +683,9 @@ def test_lag_convolve_skips_only_zero_lags(first, stop, n_lags, zero_first, mem,
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_one_lag_convention_matches_simulated_responses(seed):
-    """theta_for_step(t, T) of every family is its rows' simulated response
-    to w_dev(tau) for tau = 0..min(t, T-1), and later impulses move nothing."""
+    """The dense lags of every family, lag t - tau at each step t, are its
+    rows' simulated response to w_dev(tau) for tau = 0..min(t, T-1), and
+    later impulses move nothing."""
     rng = np.random.default_rng(seed)
     ssm, cons, _, gain = random_system(rng, n_x=3, n_u=2, n_y=4, n_w=2, horizon=7, nonzero_gain=True)
     assert not gain.is_zero
@@ -693,9 +695,10 @@ def test_one_lag_convention_matches_simulated_responses(seed):
     for fam in _build_families(ssm, cons, gain):
         steps, resp = responses[fam.name]
         assert list(fam.steps) == list(steps)
+        lag = fam.lags.dense(T + 1)
         for si, t in enumerate(fam.steps.tolist()):
             want = np.tensordot(fam.poly.coefficients, resp[si], axes=1).transpose(1, 0, 2)
-            theta = fam.theta_for_step(t, T)                  # (count, M, n_w)
+            theta = lag[t - np.arange(min(t + 1, T))]         # (count, M, n_w)
             count = theta.shape[0]
             assert count == min(t + 1, T)
             assert np.max(np.abs(theta - want[:count])) <= 1e-12, (fam.name, t)

@@ -318,7 +318,12 @@ class TestEvaluate:
         _, traces = evaluate(
             ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch, return_traces=True
         )
-        x, u, y = simulate(ref24_box_policy, ref24.ssm, batch.samples)
+        # the same 30-sample chunks: a rollout of another batch size may round
+        # its state products differently
+        x, u, y = (np.concatenate(parts) for parts in zip(
+            *(simulate(ref24_box_policy, ref24.ssm, w) for w in batch.chunks(30))
+        ))
+        assert len(x) == batch.count
         assert np.array_equal(traces["state_min"], x.min(axis=0))
         assert np.array_equal(traces["state_max"], x.max(axis=0))
         want = [per_sample_cost(ref24.ssm, ref24.costs, u[i], y[i]) for i in range(batch.count)]
