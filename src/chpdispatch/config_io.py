@@ -6,10 +6,16 @@ A system is described by one human-readable YAML/JSON document (see
 a fully validated :class:`~chpdispatch.model.SystemModel`; ``dump_system``
 is its exact inverse (round-trips are field-identical).  Documents are
 written as JSON, which is also YAML.
+
+The CHP, heat-pump, battery, tank, PV and grid records are read and written
+from their model dataclass's fields, the one list of their keys; the
+branches, pipes, buses, nodes, water and forecasts have document forms of
+their own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from typing import Any, Mapping
@@ -211,83 +217,12 @@ def _parse(doc: Mapping[str, Any]) -> SystemModel:
     heat_reader = root.optional_child("heat_network")
     heat = _parse_heat(heat_reader, T) if heat_reader else _empty_heat()
 
-    chp = [
-        ChpUnit(
-            name=r.string("name"),
-            bus=r.integer("bus"),
-            heat_node=r.integer("heat_node"),
-            power_to_heat=r.number("power_to_heat"),
-            p_min=r.number("p_min"),
-            p_max=r.number("p_max"),
-            q_min=r.number("q_min"),
-            q_max=r.number("q_max"),
-            ramp_p=r.number("ramp_p"),
-            ramp_q=r.number("ramp_q"),
-            cost=r.number("cost"),
-        )
-        for r in root.items("chp_units")
-    ]
-    hps = [
-        HeatPump(
-            name=r.string("name"),
-            bus=r.integer("bus"),
-            heat_node=r.integer("heat_node"),
-            power_to_heat=r.number("power_to_heat"),
-            power_factor=r.number("power_factor"),
-            p_min=r.number("p_min"),
-            p_max=r.number("p_max"),
-            ramp_p=r.number("ramp_p"),
-            cost=r.number("cost"),
-        )
-        for r in root.items("heat_pumps")
-    ]
-    bats = [
-        BatteryUnit(
-            name=r.string("name"),
-            bus=r.integer("bus"),
-            retention=r.number("retention"),
-            eta_charge=r.number("eta_charge"),
-            eta_discharge=r.number("eta_discharge"),
-            capacity=r.number("capacity"),
-            e_min=r.number("e_min"),
-            e_max=r.number("e_max"),
-            e_initial=r.number("e_initial"),
-            p_min=r.number("p_min"),
-            p_max=r.number("p_max"),
-            ramp_p=r.number("ramp_p"),
-            cost=r.number("cost"),
-        )
-        for r in root.items("batteries")
-    ]
-    tanks = [
-        ThermalTank(
-            name=r.string("name"),
-            heat_node=r.integer("heat_node"),
-            retention=r.number("retention"),
-            eta_charge=r.number("eta_charge"),
-            eta_discharge=r.number("eta_discharge"),
-            capacity=r.number("capacity"),
-            e_min=r.number("e_min"),
-            e_max=r.number("e_max"),
-            e_initial=r.number("e_initial"),
-            h_min=r.number("h_min"),
-            h_max=r.number("h_max"),
-            ramp_h=r.number("ramp_h"),
-            cost=r.number("cost"),
-        )
-        for r in root.items("thermal_tanks")
-    ]
-    pvs = [PvUnit(name=r.string("name"), bus=r.integer("bus")) for r in root.items("pv_units")]
-
-    gr = root.child("grid")
-    grid = GridConnection(
-        bus=gr.integer("bus"),
-        p_min=gr.number("p_min"),
-        p_max=gr.number("p_max"),
-        q_min=gr.number("q_min"),
-        q_max=gr.number("q_max"),
-        price=gr.series("price", T),
-    )
+    chp = [_record(ChpUnit, r, T) for r in root.items("chp_units")]
+    hps = [_record(HeatPump, r, T) for r in root.items("heat_pumps")]
+    bats = [_record(BatteryUnit, r, T) for r in root.items("batteries")]
+    tanks = [_record(ThermalTank, r, T) for r in root.items("thermal_tanks")]
+    pvs = [_record(PvUnit, r, T) for r in root.items("pv_units")]
+    grid = _record(GridConnection, root.child("grid"), T)
 
     forecasts = _parse_forecasts(
         root.optional_child("forecasts"),
@@ -311,6 +246,18 @@ def _parse(doc: Mapping[str, Any]) -> SystemModel:
         heat=heat,
         forecasts=forecasts,
     )
+
+
+def _record(cls: type, r: _Reader, length: int) -> Any:
+    """A flat device record: each dataclass field read under its own name by
+    the reader its annotation selects (an array is a series of ``length``)."""
+    read = {
+        "str": r.string,
+        "int": r.integer,
+        "float": r.number,
+        "np.ndarray": lambda key: r.series(key, length),
+    }
+    return cls(**{f.name: read[f.type](f.name) for f in dataclasses.fields(cls)})
 
 
 def _parse_electric(r: _Reader) -> ElectricNetwork:
@@ -484,6 +431,15 @@ def _series_out(a: np.ndarray) -> list[float] | float:
     return vals
 
 
+def _record_out(obj: Any) -> dict[str, Any]:
+    """The document entry of a flat device record, keys in field order."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        val = getattr(obj, f.name)
+        out[f.name] = _series_out(val) if isinstance(val, np.ndarray) else val
+    return out
+
+
 def _to_document(m: SystemModel) -> dict:
     net = m.electric
     heat = m.heat
@@ -509,50 +465,12 @@ def _to_document(m: SystemModel) -> dict:
                 for br in net.branches
             ],
         },
-        "chp_units": [
-            {
-                "name": c.name, "bus": c.bus, "heat_node": c.heat_node,
-                "power_to_heat": c.power_to_heat,
-                "p_min": c.p_min, "p_max": c.p_max, "q_min": c.q_min, "q_max": c.q_max,
-                "ramp_p": c.ramp_p, "ramp_q": c.ramp_q, "cost": c.cost,
-            }
-            for c in m.chp_units
-        ],
-        "heat_pumps": [
-            {
-                "name": h.name, "bus": h.bus, "heat_node": h.heat_node,
-                "power_to_heat": h.power_to_heat, "power_factor": h.power_factor,
-                "p_min": h.p_min, "p_max": h.p_max, "ramp_p": h.ramp_p, "cost": h.cost,
-            }
-            for h in m.heat_pumps
-        ],
-        "batteries": [
-            {
-                "name": b.name, "bus": b.bus, "retention": b.retention,
-                "eta_charge": b.eta_charge, "eta_discharge": b.eta_discharge,
-                "capacity": b.capacity, "e_min": b.e_min, "e_max": b.e_max,
-                "e_initial": b.e_initial, "p_min": b.p_min, "p_max": b.p_max,
-                "ramp_p": b.ramp_p, "cost": b.cost,
-            }
-            for b in m.batteries
-        ],
-        "thermal_tanks": [
-            {
-                "name": s.name, "heat_node": s.heat_node, "retention": s.retention,
-                "eta_charge": s.eta_charge, "eta_discharge": s.eta_discharge,
-                "capacity": s.capacity, "e_min": s.e_min, "e_max": s.e_max,
-                "e_initial": s.e_initial, "h_min": s.h_min, "h_max": s.h_max,
-                "ramp_h": s.ramp_h, "cost": s.cost,
-            }
-            for s in m.tanks
-        ],
-        "pv_units": [{"name": p.name, "bus": p.bus} for p in m.pv_units],
-        "grid": {
-            "bus": m.grid.bus,
-            "p_min": m.grid.p_min, "p_max": m.grid.p_max,
-            "q_min": m.grid.q_min, "q_max": m.grid.q_max,
-            "price": _series_out(m.grid.price),
-        },
+        "chp_units": [_record_out(c) for c in m.chp_units],
+        "heat_pumps": [_record_out(h) for h in m.heat_pumps],
+        "batteries": [_record_out(b) for b in m.batteries],
+        "thermal_tanks": [_record_out(s) for s in m.tanks],
+        "pv_units": [_record_out(p) for p in m.pv_units],
+        "grid": _record_out(m.grid),
     }
     if heat.n_node > 0:
         doc["heat_network"] = {

@@ -256,14 +256,12 @@ def build_nominal_problem(
             g_labels += [f"{prefix}[t={t}]{suffix}" for prefix, suffix in labels]
             row += len(s)
 
-    names = _variable_names(ssm, prob, T, epi_rows)
     lp = LinearProgram(
         c=c,
         g=g if n_ineq else None,
         h=h if n_ineq else None,
         a_eq=a_eq if n_eq else None,
         b_eq=b_eq if n_eq else None,
-        names=tuple(names),
         row_labels=tuple(g_labels),
         eq_labels=tuple(eq_labels),
     )
@@ -289,22 +287,6 @@ def _priced_rows(ssm: StateSpaceModel) -> np.ndarray:
     """The y rows priced on their absolute value: battery power, then tank flow."""
     man = ssm.manifest
     return np.array(man.indices("y", "battery_power") + man.indices("y", "tank_flow"), dtype=np.intp)
-
-
-def _variable_names(ssm, prob: _Layout, T: int, epi_rows) -> list[str]:
-    man = ssm.manifest
-    names = []
-    for t in range(T + 1):
-        for i in range(ssm.n_x):
-            names.append(f"x_{man.name('x', i)[1]}_{t}")
-    for t in range(T):
-        for i in range(ssm.n_u):
-            kind, nm = man.name("u", i)
-            names.append(f"u_{kind}_{nm}_{t}")
-    for t in range(T):
-        for r in epi_rows:
-            names.append(f"abs_{man.name('y', r)[1]}_{t}")
-    return names
 
 
 def solve_dispatch(

@@ -86,30 +86,6 @@ class TemperatureMaps:
     offset: np.ndarray                     # (T, 2N) temps with zero heat input
     kernel: np.ndarray                     # (T, 2N, 2N)
 
-    @property
-    def n_channel(self) -> int:
-        return 2 * self.n_node
-
-    def evaluate(self, source_heat: np.ndarray, demand_heat: np.ndarray) -> np.ndarray:
-        """Temperatures (..., T, 2N) for heat series shaped (..., T, n_node), in MW."""
-        from .compile import LiftedOutputMap   # compile builds on this module
-
-        inputs = np.concatenate([np.atleast_2d(source_heat), np.atleast_2d(demand_heat)], axis=-1)
-        n_ch = self.n_channel
-        if inputs.shape[-2:] != (self.horizon, n_ch):
-            raise ValueError(f"heat input shape {inputs.shape} != (..., {self.horizon}, {n_ch})")
-        # the temperatures are the lifted map whose only inputs are the heat channels
-        lifted = LiftedOutputMap(
-            feed_u=np.zeros((n_ch, 0)),
-            feed_w=np.zeros((n_ch, n_ch)),
-            const=self.offset,
-            memory_rows=np.arange(n_ch),
-            heat_u=np.zeros((n_ch, 0)),
-            heat_w=np.eye(n_ch),
-            temps=self,
-        )
-        return lifted.evaluate(np.zeros(inputs.shape[:-1] + (0,)), inputs)
-
 
 class _StepStructure:
     """Factorized linear system of one schedule step, the same at every step.

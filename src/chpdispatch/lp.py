@@ -44,7 +44,6 @@ class LinearProgram:
     b_eq: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    names: tuple[str, ...] = ()
     row_labels: tuple[str, ...] = ()
     eq_labels: tuple[str, ...] = ()
 

@@ -191,7 +191,7 @@ def test_lifted_map_matches_lag_loop(reference_output, lead):
     # above it (T=96: 18.9 MB)
     assert (out._rollout_operands.spectra is not None) == (out.horizon >= 96)
     if lead == "chunk-without-u":
-        # the shape heatnet.TemperatureMaps.evaluate passes: no control columns
+        # a map without control columns: only w drives the outputs
         out = dataclasses.replace(out, feed_u=out.feed_u[:, :0], heat_u=out.heat_u[:, :0])
     elif lead == "chunk-scattered-rows":
         # the y rows reversed: the memory rows run backwards, not as one range

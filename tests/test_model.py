@@ -1,6 +1,9 @@
 """Domain-model invariants and diagnostics."""
 
+import dataclasses
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +17,15 @@ from chpdispatch.config_io import (
     dump_system,
     load_system,
 )
-from chpdispatch.model import validate_system
+from chpdispatch.model import (
+    BatteryUnit,
+    ChpUnit,
+    GridConnection,
+    HeatPump,
+    PvUnit,
+    ThermalTank,
+    validate_system,
+)
 from chpdispatch.reference import build_reference_system, reference_document
 
 
@@ -189,6 +200,66 @@ def test_schema_violation_names_path():
     with pytest.raises(ConfigError) as err:
         load_system(doc)
     assert "horizon.steps" in str(err.value)
+
+
+# the messages a missing field and a boolean give, by the type of the value
+# the reference document holds there
+MISSING = {
+    str: "expected a string, got None",
+    int: "required integer field is missing",
+    float: "required numeric field is missing",
+    list: "required series is missing",
+}
+BOOLEAN = {
+    str: "expected a string, got True",
+    int: "expected an integer, got True",
+    float: "expected a number, got True",
+    list: "expected number or list, got bool",
+}
+
+
+def record_entry(doc: dict, key: str) -> tuple[str, dict]:
+    """The path and entry of a flat device record; a list's last entry."""
+    if key == "grid":
+        return key, doc[key]
+    return f"{key}[{len(doc[key]) - 1}]", doc[key][-1]
+
+
+RECORD_KEYS = ("chp_units", "heat_pumps", "batteries", "thermal_tanks", "pv_units", "grid")
+REFERENCE_4 = reference_document(4, 3600.0)
+
+
+@pytest.mark.parametrize(
+    "key, field",
+    [(key, field) for key in RECORD_KEYS for field in record_entry(REFERENCE_4, key)[1]],
+    ids=lambda v: v,
+)
+@pytest.mark.parametrize("case", ["missing", "boolean"])
+def test_record_field_violation_names_path(key, field, case):
+    doc = reference_document(4, 3600.0)
+    path, entry = record_entry(doc, key)
+    kind = type(entry[field])
+    if case == "missing":
+        del entry[field]
+        message = MISSING[kind]
+    else:
+        entry[field] = True
+        message = BOOLEAN[kind]
+    with pytest.raises(ConfigError) as err:
+        load_system(doc)
+    assert err.value.path == f"{path}.{field}"
+    assert str(err.value) == f"{path}.{field}: {message}"
+
+
+def test_schema_doc_lists_the_record_fields():
+    # a flat device record's keys are its dataclass's fields, in order; the
+    # example in the schema reference shows them so
+    text = (pathlib.Path(__file__).parents[1] / "docs" / "config-schema.md").read_text(encoding="utf-8")
+    example = yaml.safe_load(re.search(r"```yaml\n(.*?)```", text, re.S).group(1))
+    classes = (ChpUnit, HeatPump, BatteryUnit, ThermalTank, PvUnit, GridConnection)
+    for key, cls in zip(RECORD_KEYS, classes):
+        entry = record_entry(example, key)[1]
+        assert list(entry) == [f.name for f in dataclasses.fields(cls)], key
 
 
 def test_series_length_mismatch_names_path():
