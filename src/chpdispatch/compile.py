@@ -78,31 +78,77 @@ class VariableManifest:
         return list(self._kind_indices[vector].get(kind, ()))
 
 
+@dataclass(frozen=True)
+class _Quantity:
+    """One entry of a quantity kind: its limits and ramp limit (None: no
+    limit rows, no rate rows) and, for u and w, where it enters the
+    balances and networks: active ``p`` and reactive ``q`` at ``bus``, and
+    ``heat`` at heat node ``node``.  A negative heat (a heat load) draws on
+    the return-side channel n + node."""
+
+    name: str
+    lower: float | None = None
+    upper: float | None = None
+    ramp: float | None = None
+    label: str | None = None          # row label, if not "kind[name]"
+    bus: int | None = None
+    p: float = 0.0
+    q: float = 0.0
+    node: int | None = None
+    heat: float = 0.0
+
+
+# Every quantity kind, in manifest order, as (vector, kind, unit, entries):
+# entries(model) lists the kind's quantities, and the manifest, the units,
+# the limit and ramp rows and the balance and network couplings all read it.
+_QUANTITIES = (
+    ("x", "battery_energy", "fraction", lambda m: [
+        _Quantity(b.name, b.e_min, b.e_max) for b in m.batteries]),
+    ("x", "tank_level", "fraction", lambda m: [
+        _Quantity(s.name, s.e_min, s.e_max) for s in m.tanks]),
+    ("u", "chp_p", "pu", lambda m: [
+        _Quantity(c.name, c.p_min, c.p_max, c.ramp_p, bus=c.bus, p=1.0,
+                  node=c.heat_node, heat=c.power_to_heat)
+        for c in m.chp_units]),
+    ("u", "chp_q", "pu", lambda m: [
+        _Quantity(c.name, c.q_min, c.q_max, c.ramp_q, bus=c.bus, q=1.0) for c in m.chp_units]),
+    ("u", "grid_p", "pu", lambda m: [
+        _Quantity("grid", m.grid.p_min, m.grid.p_max, label="grid_p", bus=m.grid.bus, p=1.0)]),
+    ("u", "grid_q", "pu", lambda m: [
+        _Quantity("grid", m.grid.q_min, m.grid.q_max, label="grid_q", bus=m.grid.bus, q=1.0)]),
+    ("u", "hp_p", "pu", lambda m: [
+        _Quantity(h.name, h.p_min, h.p_max, h.ramp_p, bus=h.bus, p=-1.0, q=-h.reactive_ratio,
+                  node=h.heat_node, heat=h.power_to_heat)
+        for h in m.heat_pumps]),
+    ("y", "battery_power", "pu", lambda m: [
+        _Quantity(b.name, b.p_min, b.p_max, b.ramp_p) for b in m.batteries]),
+    ("y", "tank_flow", "MW", lambda m: [
+        _Quantity(s.name, s.h_min, s.h_max, s.ramp_h) for s in m.tanks]),
+    ("y", "branch_flow", "pu", lambda m: [
+        _Quantity(str(l), -br.flow_max, br.flow_max) for l, br in enumerate(m.electric.branches)]),
+    ("y", "voltage", "pu", lambda m: [
+        _Quantity(str(i), m.electric.v_min[i], m.electric.v_max[i]) for i in range(m.electric.n_bus)]),
+    ("y", "supply_temp", "degC", lambda m: [
+        _Quantity(str(i), m.heat.ts_min[i], m.heat.ts_max[i]) for i in range(m.heat.n_node)]),
+    ("y", "return_temp", "degC", lambda m: [
+        _Quantity(str(i), m.heat.tr_min[i], m.heat.tr_max[i]) for i in range(m.heat.n_node)]),
+    ("w", "pv_power", "pu", lambda m: [_Quantity(p.name, bus=p.bus, p=1.0) for p in m.pv_units]),
+    ("w", "electric_load_p", "pu", lambda m: [
+        _Quantity(str(i), bus=i, p=-1.0) for i in range(m.electric.n_bus)]),
+    ("w", "electric_load_q", "pu", lambda m: [
+        _Quantity(str(i), bus=i, q=-1.0) for i in range(m.electric.n_bus)]),
+    ("w", "heat_load", "MW", lambda m: [
+        _Quantity(str(i), node=i, heat=-1.0) for i in range(m.heat.n_node)]),
+)
+
 # physical unit per manifest kind, for CSV headers
-KIND_UNITS = {
-    "battery_energy": "fraction",
-    "tank_level": "fraction",
-    "chp_p": "pu",
-    "chp_q": "pu",
-    "grid_p": "pu",
-    "grid_q": "pu",
-    "hp_p": "pu",
-    "battery_power": "pu",
-    "tank_flow": "MW",
-    "branch_flow": "pu",
-    "voltage": "pu",
-    "supply_temp": "degC",
-    "return_temp": "degC",
-    "pv_power": "pu",
-    "electric_load_p": "pu",
-    "electric_load_q": "pu",
-    "heat_load": "MW",
-}
+KIND_UNITS = {kind: unit for _, kind, unit, _ in _QUANTITIES}
 
 
 def unit_of(kind_or_label: str) -> str:
-    """Unit of a manifest kind or a row label such as "chp_p_ramp[c1] upper"."""
-    key = kind_or_label.split("[", 1)[0]
+    """Unit of a manifest kind or a row label such as "chp_p_ramp[c1] upper"
+    or "grid_p lower"."""
+    key = kind_or_label.split("[", 1)[0].split(" ", 1)[0]
     if key.endswith("_ramp"):
         key = key[: -len("_ramp")]
     return KIND_UNITS.get(key, "mixed")
@@ -371,7 +417,6 @@ class StateSpaceModel:
     manifest: VariableManifest
     horizon: int
     x0: np.ndarray
-    delays: np.ndarray | None = None      # transport delay per pipe, in steps
     # reactive balance rows: reactive_u @ u(t) + reactive_w @ w(t) = 0
     reactive_u: np.ndarray | None = None
     reactive_w: np.ndarray | None = None
@@ -408,48 +453,32 @@ class ConstraintFamily:
 
 
 def _build_manifest(model: SystemModel) -> VariableManifest:
-    x = [("battery_energy", b.name) for b in model.batteries]
-    x += [("tank_level", s.name) for s in model.tanks]
-    u = [("chp_p", c.name) for c in model.chp_units]
-    u += [("chp_q", c.name) for c in model.chp_units]
-    u += [("grid_p", "grid"), ("grid_q", "grid")]
-    u += [("hp_p", h.name) for h in model.heat_pumps]
-    y = [("battery_power", b.name) for b in model.batteries]
-    y += [("tank_flow", s.name) for s in model.tanks]
-    y += [("branch_flow", str(l)) for l in range(model.electric.n_branch)]
-    y += [("voltage", str(i)) for i in range(model.electric.n_bus)]
-    y += [("supply_temp", str(i)) for i in range(model.heat.n_node)]
-    y += [("return_temp", str(i)) for i in range(model.heat.n_node)]
-    w = [("pv_power", p.name) for p in model.pv_units]
-    w += [("electric_load_p", str(i)) for i in range(model.electric.n_bus)]
-    w += [("electric_load_q", str(i)) for i in range(model.electric.n_bus)]
-    w += [("heat_load", str(i)) for i in range(model.heat.n_node)]
-    return VariableManifest(tuple(x), tuple(u), tuple(y), tuple(w))
+    vectors = {"x": [], "u": [], "y": [], "w": []}
+    for vector, kind, _, entries in _QUANTITIES:
+        vectors[vector] += [(kind, q.name) for q in entries(model)]
+    return VariableManifest(**{v: tuple(e) for v, e in vectors.items()})
+
+
+def _inputs(model: SystemModel, man: VariableManifest):
+    """(vector, index, quantity) for every u and w entry of the table."""
+    for vector, kind, _, entries in _QUANTITIES:
+        if vector in ("u", "w"):
+            for q in entries(model):
+                yield vector, man.index(vector, kind, q.name), q
 
 
 def _balance_rows(model: SystemModel, man: VariableManifest) -> dict[str, np.ndarray]:
-    """Coefficient rows of the instantaneous balances over u and w."""
-    n_u, n_w = len(man.u), len(man.w)
-    active_u = np.zeros(n_u)
-    active_w = np.zeros(n_w)
-    heat_u = np.zeros(n_u)
-    heat_w = np.zeros(n_w)
-    for c in model.chp_units:
-        i = man.index("u", "chp_p", c.name)
-        active_u[i] = 1.0
-        heat_u[i] = c.power_to_heat
-    active_u[man.index("u", "grid_p", "grid")] = 1.0
-    for h in model.heat_pumps:
-        i = man.index("u", "hp_p", h.name)
-        active_u[i] = -1.0
-        heat_u[i] = h.power_to_heat
-    for p in model.pv_units:
-        active_w[man.index("w", "pv_power", p.name)] = 1.0
-    for i in range(model.electric.n_bus):
-        active_w[man.index("w", "electric_load_p", str(i))] = -1.0
-    for i in range(model.heat.n_node):
-        heat_w[man.index("w", "heat_load", str(i))] = -1.0
-    return {"active_u": active_u, "active_w": active_w, "heat_u": heat_u, "heat_w": heat_w}
+    """Coefficient rows of the instantaneous active, reactive and heat
+    balances over u and w."""
+    rows = {
+        f"{balance}_{v}": np.zeros(len(getattr(man, v)))
+        for balance in ("active", "reactive", "heat") for v in ("u", "w")
+    }
+    for vector, i, q in _inputs(model, man):
+        rows[f"active_{vector}"][i] = q.p
+        rows[f"reactive_{vector}"][i] = q.q
+        rows[f"heat_{vector}"][i] = q.heat
+    return rows
 
 
 def compile_state_space(model: SystemModel) -> StateSpaceModel:
@@ -510,7 +539,7 @@ def compile_state_space(model: SystemModel) -> StateSpaceModel:
         feed_w[i] = share_s[k] * bal["heat_w"]
 
     _electric_rows(model, man, feed_u, feed_w, const, share_b, bal)
-    heat_u, heat_w, memory_rows, temps, delays = _heat_rows(model, man, const, share_s, bal)
+    heat_u, heat_w, memory_rows, temps = _heat_rows(model, man, const, share_s, bal)
 
     output = LiftedOutputMap(
         feed_u=feed_u,
@@ -524,18 +553,9 @@ def compile_state_space(model: SystemModel) -> StateSpaceModel:
     x0 = np.array(
         [b.e_initial for b in model.batteries] + [s.e_initial for s in model.tanks]
     )
-    reactive_u = np.zeros(n_u)
-    for c in model.chp_units:
-        reactive_u[man.index("u", "chp_q", c.name)] = 1.0
-    reactive_u[man.index("u", "grid_q", "grid")] = 1.0
-    for h in model.heat_pumps:
-        reactive_u[man.index("u", "hp_p", h.name)] = -h.reactive_ratio
-    reactive_w = np.zeros(n_w)
-    for i in range(model.electric.n_bus):
-        reactive_w[man.index("w", "electric_load_q", str(i))] = -1.0
     return StateSpaceModel(
-        A=A, B=B, D=D, output=output, manifest=man, horizon=T, x0=x0, delays=delays,
-        reactive_u=reactive_u, reactive_w=reactive_w,
+        A=A, B=B, D=D, output=output, manifest=man, horizon=T, x0=x0,
+        reactive_u=bal["reactive_u"], reactive_w=bal["reactive_w"],
     )
 
 
@@ -560,18 +580,12 @@ def _electric_rows(model, man, feed_u, feed_w, const, share_b, bal) -> None:
     jw_p = np.zeros((n_bus, n_w))
     ju_q = np.zeros((n_bus, n_u))
     jw_q = np.zeros((n_bus, n_w))
-    for c in model.chp_units:
-        ju_p[c.bus, man.index("u", "chp_p", c.name)] += 1.0
-        ju_q[c.bus, man.index("u", "chp_q", c.name)] += 1.0
-    for h in model.heat_pumps:
-        i = man.index("u", "hp_p", h.name)
-        ju_p[h.bus, i] -= 1.0
-        ju_q[h.bus, i] -= h.reactive_ratio
-    for k, p in enumerate(model.pv_units):
-        jw_p[p.bus, man.index("w", "pv_power", p.name)] += 1.0
-    for i in range(n_bus):
-        jw_p[i, man.index("w", "electric_load_p", str(i))] -= 1.0
-        jw_q[i, man.index("w", "electric_load_q", str(i))] -= 1.0
+    into = {"u": (ju_p, ju_q), "w": (jw_p, jw_q)}
+    for vector, i, q in _inputs(model, man):
+        if q.bus is not None:
+            j_p, j_q = into[vector]
+            j_p[q.bus, i] += q.p
+            j_q[q.bus, i] += q.q
     for k, b in enumerate(model.batteries):
         ju_p[b.bus] -= share_b[k] * bal["active_u"]
         jw_p[b.bus] -= share_b[k] * bal["active_w"]
@@ -608,18 +622,16 @@ def _heat_rows(model, man, const, share_s, bal):
     heat_u = np.zeros((2 * n, n_u))
     heat_w = np.zeros((2 * n, n_w))
     if n == 0:
-        return heat_u, heat_w, np.zeros(0, dtype=int), None, None
+        return heat_u, heat_w, np.zeros(0, dtype=int), None
 
-    for c in model.chp_units:
-        heat_u[c.heat_node, man.index("u", "chp_p", c.name)] += c.power_to_heat
-    for h in model.heat_pumps:
-        heat_u[h.heat_node, man.index("u", "hp_p", h.name)] += h.power_to_heat
+    into = {"u": heat_u, "w": heat_w}
+    for vector, i, q in _inputs(model, man):
+        if q.node is not None:
+            into[vector][q.node + n * (q.heat < 0), i] += abs(q.heat)
     for k, s in enumerate(model.tanks):
         # tank charging removes heat from its node
         heat_u[s.heat_node] -= share_s[k] * bal["heat_u"]
         heat_w[s.heat_node] -= share_s[k] * bal["heat_w"]
-    for i in range(n):
-        heat_w[n + i, man.index("w", "heat_load", str(i))] = 1.0
 
     delays = compute_delays(heat, model.step_seconds, model.horizon)
     temps = temperature_maps(heat, delays, model.horizon, model.step_seconds)
@@ -628,86 +640,26 @@ def _heat_rows(model, man, const, share_s, bal):
     return_rows = man.indices("y", "return_temp")
     memory_rows = np.asarray(supply_rows + return_rows, dtype=int)
     const[:, memory_rows] += temps.offset
-    return heat_u, heat_w, memory_rows, temps, delays
+    return heat_u, heat_w, memory_rows, temps
 
 
 def compile_constraints(model: SystemModel, ssm: StateSpaceModel) -> ConstraintFamily:
-    """Every two-sided physical limit becomes one labeled row pair."""
+    """Every two-sided physical limit becomes one labeled row pair, and
+    every ramp limit one pair on the step difference."""
     man = ssm.manifest
-    n_x, n_u, n_y = ssm.n_x, ssm.n_u, ssm.n_y
-
-    def unit(n: int, i: int) -> np.ndarray:
-        e = np.zeros(n)
-        e[i] = 1.0
-        return e
-
-    x_rows = []
-    for b in model.batteries:
-        i = man.index("x", "battery_energy", b.name)
-        x_rows.append((unit(n_x, i), b.e_min, b.e_max, f"battery_energy[{b.name}]"))
-    for s in model.tanks:
-        i = man.index("x", "tank_level", s.name)
-        x_rows.append((unit(n_x, i), s.e_min, s.e_max, f"tank_level[{s.name}]"))
-
-    u_rows = []
-    for c in model.chp_units:
-        u_rows.append((unit(n_u, man.index("u", "chp_p", c.name)), c.p_min, c.p_max, f"chp_p[{c.name}]"))
-    for c in model.chp_units:
-        u_rows.append((unit(n_u, man.index("u", "chp_q", c.name)), c.q_min, c.q_max, f"chp_q[{c.name}]"))
-    g = model.grid
-    u_rows.append((unit(n_u, man.index("u", "grid_p", "grid")), g.p_min, g.p_max, "grid_p"))
-    u_rows.append((unit(n_u, man.index("u", "grid_q", "grid")), g.q_min, g.q_max, "grid_q"))
-    for h in model.heat_pumps:
-        u_rows.append((unit(n_u, man.index("u", "hp_p", h.name)), h.p_min, h.p_max, f"hp_p[{h.name}]"))
-
-    y_rows = []
-    for b in model.batteries:
-        i = man.index("y", "battery_power", b.name)
-        y_rows.append((unit(n_y, i), b.p_min, b.p_max, f"battery_power[{b.name}]"))
-    for s in model.tanks:
-        i = man.index("y", "tank_flow", s.name)
-        y_rows.append((unit(n_y, i), s.h_min, s.h_max, f"tank_flow[{s.name}]"))
-    for l, br in enumerate(model.electric.branches):
-        i = man.index("y", "branch_flow", str(l))
-        y_rows.append((unit(n_y, i), -br.flow_max, br.flow_max, f"branch_flow[{l}]"))
-    for bus in range(model.electric.n_bus):
-        i = man.index("y", "voltage", str(bus))
-        y_rows.append(
-            (unit(n_y, i), model.electric.v_min[bus], model.electric.v_max[bus], f"voltage[{bus}]")
-        )
-    for node in range(model.heat.n_node):
-        i = man.index("y", "supply_temp", str(node))
-        y_rows.append(
-            (unit(n_y, i), model.heat.ts_min[node], model.heat.ts_max[node], f"supply_temp[{node}]")
-        )
-    for node in range(model.heat.n_node):
-        i = man.index("y", "return_temp", str(node))
-        y_rows.append(
-            (unit(n_y, i), model.heat.tr_min[node], model.heat.tr_max[node], f"return_temp[{node}]")
-        )
-
-    du_rows = []
-    for c in model.chp_units:
-        du_rows.append((unit(n_u, man.index("u", "chp_p", c.name)), -c.ramp_p, c.ramp_p, f"chp_p_ramp[{c.name}]"))
-    for c in model.chp_units:
-        du_rows.append((unit(n_u, man.index("u", "chp_q", c.name)), -c.ramp_q, c.ramp_q, f"chp_q_ramp[{c.name}]"))
-    for h in model.heat_pumps:
-        du_rows.append((unit(n_u, man.index("u", "hp_p", h.name)), -h.ramp_p, h.ramp_p, f"hp_p_ramp[{h.name}]"))
-
-    dy_rows = []
-    for b in model.batteries:
-        i = man.index("y", "battery_power", b.name)
-        dy_rows.append((unit(n_y, i), -b.ramp_p, b.ramp_p, f"battery_power_ramp[{b.name}]"))
-    for s in model.tanks:
-        i = man.index("y", "tank_flow", s.name)
-        dy_rows.append((unit(n_y, i), -s.ramp_h, s.ramp_h, f"tank_flow_ramp[{s.name}]"))
-
+    size = {"x": ssm.n_x, "u": ssm.n_u, "y": ssm.n_y, "du": ssm.n_u, "dy": ssm.n_y}
+    rows = {family: [] for family in size}
+    for vector, kind, _, entries in _QUANTITIES:
+        for q in entries(model):
+            if q.lower is None:
+                continue
+            s = np.zeros(size[vector])
+            s[man.index(vector, kind, q.name)] = 1.0
+            rows[vector].append((s, q.lower, q.upper, q.label or f"{kind}[{q.name}]"))
+            if q.ramp is not None:
+                rows["d" + vector].append((s, -q.ramp, q.ramp, f"{kind}_ramp[{q.name}]"))
     return ConstraintFamily(
-        x=PolyhedronH.from_box_rows(x_rows, n_x),
-        u=PolyhedronH.from_box_rows(u_rows, n_u),
-        y=PolyhedronH.from_box_rows(y_rows, n_y),
-        du=PolyhedronH.from_box_rows(du_rows, n_u),
-        dy=PolyhedronH.from_box_rows(dy_rows, n_y),
+        **{family: PolyhedronH.from_box_rows(r, size[family]) for family, r in rows.items()}
     )
 
 
@@ -746,9 +698,5 @@ def balance_residuals(
     heat = u_seq @ bal["heat_u"] + w_seq @ bal["heat_w"]
     if tank_rows:
         heat = heat - y_seq[:, tank_rows].sum(axis=1)
-
-    if ssm.reactive_u is not None:
-        reactive = u_seq @ ssm.reactive_u + w_seq @ ssm.reactive_w
-    else:
-        reactive = np.zeros(len(u_seq))
+    reactive = u_seq @ bal["reactive_u"] + w_seq @ bal["reactive_w"]
     return {"active": active, "reactive": reactive, "heat": heat}

@@ -119,6 +119,8 @@ class _Reader:
 
     def string(self, key: str, default: str | None = None) -> str:
         val = self.data.get(key, default)
+        if val is None:
+            raise ConfigError(self._join(key), "required string field is missing")
         if not isinstance(val, str):
             raise ConfigError(self._join(key), f"expected a string, got {val!r}")
         return val

@@ -101,7 +101,6 @@ class NominalProblem:
     """The assembled LP plus the variable layout needed to decode solutions."""
 
     lp: LinearProgram
-    ssm: StateSpaceModel
     layout: _Layout
 
     def decode(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +264,7 @@ def build_nominal_problem(
         row_labels=tuple(g_labels),
         eq_labels=tuple(eq_labels),
     )
-    return NominalProblem(lp=lp, ssm=ssm, layout=prob)
+    return NominalProblem(lp=lp, layout=prob)
 
 
 def _cost_weights(ssm: StateSpaceModel, costs: CostModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ __all__ = [
     "check_kkt",
 ]
 
-FEAS_TOL = 1e-8
 COST_TOL = 1e-9
 REFACTOR_EVERY = 100
 STALL_LIMIT = 60
@@ -96,7 +95,6 @@ class LpSolution:
     objective: float | None = None
     duals_ineq: np.ndarray | None = None
     duals_eq: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
     iterations: int = 0
     blocking_rows: tuple[str, ...] = ()
 
@@ -111,9 +109,6 @@ class KktReport:
     dual_residual: float
     complementarity: float
     gap: float
-
-    def within(self, primal: float = FEAS_TOL, gap: float = 1e-7) -> bool:
-        return self.primal_residual <= primal and self.gap <= gap
 
 
 class _Simplex:
@@ -151,7 +146,7 @@ class _Simplex:
         self.xb = self.binv @ (self.b - self.a @ self.nbvals)
 
     def run(self, c: np.ndarray, basis: list[int], state: np.ndarray, max_iter: int):
-        """Returns (status, x, duals, reduced_costs)."""
+        """Returns (status, x, duals)."""
         self.basis = list(basis)
         self.state = state
         self._recompute()
@@ -177,7 +172,7 @@ class _Simplex:
             if not np.any(eligible):
                 x = self.nbvals.copy()
                 x[self.basis] = self.xb
-                return "optimal", x, duals, reduced
+                return "optimal", x, duals
             if use_bland:
                 entering = int(np.argmax(eligible))
             else:
@@ -218,7 +213,7 @@ class _Simplex:
                     leaving = k
                     leaving_to = at_upper_state if t_up[k] <= t_lo[k] else at_lower_state
             if not np.isfinite(theta):
-                return "unbounded", None, duals, reduced
+                return "unbounded", None, duals
             if theta < 1e-10:
                 stall += 1
             else:
@@ -255,7 +250,7 @@ class _Simplex:
                 factor = col / pivot
                 self.binv -= np.outer(factor, row)
                 self.binv[leaving] = row / pivot
-        return "failed", None, None, None
+        return "failed", None, None
 
 
 def _solve_standard(
@@ -265,7 +260,7 @@ def _solve_standard(
     lower: np.ndarray,
     upper: np.ndarray,
 ):
-    """Two-phase bounded simplex; returns (status, x, duals, reduced, iterations)."""
+    """Two-phase bounded simplex; returns (status, x, duals, iterations)."""
     m, n = a.shape
     x_start = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
     resid = b - a @ x_start
@@ -281,12 +276,12 @@ def _solve_standard(
 
     max_iter = 200 * (m + n) + 10000
     sx = _Simplex(a1, b, lower1, upper1)
-    status, x1, _, _ = sx.run(c1, basis, state, max_iter)
+    status, x1, _ = sx.run(c1, basis, state, max_iter)
     iters = sx.iterations
     if status == "failed" or status == "unbounded":
-        return "failed", None, None, None, iters
+        return "failed", None, None, iters
     if float(c1 @ x1) > 1e-7:
-        return "infeasible", None, None, None, iters
+        return "infeasible", None, None, iters
 
     lower1[n:] = 0.0
     upper1[n:] = 0.0
@@ -294,11 +289,11 @@ def _solve_standard(
     state = sx.state
     state[n:][state[n:] != _Simplex.BASIC] = _Simplex.AT_LOWER
     sx2 = _Simplex(a1, b, lower1, upper1)
-    status, x2, duals2, reduced2 = sx2.run(c2, sx.basis, state, max_iter)
+    status, x2, duals2 = sx2.run(c2, sx.basis, state, max_iter)
     iters += sx2.iterations
     if status == "optimal":
-        return "optimal", x2[:n], duals2, reduced2[:n], iters
-    return status, None, None, None, iters
+        return "optimal", x2[:n], duals2, iters
+    return status, None, None, iters
 
 
 def _solve_boxed(c: np.ndarray, lower: np.ndarray, upper: np.ndarray):
@@ -333,7 +328,6 @@ def solve_lp_simplex(lp: LinearProgram) -> LpSolution:
             objective=float(lp.c @ x),
             duals_ineq=np.zeros(0),
             duals_eq=np.zeros(0),
-            reduced_costs=lp.c.copy(),
         )
     a = np.zeros((m1 + m2, n + m1))
     a[:m1, :n] = lp.g
@@ -343,7 +337,7 @@ def solve_lp_simplex(lp: LinearProgram) -> LpSolution:
     lower = np.concatenate([lp.lower, np.zeros(m1)])
     upper = np.concatenate([lp.upper, np.full(m1, np.inf)])
     c = np.concatenate([lp.c, np.zeros(m1)])
-    status, x, duals, reduced, iters = _solve_standard(a, b, c, lower, upper)
+    status, x, duals, iters = _solve_standard(a, b, c, lower, upper)
     if status != "optimal":
         return LpSolution(status=status, iterations=iters)
     z = x[:n]
@@ -355,7 +349,6 @@ def solve_lp_simplex(lp: LinearProgram) -> LpSolution:
         objective=float(lp.c @ z),
         duals_ineq=lam,
         duals_eq=nu,
-        reduced_costs=reduced,
         iterations=iters,
     )
 
@@ -402,7 +395,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         objective=float(lp.c @ z),
         duals_ineq=lam,
         duals_eq=nu,
-        reduced_costs=lp.c + g.T @ lam + a.T @ nu,
         iterations=res.nit,
     )
 

@@ -7,12 +7,14 @@ import pytest
 
 from chpdispatch import compile as compile_module
 from chpdispatch.compile import (
+    KIND_UNITS,
     Lags,
     StructuralError,
     balance_residuals,
     compile_constraints,
     compile_state_space,
     compile_uncertainty_tube,
+    unit_of,
 )
 from chpdispatch.config_io import load_system
 from chpdispatch.dispatch import DispatchSolution, Policy
@@ -305,6 +307,29 @@ def test_interval_rows_h_form():
     np.testing.assert_allclose(cons.x.bounds, [0.9, -0.1])
 
 
+def compiled(ref24, source: str):
+    """(model, ssm, constraints) of the T=24 reference or of minimal_document()."""
+    if source == "reference":
+        return ref24.model, ref24.ssm, ref24.constraints
+    model = load_system(minimal_document())
+    ssm = compile_state_space(model)
+    return model, ssm, compile_constraints(model, ssm)
+
+
+@pytest.mark.parametrize("source", ["reference", "minimal"])
+def test_every_row_label_has_a_unit(ref24, source):
+    # the unit column of schedule.csv: no row falls back to "mixed"
+    _, _, cons = compiled(ref24, source)
+    units = set(KIND_UNITS.values())
+    unresolved = [
+        (name, label)
+        for name, poly in cons.families().items()
+        for label in poly.labels
+        if unit_of(label) not in units
+    ]
+    assert not unresolved
+
+
 def test_chp_bounds_become_two_u_rows(ref24):
     cons = ref24.constraints
     labels = list(cons.u.labels)
@@ -367,3 +392,17 @@ class TestUncertaintyTube:
         assert tube.n_channels == ref24.ssm.n_w
         assert np.all(tube.w_min <= tube.w_center + 1e-12)
         assert np.all(tube.w_center <= tube.w_max + 1e-12)
+
+    @pytest.mark.parametrize("source", ["reference", "minimal"])
+    def test_tube_columns_follow_the_w_kinds(self, ref24, source):
+        # compile_uncertainty_tube stacks ForecastSeries.blocks() in the
+        # manifest's w kind order
+        model, ssm, _ = compiled(ref24, source)
+        tube = compile_uncertainty_tube(model)
+        fc = model.forecasts
+        kinds = {"pv_power": "pv", "electric_load_p": "p_load",
+                 "electric_load_q": "q_load", "heat_load": "heat_load"}
+        for kind, prefix in kinds.items():
+            cols = ssm.manifest.indices("w", kind)
+            for side, stacked in (("min", tube.w_min), ("center", tube.w_center), ("max", tube.w_max)):
+                np.testing.assert_array_equal(stacked[:, cols], getattr(fc, f"{prefix}_{side}").T)

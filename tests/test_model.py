@@ -205,7 +205,7 @@ def test_schema_violation_names_path():
 # the messages a missing field and a boolean give, by the type of the value
 # the reference document holds there
 MISSING = {
-    str: "expected a string, got None",
+    str: "required string field is missing",
     int: "required integer field is missing",
     float: "required numeric field is missing",
     list: "required series is missing",

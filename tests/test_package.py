@@ -64,3 +64,34 @@ def test_every_import_is_used():
                 if name not in used:
                     unused.append((path.name, node.lineno, name))
     assert not unused
+
+
+def test_every_attribute_is_read():
+    # a method or annotated class field of the package is read somewhere in
+    # the source, the tests or the benchmark (dunder methods are called by
+    # the language)
+    package = pathlib.Path(chpdispatch.__file__).parent
+    repo = package.parent.parent
+    defined = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    defined.append((path.name, cls.name, name))
+    read = set()
+    for top in ("src", "tests", "bench"):
+        for path in sorted((repo / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+    assert [d for d in defined if d[2] not in read] == []
