@@ -123,7 +123,9 @@ def _prepare(args, gamma: float | None):
     model = _load_model(args)
     ssm = compile_state_space(model)
     constraints = compile_constraints(model, ssm)
-    tube = compile_uncertainty_tube(model, budget=gamma)
+    if gamma is not None and gamma < 0:
+        raise DomainError(f"budget must be >= 0, got {gamma}")
+    tube = compile_uncertainty_tube(model)
     gain = choose_gain(ssm)
     costs = CostModel.from_model(model)
     return model, ssm, constraints, tube, gain, costs

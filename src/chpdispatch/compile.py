@@ -663,7 +663,7 @@ def compile_constraints(model: SystemModel, ssm: StateSpaceModel) -> ConstraintF
     )
 
 
-def compile_uncertainty_tube(model: SystemModel, budget: float | None = None) -> UncertaintyTube:
+def compile_uncertainty_tube(model: SystemModel) -> UncertaintyTube:
     """Stack the forecast intervals into the manifest's w ordering."""
     fc = model.forecasts
     T = model.horizon
@@ -672,9 +672,7 @@ def compile_uncertainty_tube(model: SystemModel, budget: float | None = None) ->
         mins.append(lo.T if lo.size else np.zeros((T, 0)))
         mids.append(mid.T if mid.size else np.zeros((T, 0)))
         maxs.append(hi.T if hi.size else np.zeros((T, 0)))
-    return UncertaintyTube(
-        w_min=np.hstack(mins), w_center=np.hstack(mids), w_max=np.hstack(maxs), budget=budget
-    )
+    return UncertaintyTube(w_min=np.hstack(mins), w_center=np.hstack(mids), w_max=np.hstack(maxs))
 
 
 def balance_residuals(

@@ -161,11 +161,12 @@ def build_nominal_problem(
 ) -> NominalProblem:
     """Assemble the nominal LP over x(0..T), u(0..T-1), and epigraph terms.
 
-    The dense G and A are allocated once and filled block by block.  The
-    x rows read x(t); the u, du, y and dy rows and the epigraph rows take
-    their coefficients on u from the :class:`~chpdispatch.compile.Lags` of
-    their row selector over u (``LiftedOutputMap.u_blocks`` for the rows
-    over y), written from each step's latest to its earliest nonzero lag.
+    The dense G and A are allocated once and filled block by block.  Every
+    family takes its coefficients from the :class:`~chpdispatch.compile.Lags`
+    of its row selector, written from each step's latest to its earliest
+    nonzero lag: over x for the x rows (lag 0 alone), over u for the u, du,
+    y and dy rows and the epigraph rows (``LiftedOutputMap.u_blocks`` for
+    the rows over y).
     """
     T = ssm.horizon
     n_x, n_u = ssm.n_x, ssm.n_u
@@ -213,9 +214,9 @@ def build_nominal_problem(
 
     # inequalities: per step t, a block of rows for each family and then the
     # epigraph rows |storage flow| <= auxiliary, a pos and a neg row each.
-    # The x rows read x(t); the others read u through the lags of their row
-    # selector over u, from u(t - latest lag), or u(0), to u(t - earliest
-    # lag), and the w and constant parts of y move to the right-hand side
+    # Every family reads x or u through the lags of its row selector, from
+    # step t - latest lag, or step 0, to step t - earliest lag, and the w and
+    # constant parts of y move to the right-hand side
     epi_s = np.zeros((2 * n_epi, ssm.n_y))
     epi_s[np.arange(2 * n_epi), np.repeat(epi_rows, 2)] = np.tile([1.0, -1.0], n_epi)
     epi_aux = np.repeat(-np.eye(n_epi), 2, axis=0)
@@ -237,18 +238,16 @@ def build_nominal_problem(
         elif name == "dy":
             rhs = rhs - (y_base[steps] - y_base[steps - 1]) @ s.T
         h[row : row + rhs.size] = rhs.ravel()
-        if name != "x":
-            raw = (s, none, none, np.zeros((T - 1, 0, 0))) if name in ("u", "du") else out.u_blocks(s)
-            lags = Lags.of(*raw, diff=name in ("du", "dy"))
-            n, first = lags.stop, lags.first
-            # (M, n n_u): lag n - 1 over the first n_u columns, lag 0 over the last
-            rev = lags.dense(n)[::-1].transpose(1, 0, 2).reshape(len(s), n * n_u)
+        # the x rows read x(t) alone, as lag 0 over x
+        width, at = (n_x, prob.x_slice) if name == "x" else (n_u, prob.u_slice)
+        raw = (s, none, none, np.zeros((T - 1, 0, 0))) if name in ("x", "u", "du") else out.u_blocks(s)
+        lags = Lags.of(*raw, diff=name in ("du", "dy"))
+        n, first = lags.stop, lags.first
+        # (M, n width): lag n - 1 over the first width columns, lag 0 over the last
+        rev = lags.dense(n)[::-1].transpose(1, 0, 2).reshape(len(s), n * width)
         for t in steps.tolist():
-            if name == "x":
-                start, block = prob.x_slice(t).start, s
-            else:
-                lo = max(t - n + 1, 0)           # the earliest u(tau) read
-                start, block = prob.u_slice(lo).start, rev[:, (lo - t + n - 1) * n_u : (n - first) * n_u]
+            lo = max(t - n + 1, 0)               # the earliest step read
+            start, block = at(lo).start, rev[:, (lo - t + n - 1) * width : (n - first) * width]
             g[row : row + len(s), start : start + block.shape[1]] = block
             if name == "epigraph":
                 g[row : row + len(s), prob.epi_slice(t)] = epi_aux

@@ -162,9 +162,7 @@ class _Simplex:
 
             at_lower = self.state == at_lower_state
             at_upper = self.state == at_upper_state
-            can_inc = (at_lower & (reduced < -COST_TOL)) | (
-                at_lower & self.free_mask & (reduced < -COST_TOL)
-            )
+            can_inc = at_lower & (reduced < -COST_TOL)
             can_dec = (at_upper & (reduced > COST_TOL)) | (
                 at_lower & self.free_mask & (reduced > COST_TOL)
             )
@@ -447,42 +445,27 @@ def check_kkt(lp: LinearProgram, sol: LpSolution) -> KktReport:
     nu = sol.duals_eq if sol.duals_eq is not None else np.zeros(lp.n_eq)
 
     primal = 0.0
-    slack = np.zeros(0)
-    if lp.n_ineq:
-        slack = lp.h - lp.g @ z
-        primal = max(primal, float(np.max(-slack, initial=0.0)))
-    if lp.n_eq:
-        primal = max(primal, float(np.max(np.abs(lp.a_eq @ z - lp.b_eq), initial=0.0)))
+    slack = lp.h - lp.g @ z
+    primal = max(primal, float(np.max(-slack, initial=0.0)))
+    primal = max(primal, float(np.max(np.abs(lp.a_eq @ z - lp.b_eq), initial=0.0)))
     finite_l = np.isfinite(lp.lower)
     finite_u = np.isfinite(lp.upper)
-    if np.any(finite_l):
-        primal = max(primal, float(np.max(lp.lower[finite_l] - z[finite_l], initial=0.0)))
-    if np.any(finite_u):
-        primal = max(primal, float(np.max(z[finite_u] - lp.upper[finite_u], initial=0.0)))
+    primal = max(primal, float(np.max(lp.lower[finite_l] - z[finite_l], initial=0.0)))
+    primal = max(primal, float(np.max(z[finite_u] - lp.upper[finite_u], initial=0.0)))
 
-    r = lp.c.copy()
-    if lp.n_ineq:
-        r = r + lp.g.T @ lam
-    if lp.n_eq:
-        r = r + lp.a_eq.T @ nu
+    r = lp.c + lp.g.T @ lam + lp.a_eq.T @ nu
     mu_l = np.where(finite_l, np.maximum(r, 0.0), 0.0)
     mu_u = np.where(finite_u, np.maximum(-r, 0.0), 0.0)
     dual = float(np.max(np.abs(r - mu_l + mu_u), initial=0.0))
     dual = max(dual, float(np.max(-lam, initial=0.0)))
 
-    comp = 0.0
-    if lp.n_ineq:
-        comp = float(np.max(np.abs(lam * slack), initial=0.0))
-    if np.any(finite_l):
-        comp = max(comp, float(np.max(np.abs(mu_l[finite_l] * (z - lp.lower)[finite_l]), initial=0.0)))
-    if np.any(finite_u):
-        comp = max(comp, float(np.max(np.abs(mu_u[finite_u] * (lp.upper - z)[finite_u]), initial=0.0)))
+    comp = float(np.max(np.abs(lam * slack), initial=0.0))
+    comp = max(comp, float(np.max(np.abs(mu_l[finite_l] * (z - lp.lower)[finite_l]), initial=0.0)))
+    comp = max(comp, float(np.max(np.abs(mu_u[finite_u] * (lp.upper - z)[finite_u]), initial=0.0)))
 
     dual_obj = 0.0
-    if lp.n_ineq:
-        dual_obj -= float(lp.h @ lam)
-    if lp.n_eq:
-        dual_obj -= float(lp.b_eq @ nu)
+    dual_obj -= float(lp.h @ lam)
+    dual_obj -= float(lp.b_eq @ nu)
     dual_obj += float(lp.lower[finite_l] @ mu_l[finite_l])
     dual_obj -= float(lp.upper[finite_u] @ mu_u[finite_u])
     obj = float(lp.c @ z)

@@ -9,6 +9,7 @@ rather than raised piecemeal.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -392,6 +393,11 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
         d.append(Diagnostic("step_seconds", f"must be > 0, got {model.step_seconds}"))
     if model.base_mva <= 0:
         d.append(Diagnostic("base_mva", f"must be > 0, got {model.base_mva}"))
+
+    for kind in ("chp_units", "heat_pumps", "batteries", "tanks", "pv_units"):
+        for name, uses in Counter(unit.name for unit in getattr(model, kind)).items():
+            if uses > 1:
+                d.append(Diagnostic(f"{kind}[{name}]", f"name used by {uses} entries"))
 
     net = model.electric
     heat = model.heat

@@ -72,17 +72,15 @@ class PolyhedronH:
 
 @dataclass(frozen=True)
 class UncertaintyTube:
-    """Per-step interval sets for the disturbance vector, plus an optional budget.
+    """Per-step interval sets for the disturbance vector, shapes (T, n_w).
 
-    Shapes are (T, n_w).  ``budget`` limits the 1-norm of each channel's
-    normalized deviation sequence over the horizon; ``None`` means pure box
-    semantics.
+    A budget on each channel's normalized deviation sequence is not part of
+    the tube: it is an argument of the tightening and sampling that use it.
     """
 
     w_min: np.ndarray
     w_center: np.ndarray
     w_max: np.ndarray
-    budget: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("w_min", "w_center", "w_max"):
@@ -97,8 +95,6 @@ class UncertaintyTube:
             self.w_center > self.w_max + 1e-12
         ):
             raise ValueError("tube ordering w_min <= w_center <= w_max violated")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
 
     @property
     def horizon(self) -> int:

@@ -137,11 +137,9 @@ class FamilySchedule:
 
 @dataclass(frozen=True)
 class TightenedSchedule:
-    """Reductions for every family plus the mode that produced them."""
+    """Reductions for every family."""
 
     families: dict[str, FamilySchedule]
-    mode: str                          # "box" or "budget"
-    budget: float | None
 
     def family(self, name: str) -> FamilySchedule:
         return self.families[name]
@@ -371,14 +369,12 @@ def _empty_rows(fam: _DeviationFamily, rho: np.ndarray) -> tuple[np.ndarray, tup
     return empties, (fam.name, int(fam.steps[si]), label.rsplit(" upper", 1)[0])
 
 
-def _resolve_budget(mode: str, budget: float | None, tube: UncertaintyTube) -> float | None:
+def _resolve_budget(mode: str, budget: float | None) -> float | None:
     """The budget a tightening mode uses (None for box), validated."""
     if mode == "box":
         return None
     if mode != "budget":
         raise ValueError(f"unknown mode {mode!r}")
-    if budget is None:
-        budget = tube.budget
     if budget is None:
         raise ValueError("budget mode requires a budget value")
     if budget < 0:
@@ -389,8 +385,6 @@ def _resolve_budget(mode: str, budget: float | None, tube: UncertaintyTube) -> f
 def _schedule(
     fams: list[_DeviationFamily],
     reductions: list[np.ndarray],
-    mode: str,
-    budget: float | None,
     on_empty: str,
 ) -> TightenedSchedule:
     """Assemble the per-family schedules; raise on the first empty interval
@@ -408,7 +402,7 @@ def _schedule(
         raise TighteningInfeasibleError(
             *first_empty, "tightened interval is empty (nominal problem infeasible)"
         )
-    return TightenedSchedule(families=out, mode=mode, budget=budget)
+    return TightenedSchedule(families=out)
 
 
 def tighten(
@@ -427,7 +421,7 @@ def tighten(
     Off-center forecast intervals enter exactly, through the center shift
     of the deviation set.
     """
-    budget = _resolve_budget(mode, budget, tube)
+    budget = _resolve_budget(mode, budget)
     widths = tube.half_width
     shifts = tube.center_shift
 
@@ -436,7 +430,7 @@ def tighten(
         reductions = [_box_reductions(fam, widths, shifts) for fam in fams]
     else:
         reductions = [_budget_reductions(fam, widths, shifts, budget) for fam in fams]
-    return _schedule(fams, reductions, mode, budget, on_empty)
+    return _schedule(fams, reductions, on_empty)
 
 
 def tighten_iterative_lp(
@@ -453,7 +447,7 @@ def tighten_iterative_lp(
     Semantically identical to :func:`tighten`; kept as an oracle and a
     timing baseline.
     """
-    budget = _resolve_budget(mode, budget, tube)
+    budget = _resolve_budget(mode, budget)
     widths = tube.half_width
     shifts = tube.center_shift
     dev_lo, dev_hi = tube.deviation_bounds()
@@ -476,7 +470,7 @@ def tighten_iterative_lp(
                     dev_lo[:count], dev_hi[:count], mode, budget,
                 )
         reductions.append(rho)
-    return _schedule(fams, reductions, mode, budget, on_empty)
+    return _schedule(fams, reductions, on_empty)
 
 
 def _support_lp(
@@ -492,36 +486,23 @@ def _support_lp(
     count, n_w = coeff.shape
     if mode == "box":
         # variables: the deviation sequence itself, pure bounds
+        lp = LinearProgram(c=-coeff.ravel(), lower=dev_lo.ravel(), upper=dev_hi.ravel())
+        offset = 0.0
+    else:
+        # budget: normalized deviations w = p - q with p, q in [0, 1] and one
+        # row per channel, sum over tau of (p + q) <= budget.  Every such w
+        # lies in the budget set, and every w there is max(w, 0) - max(-w, 0),
+        # so the LP's value is the set's support
+        scaled = (coeff * widths).ravel()
         lp = LinearProgram(
-            c=-coeff.ravel(),
-            lower=dev_lo.ravel(),
-            upper=dev_hi.ravel(),
+            c=np.concatenate([-scaled, scaled]),
+            g=np.tile(np.eye(n_w), (1, 2 * count)),
+            h=np.full(n_w, budget),
+            lower=np.zeros(2 * scaled.size),
+            upper=np.ones(2 * scaled.size),
         )
-        sol = solve_lp_simplex(lp)
-        if not sol.is_optimal:
-            raise RuntimeError(f"support LP failed with status {sol.status}")
-        return -sol.objective
-
-    # budget: normalized deviations w with |w| <= s, per-channel sum s <= budget
-    n = count * n_w
-    scaled = (coeff * widths).ravel()
-    g = np.zeros((2 * n + n_w, 2 * n))
-    h = np.zeros(2 * n + n_w)
-    g[:n, :n] = np.eye(n)
-    g[:n, n:] = -np.eye(n)
-    g[n : 2 * n, :n] = -np.eye(n)
-    g[n : 2 * n, n:] = -np.eye(n)
-    for j in range(n_w):
-        g[2 * n + j, n + j :: n_w][:count] = 1.0
-        h[2 * n + j] = budget
-    lp = LinearProgram(
-        c=np.concatenate([-scaled, np.zeros(n)]),
-        g=g,
-        h=h,
-        lower=np.concatenate([-np.ones(n), np.zeros(n)]),
-        upper=np.concatenate([np.ones(n), np.ones(n)]),
-    )
+        offset = float(np.sum(coeff * shifts))
     sol = solve_lp_simplex(lp)
     if not sol.is_optimal:
         raise RuntimeError(f"support LP failed with status {sol.status}")
-    return -sol.objective + float(np.sum(coeff * shifts))
+    return -sol.objective + offset

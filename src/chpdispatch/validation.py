@@ -116,9 +116,9 @@ def sample_disturbances(
         raise ValueError(f"count must be >= 1, got {count}")
     if mode == "budget":
         if budget is None:
-            budget = tube.budget
-        if budget is None:
             raise ValueError("budget mode requires a budget")
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
     elif mode == "vertex":
         count = _corner_count(tube, count) or count
     elif mode != "uniform":
@@ -199,7 +199,6 @@ def evaluate(
     constraints: ConstraintFamily,
     costs: CostModel,
     batch: ScenarioBatch,
-    slack: float = VIOLATION_SLACK,
     return_traces: bool = False,
 ):
     """Check every sample against the original families and price it.
@@ -230,7 +229,7 @@ def evaluate(
     for start, w_c in zip(range(0, count, chunk), batch.chunks(chunk)):
         rows = slice(start, start + len(w_c))
         x_c, u_c, y_c = simulate(policy, ssm, w_c)
-        violated[rows] = _violations(limits, x_c, u_c, y_c, slack, by_row)
+        violated[rows] = _violations(limits, x_c, u_c, y_c, by_row)
         costs_out[rows] = [realized_cost(ssm, costs, u_s, y_s, weights) for u_s, y_s in zip(u_c, y_c)]
         state_min = np.minimum(state_min, x_c.min(axis=0))
         state_max = np.maximum(state_max, x_c.max(axis=0))
@@ -301,7 +300,6 @@ def _violations(
     x: np.ndarray,
     u: np.ndarray,
     y: np.ndarray,
-    slack: float,
     by_row: dict[str, int],
 ) -> np.ndarray:
     """Per-sample any-violation flags; adds per-row offender counts to ``by_row``.
@@ -328,7 +326,7 @@ def _violations(
             z_max = z.max(axis=1)[:, lim.columns]
             z_min = z.min(axis=1)[:, lim.columns]
         extreme = np.where(lim.coefficients > 0, z_max, z_min)
-        bad = extreme * lim.coefficients - lim.bounds > slack
+        bad = extreme * lim.coefficients - lim.bounds > VIOLATION_SLACK
         flags |= bad.any(axis=1)
         per_row = bad.sum(axis=0)
         for ri in np.flatnonzero(per_row):

@@ -131,6 +131,22 @@ def test_budget_mode_requires_gamma(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tighten", "--mode", "box", "--gamma", "-1"], "budget must be >= 0"),
+        (["dispatch", "--mode", "box", "--gamma", "-1"], "budget must be >= 0"),
+        (["validate", "--sampling", "budget", "--gamma", "-2", "--samples", "10"], "budget must be >= 0"),
+        (["compare", "--methods", "do,erd-budget:-1", "--samples", "10"], "budget must be >= 0"),
+        (["validate", "--sampling", "budget", "--samples", "10"], "budget mode requires a budget"),
+    ],
+)
+def test_budget_errors_are_domain_errors(tmp_path, capsys, argv, message):
+    code = run([*argv, *HORIZON, "--out", str(tmp_path)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_bad_flags_exit_usage():
     with pytest.raises(SystemExit) as err:
         run(["tighten", "--mode", "cubic"])

@@ -386,8 +386,7 @@ class TestUncertaintyTube:
             )
 
     def test_reference_tube_ordering(self, ref24):
-        tube = compile_uncertainty_tube(ref24.model, budget=5.0)
-        assert tube.budget == 5.0
+        tube = compile_uncertainty_tube(ref24.model)
         assert tube.horizon == 24
         assert tube.n_channels == ref24.ssm.n_w
         assert np.all(tube.w_min <= tube.w_center + 1e-12)

@@ -221,7 +221,7 @@ def test_infeasible_dispatch_names_blocking_rows(ref24):
         reductions=reductions["u"],
         empty_steps=fam.empty_steps,
     )
-    doctored = TightenedSchedule(families=fams, mode="box", budget=None)
+    doctored = TightenedSchedule(families=fams)
     sol = solve_dispatch(ref24.ssm, doctored, ref24.costs, ref24.tube.w_center)
     assert sol.status == "infeasible"
     assert sol.blocking_rows

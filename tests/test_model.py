@@ -74,6 +74,17 @@ def test_dangling_bus_on_reference_network():
     assert "references bus 99 of a 33-bus network" in str(err.value)
 
 
+def test_repeated_device_name_rejected():
+    # a second bat_10 would compile to an empty state row: lookups by name
+    # find the first entry only
+    doc = reference_document(4, 3600.0)
+    twin = dict(next(b for b in doc["batteries"] if b["name"] == "bat_10"), bus=5)
+    doc["batteries"].append(twin)
+    with pytest.raises(ModelValidationError) as err:
+        load_system(doc)
+    assert "batteries[bat_10]" in str(err.value)
+
+
 def test_battery_initial_level_out_of_bounds():
     doc = minimal_document()
     doc["batteries"][0]["e_initial"] = 1.5

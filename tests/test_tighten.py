@@ -1,5 +1,6 @@
 """Reachable-set supports, dual-norm supports, budget closed form, tightening."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from chpdispatch.tighten import (
     _budget_reductions,
     _DeviationFamily,
     _lag_convolve,
+    _support_lp,
     choose_gain,
     gamma,
     tighten,
@@ -439,6 +441,53 @@ class TestIterativeEquivalence:
         via_lp = tighten_iterative_lp(ssm, cons, degenerate, gain, on_empty="flag")
         for fam in via_lp.families.values():
             assert np.allclose(fam.reductions, 0.0, atol=1e-12)
+
+    def test_budget_support_lp_sums_the_single_channel_oracle(self, monkeypatch):
+        """The budget support LP has one row per channel over p and q, and
+        its value is the single-channel oracle summed over the channels,
+        plus the deviation-center term."""
+        shapes = []
+
+        def recording(lp):
+            shapes.append((lp.g.shape, lp.n_eq))
+            return solve_lp_simplex(lp)
+
+        # the package exports the function tighten under the module's name
+        monkeypatch.setattr(sys.modules["chpdispatch.tighten"], "solve_lp_simplex", recording)
+        rng = np.random.default_rng(41)
+        for trial in range(12):
+            count, n_w = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            coeff = rng.normal(size=(count, n_w)) * (rng.random((count, n_w)) < 0.6)
+            coeff[:, rng.random(n_w) < 0.3] = 0.0
+            coeff[:, trial % n_w] = 0.0                       # an all-zero channel
+            widths = rng.uniform(0.0, 2.0, size=(count, n_w))
+            shifts = rng.uniform(-0.5, 0.5, size=(count, n_w))
+            for budget in (0.0, 0.5, 2.5, float(count), count + 1.5):
+                got = _support_lp(coeff, widths, shifts, shifts - widths, shifts + widths, "budget", budget)
+                want = sum(budget_lp_oracle(coeff[:, j] * widths[:, j], budget) for j in range(n_w))
+                want += float(np.sum(coeff * shifts))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+                assert shapes[-1] == ((n_w, 2 * count * n_w), 0)
+
+    @pytest.mark.parametrize("budget", [2.0, 10.0])
+    def test_reference_budget_row_matches_lp_oracle(self, ref24, budget):
+        """The reference at T=24, one heat-memory row pair over all 76
+        channels and 24 lags: the budget closed form against its LP."""
+        cons = ref24.constraints
+        y = cons.y
+        rows = [y.labels.index(f"supply_temp[3] {side}") for side in ("upper", "lower")]
+        single = ConstraintFamily(
+            x=PolyhedronH.empty(cons.x.dimension),
+            u=PolyhedronH.empty(cons.u.dimension),
+            y=PolyhedronH(y.coefficients[rows], y.bounds[rows], [y.labels[r] for r in rows]),
+            du=PolyhedronH.empty(cons.du.dimension),
+            dy=PolyhedronH.empty(cons.dy.dimension),
+        )
+        args = (ref24.ssm, single, ref24.tube, ref24.gain)
+        direct = tighten(*args, mode="budget", budget=budget, on_empty="flag")
+        via_lp = tighten_iterative_lp(*args, mode="budget", budget=budget, on_empty="flag")
+        assert np.any(direct.family("y").reductions[1:] > 0.0)
+        assert direct.max_abs_difference(via_lp) <= 1e-8
 
 
 class TestWorstCaseExactness:

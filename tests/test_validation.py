@@ -66,6 +66,10 @@ class TestSampling:
         norms = np.sum(np.abs(tilde), axis=1)
         assert np.all(norms <= budget + 1e-9)
 
+    def test_negative_budget_rejected(self, ref24):
+        with pytest.raises(ValueError, match="budget must be >= 0, got -2.0"):
+            sample_disturbances(ref24.tube, 10, seed=0, mode="budget", budget=-2.0)
+
     def test_vertex_enumeration_small_tube(self):
         lo = np.array([[0.0, -1.0], [0.5, 2.0]])
         hi = np.array([[1.0, -1.0], [0.5, 3.0]])   # two degenerate entries
@@ -369,7 +373,7 @@ class TestLimitCheck:
         constraints = limits(ref24.constraints, series, quantile)
         by_row: dict[str, int] = {}
         flags = validation._violations(
-            validation._limit_rows(constraints), x, u, y, VIOLATION_SLACK, by_row
+            validation._limit_rows(constraints), x, u, y, by_row
         )
         want: dict[str, int] = {}
         want_flags = np.zeros(batch.count, dtype=bool)
