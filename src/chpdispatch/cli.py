@@ -33,7 +33,7 @@ from .dispatch import (
 from .lp import import_solver
 from .model import SystemModel
 from .reference import build_reference_system, reference_document
-from .tighten import choose_gain, tighten, tighten_iterative_lp
+from .tighten import check_budget, choose_gain, tighten, tighten_iterative_lp
 from .validation import compare_methods, evaluate, sample_disturbances
 
 __all__ = ["main", "run"]
@@ -123,8 +123,8 @@ def _prepare(args, gamma: float | None):
     model = _load_model(args)
     ssm = compile_state_space(model)
     constraints = compile_constraints(model, ssm)
-    if gamma is not None and gamma < 0:
-        raise DomainError(f"budget must be >= 0, got {gamma}")
+    if gamma is not None:
+        check_budget(gamma)
     tube = compile_uncertainty_tube(model)
     gain = choose_gain(ssm)
     costs = CostModel.from_model(model)

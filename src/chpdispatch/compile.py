@@ -33,6 +33,7 @@ __all__ = [
     "LiftedOutputMap",
     "StateSpaceModel",
     "ConstraintFamily",
+    "family_form",
     "compile_state_space",
     "compile_constraints",
     "compile_uncertainty_tube",
@@ -239,9 +240,9 @@ class LiftedOutputMap:
     where K embeds the heat-network lag kernel into the temperature rows
     listed in ``memory_rows`` (all other rows are memoryless).  This class
     is the only reader of the kernel.  A row selector's response to u and
-    to w comes as the raw sparse lags of ``u_blocks`` and ``w_blocks``,
+    to w comes as raw sparse lags (:meth:`StateSpaceModel.row_blocks`),
     from which :meth:`Lags.of` builds the :class:`Lags` that the LP rows
-    (over u) and the tightening (over w) read.  The LP right-hand side and
+    and the tightening read.  The LP right-hand side and
     the closed-loop rollout come from ``evaluate``, which applies the whole
     sum over tau as one lifted convolution operator (a block-Toeplitz GEMM
     at short horizons, an rFFT at long ones) instead of one product per lag.
@@ -267,28 +268,17 @@ class LiftedOutputMap:
     def _has_memory(self) -> bool:
         return self.temps is not None and len(self.memory_rows) > 0
 
-    def u_blocks(self, s_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """S dy(t)/du(t - k) for the row selector S = ``s_rows`` (M, n_y), as
-        the sparse lag blocks of :meth:`w_blocks` over u."""
-        return self._lag_blocks(s_rows, self.feed_u, self.heat_u)
-
-    def w_blocks(self, s_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """S dy(t)/dw(t - k) as sparse lag blocks ``(feed, rows, cols, memory)``
-        (the arguments of :meth:`Lags.of`): lag 0 as a dense (M, n_w)
-        ``feed``, and lags k = 1..T-1 as ``memory[k - 1]`` over ``rows`` x
-        ``cols`` only, the rows of S that read a memory row and the channels
-        the heat inputs read (32 x 8 of 166 x 76 for the full-day
-        reference's y rows); zero elsewhere."""
-        return self._lag_blocks(s_rows, self.feed_w, self.heat_w)
-
     def _lags(self) -> np.ndarray:
         """The lags whose kernel block is not all zero (transport delays
         leave the others empty: 116 of 288 in the full-day reference)."""
         return np.flatnonzero(self.temps.kernel.any(axis=(1, 2)))
 
     def _lag_blocks(self, s_rows, feed, heat):
-        """The sparse lag blocks of one input's feed and heat matrices; the
-        kernel's lag 0 adds to the feed-through."""
+        """S dy(t)/d(input)(t - k) for the row selector S = ``s_rows`` and
+        one input's feed and heat matrices, as raw lags: lag 0 (the kernel's
+        included) as a dense (M, n_in) matrix, and lags 1..T-1 over only the
+        rows of S that read a memory row and the channels the heat inputs
+        read (32 x 8 of 166 x 76 for the full-day reference's y rows over w)."""
         lag0 = s_rows @ feed
         rows = cols = np.zeros(0, dtype=np.intp)
         if self._has_memory:
@@ -437,6 +427,19 @@ class StateSpaceModel:
     def n_y(self) -> int:
         return self.output.n_y
 
+    def row_blocks(self, vector: str, s_rows: np.ndarray, over_w: bool = False) -> tuple:
+        """The raw lags (:meth:`Lags.of` arguments) of the rows ``s_rows``
+        over ``vector``, over the vector the LP decides (x for rows over x,
+        u otherwise) or, with ``over_w``, over w: rows over x or u read lag
+        0 of their vector and no w, rows over y the lifted map."""
+        if vector == "y":
+            out = self.output
+            feed, heat = (out.feed_w, out.heat_w) if over_w else (out.feed_u, out.heat_u)
+            return out._lag_blocks(s_rows, feed, heat)
+        none = np.zeros(0, dtype=np.intp)
+        feed = np.zeros((len(s_rows), self.n_w)) if over_w else s_rows
+        return feed, none, none, np.zeros((self.horizon - 1, 0, 0))
+
 
 @dataclass(frozen=True)
 class ConstraintFamily:
@@ -449,7 +452,18 @@ class ConstraintFamily:
     dy: PolyhedronH
 
     def families(self) -> dict[str, PolyhedronH]:
-        return {"x": self.x, "u": self.u, "y": self.y, "du": self.du, "dy": self.dy}
+        """Every family, in LP and schedule order."""
+        return {name: getattr(self, name) for name in ("x", "u", "du", "y", "dy")}
+
+
+def family_form(name: str, horizon: int) -> tuple[str, bool, np.ndarray]:
+    """(vector, diff, steps) of a constraint family: the vector its rows
+    read, whether they read its step difference, and the steps they hold
+    at: x at 1..T, u and y at 0..T-1, a "d" family at 1..T-1."""
+    diff = name.startswith("d")
+    vector = name[1:] if diff else name
+    first = int(diff or vector == "x")
+    return vector, diff, np.arange(first, horizon + (vector == "x"))
 
 
 def _build_manifest(model: SystemModel) -> VariableManifest:

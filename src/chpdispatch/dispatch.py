@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compile import Lags, StateSpaceModel
+from .compile import Lags, StateSpaceModel, family_form
 from .lp import KktReport, LinearProgram, check_kkt, solve_lp
 from .model import SystemModel
 from .sets import UncertaintyTube
@@ -90,10 +90,8 @@ class _Layout:
         return slice(base + t * self.n_epi, base + (t + 1) * self.n_epi)
 
     def decode(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        T = self.horizon
-        x_seq = np.stack([z[self.x_slice(t)] for t in range(T + 1)])
-        u_seq = np.stack([z[self.u_slice(t)] for t in range(T)]) if T else np.zeros((0, self.n_u))
-        return x_seq, u_seq
+        T, u0 = self.horizon, self.u_slice(0).start
+        return z[:u0].reshape(T + 1, self.n_x), z[u0 : self.epi_slice(0).start].reshape(T, self.n_u)
 
 
 @dataclass(frozen=True)
@@ -162,16 +160,14 @@ def build_nominal_problem(
     """Assemble the nominal LP over x(0..T), u(0..T-1), and epigraph terms.
 
     The dense G and A are allocated once and filled block by block.  Every
-    family takes its coefficients from the :class:`~chpdispatch.compile.Lags`
-    of its row selector, written from each step's latest to its earliest
-    nonzero lag: over x for the x rows (lag 0 alone), over u for the u, du,
-    y and dy rows and the epigraph rows (``LiftedOutputMap.u_blocks`` for
-    the rows over y).
+    family, and the epigraph rows as rows over y, takes its coefficients
+    from the :class:`~chpdispatch.compile.Lags` of its row selector over the
+    vector it is decided by (``StateSpaceModel.row_blocks``), written from
+    each step's latest to its earliest nonzero lag.
     """
     T = ssm.horizon
     n_x, n_u = ssm.n_x, ssm.n_u
     man = ssm.manifest
-    out = ssm.output
     w_center = np.atleast_2d(np.asarray(w_center, dtype=float))
     if w_center.shape != (T, ssm.n_w):
         raise ValueError(f"w_center shape {w_center.shape} != ({T}, {ssm.n_w})")
@@ -183,7 +179,7 @@ def build_nominal_problem(
     n_ineq, n_eq, n_vars = lp_shape(ssm, schedule)
     u0 = prob.u_slice(0).start
     e0 = prob.epi_slice(0).start
-    y_base = out.evaluate(np.zeros((T, n_u)), w_center)   # w and constant parts
+    y_base = ssm.output.evaluate(np.zeros((T, n_u)), w_center)   # w and constant parts
 
     # objective
     c = np.zeros(n_vars)
@@ -221,27 +217,24 @@ def build_nominal_problem(
     epi_s[np.arange(2 * n_epi), np.repeat(epi_rows, 2)] = np.tile([1.0, -1.0], n_epi)
     epi_aux = np.repeat(-np.eye(n_epi), 2, axis=0)
     epi_labels = [(f"epigraph[{man.name('y', r)[1]}]", f" {side}") for r in epi_rows for side in ("pos", "neg")]
-    none = np.zeros(0, dtype=np.intp)
+    # (family, selector, right-hand side, labels, epigraph auxiliary columns)
+    blocks = [
+        (name, fam.polyhedron.coefficients, fam.tightened_bounds,
+         [(name, f" {label}") for label in fam.polyhedron.labels], None)
+        for name, fam in schedule.families.items()
+    ]
+    blocks.append(("y", epi_s, np.zeros((T, 2 * n_epi)), epi_labels, epi_aux))
     g = np.zeros((n_ineq, n_vars))
     h = np.zeros(n_ineq)
     g_labels: list[str] = []
     row = 0
-    for name in ("x", "u", "du", "y", "dy", "epigraph"):
-        if name == "epigraph":
-            s, steps, rhs, labels = epi_s, np.arange(T), np.zeros((T, 2 * n_epi)), epi_labels
-        else:
-            fam = schedule.family(name)
-            s, steps, rhs = fam.polyhedron.coefficients, fam.steps, fam.tightened_bounds
-            labels = [(name, f" {label}") for label in fam.polyhedron.labels]
-        if name in ("y", "epigraph"):
-            rhs = rhs - y_base[steps] @ s.T
-        elif name == "dy":
-            rhs = rhs - (y_base[steps] - y_base[steps - 1]) @ s.T
+    for name, s, rhs, labels, aux in blocks:
+        vector, diff, steps = family_form(name, T)
+        if vector == "y":
+            rhs = rhs - (y_base[steps] - y_base[steps - 1] if diff else y_base[steps]) @ s.T
         h[row : row + rhs.size] = rhs.ravel()
-        # the x rows read x(t) alone, as lag 0 over x
-        width, at = (n_x, prob.x_slice) if name == "x" else (n_u, prob.u_slice)
-        raw = (s, none, none, np.zeros((T - 1, 0, 0))) if name in ("x", "u", "du") else out.u_blocks(s)
-        lags = Lags.of(*raw, diff=name in ("du", "dy"))
+        width, at = (n_x, prob.x_slice) if vector == "x" else (n_u, prob.u_slice)
+        lags = Lags.of(*ssm.row_blocks(vector, s), diff=diff)
         n, first = lags.stop, lags.first
         # (M, n width): lag n - 1 over the first width columns, lag 0 over the last
         rev = lags.dense(n)[::-1].transpose(1, 0, 2).reshape(len(s), n * width)
@@ -249,8 +242,8 @@ def build_nominal_problem(
             lo = max(t - n + 1, 0)               # the earliest step read
             start, block = at(lo).start, rev[:, (lo - t + n - 1) * width : (n - first) * width]
             g[row : row + len(s), start : start + block.shape[1]] = block
-            if name == "epigraph":
-                g[row : row + len(s), prob.epi_slice(t)] = epi_aux
+            if aux is not None:
+                g[row : row + len(s), prob.epi_slice(t)] = aux
             g_labels += [f"{prefix}[t={t}]{suffix}" for prefix, suffix in labels]
             row += len(s)
 

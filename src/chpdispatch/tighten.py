@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compile import ConstraintFamily, Lags, StateSpaceModel, unit_of
+from .compile import ConstraintFamily, Lags, StateSpaceModel, family_form, unit_of
 from .lp import LinearProgram, solve_lp_simplex
 from .sets import PolyhedronH, UncertaintyTube
 
@@ -55,10 +55,6 @@ class FeedbackGain:
         object.__setattr__(self, "k", np.asarray(self.k, dtype=float))
         object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
 
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.k)
-
     def spectral_radius(self) -> float:
         if self.phi.size == 0:
             return 0.0
@@ -95,9 +91,17 @@ def gamma(v: np.ndarray, budget: float) -> float:
     of the next one, clipped at the full 1-norm; also the minimum over
     thresholds of budget*theta + sum(max(|v_k| - theta, 0)).
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    check_budget(budget)
     return float(_top_k_sums(np.abs(np.asarray(v, dtype=float)), budget))
+
+
+def check_budget(budget: float | None) -> float:
+    """The budget of budget mode, refused if missing or not >= 0 (NaN)."""
+    if budget is None:
+        raise ValueError("budget mode requires a budget")
+    if not budget >= 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 def _top_k_sums(mags: np.ndarray, budget: float) -> np.ndarray:
@@ -209,48 +213,35 @@ class _DeviationFamily:
 def _build_families(
     ssm: StateSpaceModel, constraints: ConstraintFamily, gain: FeedbackGain
 ) -> list[_DeviationFamily]:
-    """Every family from one closed-loop state response: x(t) responds to
-    w_dev(t - k) through rx[k] = Phi^(k-1) D (k >= 1, on the channels D
-    reads) and u(t) = K x(t) through ru = K rx; neither has a lag 0.  The
-    rows over y see the disturbance directly (``w_blocks``) and through u:
-    theta_y[k] gains sum_{a < k} S dy(t)/du(t - a) ru[k - a] = c[k] D, with
-    c[1] = U[0] K and c[k+1] = c[k] Phi + U[k] K for the u lags U.
-    The ramp families take the step difference of their lags."""
-    T, n_w = ssm.horizon, ssm.n_w
+    """Every family's w lags from one closed-loop recursion.  Its rows see
+    the disturbance directly (the w lags of ``row_blocks``) and through the
+    vector the LP decides, whose lags V they read: the state responds to
+    w_dev(t - k) through Phi^(k-1) D (k >= 1), and u through K times it.
+    With E = I over x and E = K over u, lag k gains c[k] D, where
+    c[1] = V[0] E and c[k+1] = c[k] Phi + V[k] E; E = 0 adds nothing.  A
+    ramp family takes the step difference of the sum."""
     d_cols = np.flatnonzero(ssm.D.any(axis=0))
     d = ssm.D[:, d_cols]
-    rx = np.zeros((T, ssm.n_x, len(d_cols)))          # rx[k - 1], k = 1..T
-    power = np.eye(ssm.n_x)
-    for k in range(T):
-        rx[k] = power @ d
-        power = power @ gain.phi
-    ru = gain.k @ rx[: T - 1]
-    out = ssm.output
     fams: list[_DeviationFamily] = []
-    for name, first, stop in (("x", 1, T + 1), ("u", 0, T), ("du", 1, T), ("y", 0, T), ("dy", 1, T)):
-        poly = getattr(constraints, name)
+    for name, poly in constraints.families().items():
+        vector, diff, steps = family_form(name, ssm.horizon)
         s = poly.coefficients
-        M = poly.n_rows
-        if name in ("y", "dy"):
-            feed, rows, cols, memory = out.w_blocks(s)
-            if not gain.is_zero:
-                # the u path over every row and the channels D reads, plus
-                # the direct memory added at its rows and channels
-                u_k = Lags.of(*out.u_blocks(s)).dense(T) @ gain.k       # U[k] K
-                all_cols = np.union1d(cols, d_cols)
-                on_d = np.searchsorted(all_cols, d_cols)
-                path = np.zeros((T - 1, M, len(all_cols)))
-                c = np.zeros((M, ssm.n_x))
-                for k in range(1, T):
-                    c = c @ gain.phi + u_k[k - 1]
-                    path[k - 1][:, on_d] = c @ d
-                path[:, rows[:, np.newaxis], np.searchsorted(all_cols, cols)] += memory
-                rows, cols, memory = np.arange(M), all_cols, path
-        else:
-            feed, rows, cols = np.zeros((M, n_w)), np.arange(M), d_cols
-            memory = s @ (rx if name == "x" else ru)
-        lags = Lags.of(feed, rows, cols, memory, diff=name in ("du", "dy"))
-        fams.append(_DeviationFamily(name, poly, np.arange(first, stop), lags))
+        feed, rows, cols, memory = ssm.row_blocks(vector, s, over_w=True)
+        e = np.eye(ssm.n_x) if vector == "x" else gain.k
+        if np.any(e) and len(steps):
+            n = int(steps[-1])                                      # lags 1..n reach every step
+            v_e = Lags.of(*ssm.row_blocks(vector, s)).dense(n) @ e  # V[k] E, k = 0..n-1
+            all_cols = np.union1d(cols, d_cols)
+            on_d = np.searchsorted(all_cols, d_cols)
+            path = np.zeros((n, poly.n_rows, len(all_cols)))
+            c = np.zeros((poly.n_rows, ssm.n_x))
+            for k in range(n):
+                c = c @ gain.phi + v_e[k]
+                path[k][:, on_d] = c @ d
+            path[: len(memory), rows[:, np.newaxis], np.searchsorted(all_cols, cols)] += memory
+            rows, cols, memory = np.arange(poly.n_rows), all_cols, path
+        lags = Lags.of(feed, rows, cols, memory, diff=diff)
+        fams.append(_DeviationFamily(name, poly, steps, lags))
     return fams
 
 
@@ -299,7 +290,8 @@ def _budget_reductions(
 ) -> np.ndarray:
     """gamma per channel on the scaled coefficient sequences, plus offsets.
 
-    A (row, channel) pair with at most max(floor(budget), 1) nonzero lags,
+    A (row, channel) pair with at most max(floor(budget), 1) nonzero lags
+    (any number for an infinite budget, which gives the box reductions),
     counted over every block, has gamma equal to min(budget, 1) times its
     1-norm, so those pairs (the identically zero ones included) go through
     the box convolution.  The remaining pairs are ranked one step at a
@@ -315,7 +307,7 @@ def _budget_reductions(
     nonzero = np.zeros((M, fam.lags.n_in), dtype=np.intp)
     for b in fam.lags.blocks:
         nonzero[np.ix_(b.rows, b.cols)] += np.count_nonzero(b.values, axis=0)
-    long = nonzero[rows] > max(int(budget), 1)                              # (len(rows), n_w)
+    long = nonzero[rows] > max(np.floor(budget), 1)                              # (len(rows), n_w)
     pair_row, pair_ch = np.nonzero(long)
     long = long[fam.gamma_index]                                            # mirrors included
     short = []
@@ -371,15 +363,9 @@ def _empty_rows(fam: _DeviationFamily, rho: np.ndarray) -> tuple[np.ndarray, tup
 
 def _resolve_budget(mode: str, budget: float | None) -> float | None:
     """The budget a tightening mode uses (None for box), validated."""
-    if mode == "box":
-        return None
-    if mode != "budget":
+    if mode not in ("box", "budget"):
         raise ValueError(f"unknown mode {mode!r}")
-    if budget is None:
-        raise ValueError("budget mode requires a budget value")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return budget
+    return None if mode == "box" else check_budget(budget)
 
 
 def _schedule(
@@ -487,13 +473,17 @@ def _support_lp(
     if mode == "box":
         # variables: the deviation sequence itself, pure bounds
         lp = LinearProgram(c=-coeff.ravel(), lower=dev_lo.ravel(), upper=dev_hi.ravel())
-        offset = 0.0
+        offset, scale = 0.0, 1.0
     else:
         # budget: normalized deviations w = p - q with p, q in [0, 1] and one
         # row per channel, sum over tau of (p + q) <= budget.  Every such w
         # lies in the budget set, and every w there is max(w, 0) - max(-w, 0),
-        # so the LP's value is the set's support
+        # so the LP's value is the set's support.  The objective is divided
+        # by its largest magnitude, so that no entry falls below the
+        # simplex's reduced-cost tolerance unless it is that much smaller
         scaled = (coeff * widths).ravel()
+        scale = np.max(np.abs(scaled)) or 1.0
+        scaled = scaled / scale
         lp = LinearProgram(
             c=np.concatenate([-scaled, scaled]),
             g=np.tile(np.eye(n_w), (1, 2 * count)),
@@ -505,4 +495,4 @@ def _support_lp(
     sol = solve_lp_simplex(lp)
     if not sol.is_optimal:
         raise RuntimeError(f"support LP failed with status {sol.status}")
-    return -sol.objective + offset
+    return -sol.objective * scale + offset

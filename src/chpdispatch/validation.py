@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compile import ConstraintFamily, StateSpaceModel
+from .compile import ConstraintFamily, StateSpaceModel, family_form
 from .dispatch import (
     CostModel, Policy, _cost_weights, deterministic_schedule, realized_cost, solve_dispatch,
 )
 from .sets import UncertaintyTube
-from .tighten import FeedbackGain, TightenedSchedule, tighten, tighten_iterative_lp
+from .tighten import FeedbackGain, TightenedSchedule, check_budget, tighten, tighten_iterative_lp
 
 __all__ = [
     "ScenarioBatch",
@@ -115,10 +115,7 @@ def sample_disturbances(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if mode == "budget":
-        if budget is None:
-            raise ValueError("budget mode requires a budget")
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
+        check_budget(budget)
     elif mode == "vertex":
         count = _corner_count(tube, count) or count
     elif mode != "uniform":
@@ -309,15 +306,17 @@ def _violations(
     the step minimum (c < 0): the flags and counts of the per-step
     ``PolyhedronH.violations`` check, without its matrix product.
     """
-    series = {"x": x[:, 1:], "u": u, "y": y, "du": u, "dy": y}
+    series = {"x": x, "u": u, "y": y}
     flags = np.zeros(x.shape[0], dtype=bool)
     for lim in limits:
-        z = series[lim.family]
-        if lim.family in ("du", "dy"):
+        vector, diff, steps = family_form(lim.family, u.shape[1])
+        if not len(steps):
+            continue
+        # the family's steps, and one earlier for a step difference
+        z = series[vector][:, steps[0] - diff : steps[-1] + 1]
+        if diff:
             # the rate rows read a few columns: difference only those
             z = np.diff(z[:, :, lim.columns], axis=1)
-            if z.shape[1] == 0:
-                continue
             z_max = z.max(axis=1)                          # (count, rows)
             z_min = z.min(axis=1)
         else:

@@ -139,12 +139,22 @@ def test_budget_mode_requires_gamma(tmp_path):
         (["validate", "--sampling", "budget", "--gamma", "-2", "--samples", "10"], "budget must be >= 0"),
         (["compare", "--methods", "do,erd-budget:-1", "--samples", "10"], "budget must be >= 0"),
         (["validate", "--sampling", "budget", "--samples", "10"], "budget mode requires a budget"),
+        (["tighten", "--mode", "budget", "--gamma", "nan"], "budget must be >= 0, got nan"),
+        (["dispatch", "--mode", "budget", "--gamma", "nan"], "budget must be >= 0, got nan"),
+        (["validate", "--sampling", "budget", "--gamma", "nan", "--samples", "10"], "budget must be >= 0, got nan"),
+        (["compare", "--methods", "do,erd-budget:nan", "--samples", "10"], "budget must be >= 0, got nan"),
     ],
 )
 def test_budget_errors_are_domain_errors(tmp_path, capsys, argv, message):
     code = run([*argv, *HORIZON, "--out", str(tmp_path)])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+def test_infinite_budget_tightens_as_box(tmp_path):
+    for mode in (["box"], ["budget", "--gamma", "inf"]):
+        assert run(["tighten", *HORIZON, "--mode", *mode, "--out", str(tmp_path / mode[0])]) == 0
+    assert read(tmp_path / "budget" / "schedule.csv") == read(tmp_path / "box" / "schedule.csv")
 
 
 def test_bad_flags_exit_usage():

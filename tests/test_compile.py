@@ -14,6 +14,7 @@ from chpdispatch.compile import (
     compile_constraints,
     compile_state_space,
     compile_uncertainty_tube,
+    family_form,
     unit_of,
 )
 from chpdispatch.config_io import load_system
@@ -274,6 +275,17 @@ def test_lossless_storage_conserves_energy():
     # capacity * dE = dt * P exactly when retention and efficiency are 1
     stored = 2.0 * (xs[-1, 0] - xs[0, 0])
     assert stored == pytest.approx(float(np.sum(p_bu)), abs=1e-12)
+
+
+def test_family_forms():
+    forms = {name: family_form(name, 3) for name in ("x", "u", "du", "y", "dy")}
+    assert {name: (v, d, s.tolist()) for name, (v, d, s) in forms.items()} == {
+        "x": ("x", False, [1, 2, 3]),
+        "u": ("u", False, [0, 1, 2]),
+        "du": ("u", True, [1, 2]),
+        "y": ("y", False, [0, 1, 2]),
+        "dy": ("y", True, [1, 2]),
+    }
 
 
 def test_row_count_matches_two_sided_limits(ref24):

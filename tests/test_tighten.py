@@ -270,7 +270,7 @@ class TestGainGuard:
     def test_zero_default(self, ref24):
         gain = choose_gain(ref24.ssm)
         assert np.array_equal(gain.phi, ref24.ssm.A)
-        assert gain.is_zero
+        assert not np.any(gain.k)
 
     def test_unstable_configured_gain_rejected(self):
         rng = np.random.default_rng(0)
@@ -472,10 +472,15 @@ class TestIterativeEquivalence:
     @pytest.mark.parametrize("budget", [2.0, 10.0])
     def test_reference_budget_row_matches_lp_oracle(self, ref24, budget):
         """The reference at T=24, one heat-memory row pair over all 76
-        channels and 24 lags: the budget closed form against its LP."""
+        channels and 24 lags, and one branch-flow pair whose scaled
+        coefficients reach below the simplex's reduced-cost tolerance: the
+        budget closed form against its LP."""
         cons = ref24.constraints
         y = cons.y
-        rows = [y.labels.index(f"supply_temp[3] {side}") for side in ("upper", "lower")]
+        rows = [
+            y.labels.index(f"{row} {side}")
+            for row in ("supply_temp[3]", "branch_flow[23]") for side in ("upper", "lower")
+        ]
         single = ConstraintFamily(
             x=PolyhedronH.empty(cons.x.dimension),
             u=PolyhedronH.empty(cons.u.dimension),
@@ -737,7 +742,7 @@ def test_one_lag_convention_matches_simulated_responses(seed):
     later impulses move nothing."""
     rng = np.random.default_rng(seed)
     ssm, cons, _, gain = random_system(rng, n_x=3, n_u=2, n_y=4, n_w=2, horizon=7, nonzero_gain=True)
-    assert not gain.is_zero
+    assert np.any(gain.k)
     T = ssm.horizon
     responses = family_responses(ssm, gain)
     covered = set()
