@@ -31,6 +31,7 @@ __all__ = [
     "LagBlock",
     "Lags",
     "LiftedOutputMap",
+    "LiftedConvolution",
     "StateSpaceModel",
     "ConstraintFamily",
     "family_form",
@@ -302,34 +303,16 @@ class LiftedOutputMap:
         operand C-contiguous (a transposed one sends an OpenBLAS product
         down a path 2-3x slower): [feed_u; feed_w].T and [heat_u; heat_w].T,
         so that one GEMM over the stacked [u, w] rows gives each, and the
-        heat kernel as one lifted convolution operator.
-
-        That operator is the lower block-triangular Toeplitz matrix whose
-        (tau, t) block is kernel[t - tau].T while it fits
-        ``_TOEPLITZ_MAX_BYTES`` (T=24 and T=48 in the reference, 1.2 and
-        4.7 MB), and otherwise the kernel's real FFT of length 2T, long
-        enough that the circular wrap-around misses the T outputs, taken
-        against one (n_ch, n_mem) matrix per frequency.  The choice reads
-        only T, n_ch and n_mem.  On a Monte Carlo chunk of the reference
-        the GEMM is 5-7x faster than the rFFT at T=24 and 3-4x at T=48,
-        the two meet near T=140 (a 40 MiB operator), and at T=288 the GEMM
-        is 3x slower (162 MiB); the budget stops below the crossover so
-        that the operator, kept for the life of the map, stays small.
-        """
+        heat kernel as one :class:`LiftedConvolution` (a GEMM at T=24 and
+        T=48 in the reference, 1.2 and 4.7 MB; an rFFT from T=96 on)."""
         c = np.ascontiguousarray
         feed = c(np.vstack([self.feed_u.T, self.feed_w.T]))
         if not self._has_memory:
             return _RolloutOperands(feed)
         heat = c(np.vstack([self.heat_u.T, self.heat_w.T]))
-        kernel_t = self.temps.kernel.transpose(0, 2, 1)       # (T, n_ch, n_mem)
-        T, n_ch, n_mem = kernel_t.shape
-        if T * n_ch * T * n_mem * 8 <= _TOEPLITZ_MAX_BYTES:
-            toeplitz = np.zeros((T, n_ch, T, n_mem))
-            tau, t = np.triu_indices(T)
-            toeplitz[tau, :, t, :] = kernel_t[t - tau]
-            return _RolloutOperands(feed, heat, toeplitz=toeplitz.reshape(T * n_ch, T * n_mem))
-        spectra = np.fft.rfft(kernel_t, n=2 * T, axis=0)
-        return _RolloutOperands(feed, heat, spectra=c(spectra))
+        # (T, n_ch, n_mem): heat inputs in, memory rows out
+        memory = LiftedConvolution.of(self.temps.kernel.transpose(0, 2, 1))
+        return _RolloutOperands(feed, heat, memory)
 
     def evaluate(self, u_seq: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
         """All y(t) for sequences shaped (..., T, n_u) and (..., T, n_w) with
@@ -363,37 +346,69 @@ class LiftedOutputMap:
         out = out.reshape(lead + (T, self.n_y))
         out += self.const
         if inputs is not None:
-            mem = ops.convolve(inputs.reshape(-1, T, inputs.shape[1]))
+            mem = ops.memory.apply(inputs.reshape(-1, T, inputs.shape[1]))
             out[..., self.memory_rows] += mem.reshape(lead + mem.shape[1:])
         return out
 
 
-# bytes of the dense Toeplitz heat operator above which evaluate convolves by rFFT
+# bytes of a dense Toeplitz operator above which a LiftedConvolution uses the rFFT
 _TOEPLITZ_MAX_BYTES = 16 * 2**20
 # stacked [u, w] rows per GEMM block in evaluate
 _GEMM_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
-class _RolloutOperands:
-    """The contiguous operands of :meth:`LiftedOutputMap.evaluate`; ``heat``
-    and the convolution operators are None for a map without heat memory,
-    and exactly one of ``toeplitz`` and ``spectra`` is set for one with it."""
+class LiftedConvolution:
+    """The causal convolution out[:, t] = sum_{tau <= t} inputs[:, tau] @ kernel[t - tau]
+    of a (T, n_in, n_out) kernel over a batch, as one lifted operator.
 
-    feed: np.ndarray                       # (n_u + n_w, n_y)
-    heat: np.ndarray | None = None         # (n_u + n_w, n_ch)
-    toeplitz: np.ndarray | None = None     # (T n_ch, T n_mem)
-    spectra: np.ndarray | None = None      # (T + 1, n_ch, n_mem)
+    That operator is the lower block-triangular Toeplitz matrix whose
+    (tau, t) block is kernel[t - tau] while it fits ``_TOEPLITZ_MAX_BYTES``,
+    and otherwise the kernel's real FFT of length 2T, long enough that the
+    circular wrap-around misses the T outputs, taken against one
+    (n_in, n_out) matrix per frequency; exactly one of ``toeplitz`` and
+    ``spectra`` is set.  The choice reads only T, n_in and n_out.  On a
+    Monte Carlo chunk of the reference's heat memory the GEMM is 5-7x
+    faster than the rFFT at T=24 and 3-4x at T=48, the two meet near
+    T=140 (a 40 MiB operator), and at T=288 the GEMM is 3x slower
+    (162 MiB); the budget stops below the crossover so that an operator,
+    kept for the life of its owner, stays small.  The closed-loop state
+    deviation of :func:`chpdispatch.validation.simulate` (kernel Phi^k,
+    n_x = 2 in the reference) is a 2.6 MB GEMM at T=288.
+    """
 
-    def convolve(self, inputs: np.ndarray) -> np.ndarray:
-        """sum_{tau <= t} kernel[t - tau] inputs[:, tau] for inputs (n, T, n_ch),
-        as (n, T, n_mem)."""
+    toeplitz: np.ndarray | None = None     # (T n_in, T n_out)
+    spectra: np.ndarray | None = None      # (T + 1, n_in, n_out)
+
+    @classmethod
+    def of(cls, kernel: np.ndarray) -> "LiftedConvolution":
+        """The operator of a (T, n_in, n_out) kernel."""
+        T, n_in, n_out = kernel.shape
+        if T * n_in * T * n_out * 8 <= _TOEPLITZ_MAX_BYTES:
+            toeplitz = np.zeros((T, n_in, T, n_out))
+            tau, t = np.triu_indices(T)
+            toeplitz[tau, :, t, :] = kernel[t - tau]
+            return cls(toeplitz=toeplitz.reshape(T * n_in, T * n_out))
+        return cls(spectra=np.ascontiguousarray(np.fft.rfft(kernel, n=2 * T, axis=0)))
+
+    def apply(self, inputs: np.ndarray) -> np.ndarray:
+        """The convolution of inputs (n, T, n_in), as (n, T, n_out)."""
         n, T, _ = inputs.shape
         if self.toeplitz is not None:
             return (inputs.reshape(n, -1) @ self.toeplitz).reshape(n, T, -1)
-        spectrum = np.fft.rfft(inputs, n=2 * T, axis=1)                 # (n, T + 1, n_ch)
-        mem = np.fft.irfft(np.matmul(spectrum.transpose(1, 0, 2), self.spectra), n=2 * T, axis=0)
-        return mem[:T].transpose(1, 0, 2)
+        spectrum = np.fft.rfft(inputs, n=2 * T, axis=1)                 # (n, T + 1, n_in)
+        out = np.fft.irfft(np.matmul(spectrum.transpose(1, 0, 2), self.spectra), n=2 * T, axis=0)
+        return out[:T].transpose(1, 0, 2)
+
+
+@dataclass(frozen=True)
+class _RolloutOperands:
+    """The contiguous operands of :meth:`LiftedOutputMap.evaluate`; ``heat``
+    and ``memory`` are None for a map without heat memory."""
+
+    feed: np.ndarray                          # (n_u + n_w, n_y)
+    heat: np.ndarray | None = None            # (n_u + n_w, n_ch)
+    memory: LiftedConvolution | None = None   # kernel (T, n_ch, n_mem)
 
 
 @dataclass(frozen=True)

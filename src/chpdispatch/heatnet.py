@@ -158,6 +158,22 @@ class _StepStructure:
                 "leaves no anchor); add losses, delays, or check the topology"
             )
         self.inv = np.linalg.inv(mat)
+        self.history_ranks = _ranked(self.history_terms)
+        self.ground_ranks = _ranked(self.ground_terms)
+
+
+def _ranked(terms: list[tuple]) -> list[tuple[np.ndarray, ...]]:
+    """(row, ...) terms grouped by their rank among their row's terms, in
+    rank order: group r holds the r-th term of every row that has one, as
+    one array per tuple field, so each group touches a row at most once."""
+    rank: dict[int, int] = {}
+    groups: list[list[tuple]] = []
+    for term in terms:
+        r = rank[term[0]] = rank.get(term[0], -1) + 1
+        if r == len(groups):
+            groups.append([])
+        groups[r].append(term)
+    return [tuple(np.array(field) for field in zip(*group)) for group in groups]
 
 
 def _simulate(
@@ -168,25 +184,40 @@ def _simulate(
     scale: float,
 ) -> np.ndarray:
     """Forward solve over the steps of ``ground``; ``impulse`` (2N, width),
-    heat in MW, enters at t = 0 only.  Returns temperatures (T, 2N, width)."""
+    heat in MW, enters at t = 0 only.  Returns temperatures (T, 2N, width).
+
+    A step reads no frame nearer than the shortest delay, so the steps run
+    in blocks that long (12 steps at 288 x 300 s, 1 at 24 x 3600 s) whose
+    right-hand sides are gathered at once, one term rank at a time.  Every
+    row still adds its history terms, then its ground terms, in the order
+    the step structure lists them, so the frames are bit for bit those of a
+    per-step, per-term loop.
+    """
     n = st.n
+    horizon = len(ground)
     width = 1 if impulse is None else impulse.shape[1]
-    frames = np.zeros((len(ground), 2 * n, width))
-    for t in range(len(ground)):
-        rhs = np.zeros((2 * n, width))
-        for row, tau, weight, slot in st.history_terms:
-            if t >= tau:
-                rhs[row] += weight * frames[t - tau, slot]
-            elif initial is not None:
-                rhs[row] += weight * initial[slot]
-        g = float(ground[t])
-        if g != 0.0:
-            for row, weight in st.ground_terms:
-                rhs[row] += weight * g
-        if t == 0 and impulse is not None:
-            rhs[:n] += impulse[:n] * scale       # source heat adds enthalpy
-            rhs[n:] -= impulse[n:] * scale       # demand removes it on the return
-        frames[t] = st.inv @ rhs
+    delays = [tau for _, tau, _, _ in st.history_terms]
+    depth = max(delays, default=0)
+    # the frames behind ``depth`` frames of history before t = 0: the
+    # initial temperatures, or zero, which adds nothing to a right-hand side
+    padded = np.zeros((depth + horizon, 2 * n, width))
+    if initial is not None:
+        padded[:depth] = initial
+    frames = padded[depth:]
+    block = min(delays, default=horizon)
+    for start in range(0, horizon, block):
+        steps = np.arange(start, min(start + block, horizon))
+        rhs = np.zeros((len(steps), 2 * n, width))
+        here = depth + steps[:, np.newaxis]        # the steps' indices into padded
+        for rows, taus, weights, slots in st.history_ranks:
+            rhs[:, rows] += weights[:, np.newaxis] * padded[here - taus, slots]
+        if ground[steps].any():
+            for rows, weights in st.ground_ranks:
+                rhs[:, rows] += (weights * ground[steps, np.newaxis])[:, :, np.newaxis]
+        if start == 0 and impulse is not None:
+            rhs[0, :n] += impulse[:n] * scale       # source heat adds enthalpy
+            rhs[0, n:] -= impulse[n:] * scale       # demand removes it on the return
+        frames[steps] = np.matmul(st.inv, rhs)
     return frames
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compile import ConstraintFamily, StateSpaceModel, family_form
+from .compile import ConstraintFamily, LiftedConvolution, StateSpaceModel, family_form
 from .dispatch import (
     CostModel, Policy, _cost_weights, deterministic_schedule, realized_cost, solve_dispatch,
 )
@@ -37,8 +37,14 @@ __all__ = [
 ]
 
 VIOLATION_SLACK = 1e-9
-# output elements (samples x steps x outputs) simulated per chunk in evaluate
-EVALUATE_CHUNK_ELEMENTS = 1_000_000
+# output elements (samples x steps x outputs) simulated per chunk in evaluate.
+# With no per-step state loop a chunk has little fixed cost, so 500k rather
+# than 1M halves the chunk's arrays: a 10k-sample T=24 evaluate peaked at
+# 14.9 instead of 28.7 MiB (tracemalloc) at the same speed (256 against
+# 257 ms), and a 2k-sample T=288 one took 739-743 ms, against 684-705 ms at
+# 1M and 797-810 ms with the loop at 1M (2-vCPU x86-64, numpy 2.4.6,
+# OpenBLAS 0.3.31, min of 7-9 calls).
+EVALUATE_CHUNK_ELEMENTS = 500_000
 
 
 @dataclass(frozen=True)
@@ -144,18 +150,48 @@ def simulate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-loop rollout of one (T, n_w) or many (count, T, n_w) disturbance
     sequences; x, u and y carry the same leading axes.  Exact for any gain."""
-    sol = policy.solution
+    return _rollout(policy, ssm, _state_convolution(policy, ssm), w_seq)
+
+
+def _state_convolution(policy: Policy, ssm: StateSpaceModel) -> LiftedConvolution:
+    """The causal convolution with kernel Phi^k, k < T, Phi = A + B K, in
+    row form: block k is (Phi^k).T.  One per policy."""
     T = ssm.horizon
+    phi_t = (ssm.A + ssm.B @ policy.gain.k).T
+    kernel = np.empty((T, ssm.n_x, ssm.n_x))
+    kernel[0] = np.eye(ssm.n_x)
+    known = 1
+    while known < T:
+        # (Phi^(known + j)).T = (Phi^j).T (Phi^known).T: double the powers known
+        more = min(known, T - known)
+        kernel[known : known + more] = kernel[:more] @ (kernel[known - 1] @ phi_t)
+        known += more
+    return LiftedConvolution.of(kernel)
+
+
+def _rollout(
+    policy: Policy, ssm: StateSpaceModel, state: LiftedConvolution, w_seq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`simulate` with the policy's state convolution ``state`` given.
+
+    The affine policy keeps the deviation from the nominal linear whatever
+    the nominal is: x(t+1) - x_nom(t+1) = Phi (x(t) - x_nom(t)) + e(t) with
+    e(t) = D w(t) + A x_nom(t) + B u_nom(t) - x_nom(t+1), which carries the
+    LP's equality residual.  So the deviation is one causal convolution of
+    e with Phi^k, u = u_nom + (x - x_nom) K^T, and y comes from the lifted
+    output map.  Sums run in another order than a per-step loop's, so
+    results agree with it to rounding (about 1e-15 relative).
+    """
+    sol = policy.solution
+    T, n_x = ssm.horizon, ssm.n_x
     w_seq = np.atleast_2d(w_seq)
     lead = w_seq.shape[:-2]
-    x = np.zeros(lead + (T + 1, ssm.n_x))
-    u = np.zeros(lead + (T, ssm.n_u))
-    x[..., 0, :] = sol.x_seq[0]
-    k = policy.gain.k
-    for t in range(T):
-        u[..., t, :] = sol.u_seq[t] + (x[..., t, :] - sol.x_seq[t]) @ k.T
-        x[..., t + 1, :] = x[..., t, :] @ ssm.A.T + u[..., t, :] @ ssm.B.T + w_seq[..., t, :] @ ssm.D.T
-    return x, u, ssm.output.evaluate(u, w_seq)
+    e = w_seq @ ssm.D.T
+    e += sol.x_seq[:-1] @ ssm.A.T + sol.u_seq @ ssm.B.T - sol.x_seq[1:]
+    dev = np.zeros(lead + (T + 1, n_x))                    # x(t) - x_nom(t)
+    dev[..., 1:, :] = state.apply(e.reshape(-1, T, n_x)).reshape(lead + (T, n_x))
+    u = sol.u_seq + dev[..., :-1, :] @ policy.gain.k.T
+    return dev + sol.x_seq, u, ssm.output.evaluate(u, w_seq)
 
 
 @dataclass(frozen=True)
@@ -222,10 +258,11 @@ def evaluate(
     state_min = np.full((ssm.horizon + 1, ssm.n_x), np.inf)
     state_max = np.full((ssm.horizon + 1, ssm.n_x), -np.inf)
 
+    state = _state_convolution(policy, ssm)
     chunk = _chunk_size(ssm, count)
     for start, w_c in zip(range(0, count, chunk), batch.chunks(chunk)):
         rows = slice(start, start + len(w_c))
-        x_c, u_c, y_c = simulate(policy, ssm, w_c)
+        x_c, u_c, y_c = _rollout(policy, ssm, state, w_c)
         violated[rows] = _violations(limits, x_c, u_c, y_c, by_row)
         costs_out[rows] = [realized_cost(ssm, costs, u_s, y_s, weights) for u_s, y_s in zip(u_c, y_c)]
         state_min = np.minimum(state_min, x_c.min(axis=0))

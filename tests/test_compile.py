@@ -180,7 +180,8 @@ def assert_matches_lag_loop(out, lead):
 
 
 def lead_shape(out, lead: str) -> tuple[int, ...]:
-    # "chunk" is the sample count of one Monte Carlo chunk (502 at T=24, 41 at T=288)
+    # "chunk" is a Monte Carlo-sized lead of 1M output elements (502 samples at
+    # T=24, 41 at T=288), two of the chunks that evaluate takes
     chunk = max(1, 1_000_000 // (out.horizon * out.n_y))
     return {"single": (), "grid": (4, 10)}.get(lead, (chunk,))
 
@@ -192,7 +193,7 @@ def test_lifted_map_matches_lag_loop(reference_output, lead):
     out = reference_output
     # the Toeplitz operator up to its byte budget (T=48: 4.7 MB), the rFFT
     # above it (T=96: 18.9 MB)
-    assert (out._rollout_operands.spectra is not None) == (out.horizon >= 96)
+    assert (out._rollout_operands.memory.spectra is not None) == (out.horizon >= 96)
     if lead == "chunk-without-u":
         # a map without control columns: only w drives the outputs
         out = dataclasses.replace(out, feed_u=out.feed_u[:, :0], heat_u=out.heat_u[:, :0])
@@ -216,7 +217,7 @@ def test_both_convolution_methods_match_lag_loop(reference_output, method, lead,
         compile_module, "_TOEPLITZ_MAX_BYTES", toeplitz_bytes if method == "toeplitz" else 0
     )
     out = dataclasses.replace(out)         # operands are built afresh under the budget
-    ops = out._rollout_operands
+    ops = out._rollout_operands.memory
     assert (ops.toeplitz is None, ops.spectra is None) == (method == "rfft", method == "toeplitz")
     assert_matches_lag_loop(out, lead_shape(out, lead))
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chpdispatch import heatnet
 from chpdispatch.heatnet import (
     DelayError,
     HeatTopologyError,
@@ -13,7 +14,7 @@ from chpdispatch.heatnet import (
 from chpdispatch.compile import compile_state_space
 from chpdispatch.config_io import load_system
 from chpdispatch.model import HeatNetwork, HeatPipe
-from chpdispatch.reference import reference_document
+from chpdispatch.reference import build_reference_system, reference_document
 
 C_W = 4182.0
 RHO = 1000.0
@@ -224,6 +225,18 @@ class TestTemperatureMaps:
         worst = _balance_residual(heat, delays, psi, temps, source, demand, 3600.0)
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("horizon, step", [(24, 3600.0), (48, 1800.0), (96, 900.0), (288, 300.0)])
+    def test_blocked_solve_matches_step_loop_bit_for_bit(self, horizon, step, monkeypatch):
+        """The reference's kernel and offset from the blocked solve (blocks
+        of 1 to 12 steps) against the per-step, per-term loop."""
+        heat = build_reference_system(horizon, step).heat
+        delays = compute_delays(heat, step, horizon)
+        got = temperature_maps(heat, delays, horizon, step)
+        monkeypatch.setattr(heatnet, "_simulate", step_loop)
+        want = temperature_maps(heat, delays, horizon, step)
+        assert np.array_equal(got.kernel, want.kernel)
+        assert np.array_equal(got.offset, want.offset)
+
     def test_all_lossless_instant_network_raises(self):
         m = 50.0
         pipe = pipe_with_mass(10.0, m, conductivity=0.0)   # tiny mass: tau = 0
@@ -247,6 +260,29 @@ class TestTemperatureMaps:
         delays = compute_delays(net, 300.0, 2)
         with pytest.raises(HeatTopologyError):
             temperature_maps(net, delays, 2, 300.0)
+
+
+def step_loop(st, ground, initial, impulse, scale):
+    """The forward solve one step and one history or ground term at a time."""
+    n = st.n
+    width = 1 if impulse is None else impulse.shape[1]
+    frames = np.zeros((len(ground), 2 * n, width))
+    for t in range(len(ground)):
+        rhs = np.zeros((2 * n, width))
+        for row, tau, weight, slot in st.history_terms:
+            if t >= tau:
+                rhs[row] += weight * frames[t - tau, slot]
+            elif initial is not None:
+                rhs[row] += weight * initial[slot]
+        g = float(ground[t])
+        if g != 0.0:
+            for row, weight in st.ground_terms:
+                rhs[row] += weight * g
+        if t == 0 and impulse is not None:
+            rhs[:n] += impulse[:n] * scale
+            rhs[n:] -= impulse[n:] * scale
+        frames[t] = st.inv @ rhs
+    return frames
 
 
 def _balance_residual(heat, delays, psi, temps, source, demand, dt):

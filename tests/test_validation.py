@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chpdispatch import compile as compile_module
 from chpdispatch import validation
 from chpdispatch.compile import (
     ConstraintFamily,
@@ -162,6 +163,18 @@ class TestScenarioStream:
             tracemalloc.stop()
         assert peak < 64 * 2**20 < whole
 
+    def test_evaluate_peak_stays_chunk_sized(self, ref24, ref24_box_policy):
+        """A 10k-sample T=24 evaluate under the 500k-element chunk (251
+        samples) peaks near 15 MiB; 1M-element chunks took it to 28.7 MiB."""
+        tracemalloc.start()
+        try:
+            batch = sample_disturbances(ref24.tube, 10_000, seed=5)
+            evaluate(ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
     def test_t288_chunk_memory_stays_chunk_sized(self, ref288):
         ssm, _, tube, _, _ = ref288
         out = dataclasses.replace(ssm.output)     # operands built under the trace
@@ -176,8 +189,8 @@ class TestScenarioStream:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out._rollout_operands.toeplitz is None
-        # the output (41 samples, 7.5 MB) and spectra of the same order
+        assert out._rollout_operands.memory.toeplitz is None
+        # the output (20 samples, 3.8 MB) and spectra of the same order
         assert peak < 4 * y.nbytes < toeplitz
 
 
@@ -250,6 +263,62 @@ class TestSimulate:
             for t in range(ref24.ssm.horizon):
                 assert np.max(np.abs((x[t] - sol.x_seq[t]) - dev)) <= 1e-10
                 dev = phi @ dev + ref24.ssm.D @ (w[t] - ref24.tube.w_center[t])
+
+
+class TestLiftedRollout:
+    """simulate's state convolution against the per-step oracle loop."""
+
+    @staticmethod
+    def off_dynamics_policy(ref24, policy, a):
+        """``policy`` with K = -a pinv(B) and a nominal x_seq moved off the
+        dynamics, so that the rollout has to carry the equality residual."""
+        rng = np.random.default_rng(17)
+        sol = policy.solution
+        x_seq = sol.x_seq + rng.normal(scale=1e-2, size=sol.x_seq.shape) * np.abs(sol.x_seq).max()
+        gain = choose_gain(ref24.ssm, k=-a * np.linalg.pinv(ref24.ssm.B))
+        return Policy(solution=dataclasses.replace(sol, x_seq=x_seq), gain=gain)
+
+    @staticmethod
+    def assert_matches_oracle(policy, ssm, w):
+        got = simulate(policy, ssm, w)
+        want = oracle_rollout(policy, ssm, w)
+        for g, h in zip(got, want):
+            assert g.shape == h.shape
+            np.testing.assert_allclose(g, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
+
+    @pytest.mark.parametrize("a", [0.0, 0.2], ids=["K0", "K-0.2pinvB"])
+    def test_matches_oracle_off_the_dynamics(self, ref24, ref24_box_policy, a):
+        policy = self.off_dynamics_policy(ref24, ref24_box_policy, a)
+        sol = policy.solution
+        ssm = ref24.ssm
+        residual = sol.x_seq[1:] - sol.x_seq[:-1] @ ssm.A.T - sol.u_seq @ ssm.B.T
+        assert np.max(np.abs(residual - ref24.tube.w_center @ ssm.D.T)) > 1e-3
+        w = sample_disturbances(ref24.tube, 40, seed=21).samples
+        self.assert_matches_oracle(policy, ssm, w)
+
+    def test_rfft_side_matches_oracle(self, ref24, ref24_box_policy, monkeypatch):
+        monkeypatch.setattr(compile_module, "_TOEPLITZ_MAX_BYTES", 0)
+        policy = self.off_dynamics_policy(ref24, ref24_box_policy, 0.2)
+        state = validation._state_convolution(policy, ref24.ssm)
+        assert state.toeplitz is None and state.spectra is not None
+        w = sample_disturbances(ref24.tube, 40, seed=22).samples
+        self.assert_matches_oracle(policy, ref24.ssm, w)
+
+    def test_evaluate_builds_the_state_operator_once(self, ref24, ref24_box_policy, monkeypatch):
+        calls = {"build": 0, "rollout": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(validation, "_state_convolution", counted("build", validation._state_convolution))
+        monkeypatch.setattr(validation, "_rollout", counted("rollout", validation._rollout))
+        monkeypatch.setattr(validation, "EVALUATE_CHUNK_ELEMENTS", 30 * 24 * ref24.ssm.n_y)
+        batch = sample_disturbances(ref24.tube, 100, seed=4)
+        evaluate(ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch)
+        assert calls == {"build": 1, "rollout": 4}
 
 
 class TestEvaluate:
@@ -500,7 +569,7 @@ class TestVerdictGate:
 
     def test_t288_rfft(self, ref288):
         ssm, constraints, tube, costs, policy = ref288
-        assert ssm.output._rollout_operands.spectra is not None
+        assert ssm.output._rollout_operands.memory.spectra is not None
         by_row = self.check(policy, ssm, constraints, costs, sample_disturbances(tube, 200, seed=3))
         assert by_row
 
