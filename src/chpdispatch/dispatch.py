@@ -101,9 +101,6 @@ class NominalProblem:
     lp: LinearProgram
     layout: _Layout
 
-    def decode(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.layout.decode(z)
-
 
 @dataclass(frozen=True)
 class DispatchSolution:
@@ -302,7 +299,7 @@ def solve_dispatch(
             iterations=sol.iterations,
             blocking_rows=sol.blocking_rows,
         )
-    x_seq, u_seq = prob.decode(sol.z)
+    x_seq, u_seq = prob.layout.decode(sol.z)
     y_seq = ssm.output.evaluate(u_seq, np.atleast_2d(w_center))
     kkt = check_kkt(prob.lp, sol)
     return DispatchSolution(

@@ -3,11 +3,13 @@
 Every constrained quantity (state, control, analysis row, or a ramp
 difference) deviates from its nominal trajectory by a linear function of
 the disturbance deviations; the worst case of that linear functional over
-the per-step boxes is a 1-norm (dual of the infinity norm), and over the
-budget set it is the partial-sum form of the box/1-norm intersection.
-Reductions are computed directly from those closed forms; the iterative
-variant solves one support LP per row and step instead and exists as an
-oracle and timing baseline.
+the budget set (the per-step boxes, each channel's normalized 1-norm over
+the horizon capped at the budget) is the partial-sum form of its scaled
+coefficients.  The box set is the budget set at an infinite budget, where
+that form is the 1-norm (dual of the infinity norm).  Reductions are
+computed directly from that closed form; the iterative variant solves one
+support LP per row and step instead and exists as an oracle and timing
+baseline.
 """
 
 from __future__ import annotations
@@ -278,24 +280,17 @@ def _lag_convolve(fam: _DeviationFamily, terms) -> np.ndarray:
     return rho
 
 
-def _box_reductions(fam: _DeviationFamily, widths: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Closed-form reductions: per row, sum over channels of |theta| W plus
-    the deviation-center term."""
-    values = [b.values for b in fam.lags.blocks]
-    return _lag_convolve(fam, [([np.abs(v) for v in values], widths), (values, shifts)])
-
-
-def _budget_reductions(
+def _reductions(
     fam: _DeviationFamily, widths: np.ndarray, shifts: np.ndarray, budget: float
 ) -> np.ndarray:
     """gamma per channel on the scaled coefficient sequences, plus offsets.
 
     A (row, channel) pair with at most max(floor(budget), 1) nonzero lags
-    (any number for an infinite budget, which gives the box reductions),
-    counted over every block, has gamma equal to min(budget, 1) times its
-    1-norm, so those pairs (the identically zero ones included) go through
-    the box convolution.  The remaining pairs are ranked one step at a
-    time, where step t's scaled sequence is the contiguous product
+    (any number for an infinite budget, the box set), counted over every
+    block, has gamma equal to min(budget, 1) times its 1-norm, so those
+    pairs (the identically zero ones included) go through one convolution
+    of |theta| W.  The remaining pairs are ranked one step at a time,
+    where step t's scaled sequence is the contiguous product
     |lag[t-count+1:t+1]| * widths[count-1::-1] with count = min(t + 1, T);
     mirrored rows reuse their partner's gamma.
     """
@@ -361,11 +356,11 @@ def _empty_rows(fam: _DeviationFamily, rho: np.ndarray) -> tuple[np.ndarray, tup
     return empties, (fam.name, int(fam.steps[si]), label.rsplit(" upper", 1)[0])
 
 
-def _resolve_budget(mode: str, budget: float | None) -> float | None:
-    """The budget a tightening mode uses (None for box), validated."""
+def _resolve_budget(mode: str, budget: float | None) -> float:
+    """The budget a tightening mode uses (infinite for box), validated."""
     if mode not in ("box", "budget"):
         raise ValueError(f"unknown mode {mode!r}")
-    return None if mode == "box" else check_budget(budget)
+    return np.inf if mode == "box" else check_budget(budget)
 
 
 def _schedule(
@@ -402,8 +397,9 @@ def tighten(
 ) -> TightenedSchedule:
     """Direct dual-norm tightening of every family over the horizon.
 
-    mode "box" uses the per-step interval sets; mode "budget" additionally
-    caps each channel's normalized 1-norm over the horizon at ``budget``.
+    mode "box" uses the per-step interval sets, the budget set at an
+    infinite budget; mode "budget" additionally caps each channel's
+    normalized 1-norm over the horizon at ``budget``.
     Off-center forecast intervals enter exactly, through the center shift
     of the deviation set.
     """
@@ -412,10 +408,7 @@ def tighten(
     shifts = tube.center_shift
 
     fams = _build_families(ssm, constraints, gain)
-    if mode == "box":
-        reductions = [_box_reductions(fam, widths, shifts) for fam in fams]
-    else:
-        reductions = [_budget_reductions(fam, widths, shifts, budget) for fam in fams]
+    reductions = [_reductions(fam, widths, shifts, budget) for fam in fams]
     return _schedule(fams, reductions, on_empty)
 
 
@@ -453,7 +446,7 @@ def tighten_iterative_lp(
                     continue
                 rho[si, ri] = _support_lp(
                     coeff, widths[:count], shifts[:count],
-                    dev_lo[:count], dev_hi[:count], mode, budget,
+                    dev_lo[:count], dev_hi[:count], budget,
                 )
         reductions.append(rho)
     return _schedule(fams, reductions, on_empty)
@@ -465,17 +458,16 @@ def _support_lp(
     shifts: np.ndarray,
     dev_lo: np.ndarray,
     dev_hi: np.ndarray,
-    mode: str,
-    budget: float | None,
+    budget: float,
 ) -> float:
     """sup of sum_tau coeff(tau) . w_dev(tau) over the tube, via the bundled simplex."""
     count, n_w = coeff.shape
-    if mode == "box":
-        # variables: the deviation sequence itself, pure bounds
+    if budget == np.inf:
+        # the box set: variables are the deviation sequence itself, pure bounds
         lp = LinearProgram(c=-coeff.ravel(), lower=dev_lo.ravel(), upper=dev_hi.ravel())
         offset, scale = 0.0, 1.0
     else:
-        # budget: normalized deviations w = p - q with p, q in [0, 1] and one
+        # normalized deviations w = p - q with p, q in [0, 1] and one
         # row per channel, sum over tau of (p + q) <= budget.  Every such w
         # lies in the budget set, and every w there is max(w, 0) - max(-w, 0),
         # so the LP's value is the set's support.  The objective is divided

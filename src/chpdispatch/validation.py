@@ -157,7 +157,7 @@ def _state_convolution(policy: Policy, ssm: StateSpaceModel) -> LiftedConvolutio
     """The causal convolution with kernel Phi^k, k < T, Phi = A + B K, in
     row form: block k is (Phi^k).T.  One per policy."""
     T = ssm.horizon
-    phi_t = (ssm.A + ssm.B @ policy.gain.k).T
+    phi_t = policy.gain.phi.T
     kernel = np.empty((T, ssm.n_x, ssm.n_x))
     kernel[0] = np.eye(ssm.n_x)
     known = 1

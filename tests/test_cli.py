@@ -152,9 +152,14 @@ def test_budget_errors_are_domain_errors(tmp_path, capsys, argv, message):
 
 
 def test_infinite_budget_tightens_as_box(tmp_path):
-    for mode in (["box"], ["budget", "--gamma", "inf"]):
-        assert run(["tighten", *HORIZON, "--mode", *mode, "--out", str(tmp_path / mode[0])]) == 0
-    assert read(tmp_path / "budget" / "schedule.csv") == read(tmp_path / "box" / "schedule.csv")
+    """Directly and through the LP oracle, an infinite budget gives the box schedule."""
+    for oracle in ([], ["--iterative"]):
+        schedules = {}
+        for mode in (["box"], ["budget", "--gamma", "inf"]):
+            out = tmp_path / f"{mode[0]}{len(oracle)}"
+            assert run(["tighten", *HORIZON, *oracle, "--mode", *mode, "--out", str(out)]) == 0
+            schedules[mode[0]] = read(out / "schedule.csv")
+        assert schedules["budget"] == schedules["box"]
 
 
 def test_bad_flags_exit_usage():

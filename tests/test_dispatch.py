@@ -36,7 +36,7 @@ def test_output_rows_reproduce_lifted_map(ref24, ref_sched):
     prob = build_nominal_problem(ref24.ssm, ref_sched, ref24.costs, ref24.tube.w_center)
     lp = prob.lp
     z = np.random.default_rng(11).normal(size=lp.n_vars)
-    x, u = prob.decode(z)
+    x, u = prob.layout.decode(z)
     y = ref24.ssm.output.evaluate(u, ref24.tube.w_center)
     residual = lp.g @ z - lp.h
 

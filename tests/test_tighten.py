@@ -26,9 +26,9 @@ from chpdispatch.tighten import (
     FeedbackGain,
     TighteningInfeasibleError,
     _build_families,
-    _budget_reductions,
     _DeviationFamily,
     _lag_convolve,
+    _reductions,
     _support_lp,
     choose_gain,
     gamma,
@@ -324,12 +324,21 @@ class TestTighten:
                     assert float(diff.max()) <= 1e-12
 
     def test_budget_at_horizon_recovers_box(self, ref24):
-        box = tighten(ref24.ssm, ref24.constraints, ref24.tube, ref24.gain, mode="box")
-        bud = tighten(
-            ref24.ssm, ref24.constraints, ref24.tube, ref24.gain,
-            mode="budget", budget=float(ref24.ssm.horizon),
-        )
-        assert box.max_abs_difference(bud) <= 1e-10
+        """A budget of T or more is inactive: the reductions are the box's
+        bit for bit, sign bits included, on the reference and on systems
+        with heat memory and a nonzero gain."""
+        rng = np.random.default_rng(20)
+        cases = [(ref24.ssm, ref24.constraints, ref24.tube, ref24.gain)]
+        for _ in range(6):
+            cases.append(random_system(rng, n_x=3, horizon=int(rng.integers(2, 10))))
+        for ssm, cons, tube, gain in cases:
+            box = tighten(ssm, cons, tube, gain, mode="box", on_empty="flag")
+            for budget in (float(ssm.horizon), np.inf):
+                bud = tighten(ssm, cons, tube, gain, mode="budget", budget=budget, on_empty="flag")
+                for name, fam in box.families.items():
+                    got = bud.family(name).reductions
+                    assert got.shape == fam.reductions.shape
+                    assert got.tobytes() == fam.reductions.tobytes(), (name, budget)
 
     def test_monotone_in_interval_widening(self, ref24):
         base = tighten(ref24.ssm, ref24.constraints, ref24.tube, ref24.gain)
@@ -462,12 +471,18 @@ class TestIterativeEquivalence:
             coeff[:, trial % n_w] = 0.0                       # an all-zero channel
             widths = rng.uniform(0.0, 2.0, size=(count, n_w))
             shifts = rng.uniform(-0.5, 0.5, size=(count, n_w))
+            center = float(np.sum(coeff * shifts))
             for budget in (0.0, 0.5, 2.5, float(count), count + 1.5):
-                got = _support_lp(coeff, widths, shifts, shifts - widths, shifts + widths, "budget", budget)
+                got = _support_lp(coeff, widths, shifts, shifts - widths, shifts + widths, budget)
                 want = sum(budget_lp_oracle(coeff[:, j] * widths[:, j], budget) for j in range(n_w))
-                want += float(np.sum(coeff * shifts))
+                want += center
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
                 assert shapes[-1] == ((n_w, 2 * count * n_w), 0)
+            # an infinite budget is the box set: a rowless LP over w_dev
+            got = _support_lp(coeff, widths, shifts, shifts - widths, shifts + widths, np.inf)
+            want = float(np.sum(np.abs(coeff) * widths)) + center
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert shapes[-1] == ((0, count * n_w), 0)
 
     @pytest.mark.parametrize("budget", [2.0, 10.0])
     def test_reference_budget_row_matches_lp_oracle(self, ref24, budget):
@@ -727,7 +742,7 @@ def test_lag_convolve_skips_only_zero_lags(first, stop, n_lags, zero_first, mem,
     assert np.all(got[-1] != 0.0)
     lag = dense_lags(fam)
     budget = 2.0
-    reductions = _budget_reductions(fam, widths, shifts, budget)
+    reductions = _reductions(fam, widths, shifts, budget)
     for si, t in enumerate(fam.steps.tolist()):
         count = min(t + 1, len(widths))
         theta = lag[t - np.arange(count)].transpose(1, 0, 2)      # (M, count, n_w)
