@@ -226,9 +226,7 @@ def _dispatch_command(args) -> int:
             "lp_variables": problem.lp.n_vars,
             "lp_inequalities": problem.lp.n_ineq,
             "lp_equalities": problem.lp.n_eq,
-            "lp_nonzeros": int(
-                np.count_nonzero(problem.lp.g) + np.count_nonzero(problem.lp.a_eq)
-            ),
+            "lp_nonzeros": sum(m.nnz for m in problem.lp.csr),
             "kkt_gap": sol.kkt.gap,
             "kkt_primal_residual": sol.kkt.primal_residual,
             "kkt_dual_residual": sol.kkt.dual_residual,

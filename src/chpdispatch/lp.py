@@ -6,11 +6,17 @@ bundled bounded-variable revised simplex (two-phase, Dantzig pricing with a
 Bland's-rule fallback against cycling) that shares no code with HiGHS; it
 is the independent oracle behind the iterative tightening baseline and the
 tests.  ``check_kkt`` audits a point from either solver.
+
+G and A are held dense.  HiGHS and the CLI's nonzero count read one CSR copy
+of them (``LinearProgram.csr``), converted on first use and kept with the
+LP; the simplex oracle and the KKT audit read the dense arrays, so a fault
+in the conversion shows up in the audit instead of being certified by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +36,8 @@ HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}   # linprog statu
 # HiGHS's own primal feasibility tolerance: elastic slack below it is zero
 ELASTIC_TOL = 1e-7
 MAX_BLOCKING_ROWS = 20
+# rows of a dense matrix scanned at once when it is converted to CSR
+CSR_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,40 @@ class LinearProgram:
     @property
     def n_eq(self) -> int:
         return self.a_eq.shape[0]
+
+    @cached_property
+    def csr(self):
+        """(G, A) as ``scipy.sparse.csr_array``, converted on first use and kept.
+
+        Each equals ``csr_array`` of the dense matrix: the same ``indptr``,
+        sorted ``indices``, ``data`` and index dtype.
+        """
+        return _to_csr(self.g), _to_csr(self.a_eq)
+
+
+def _to_csr(dense: np.ndarray):
+    """``csr_array(dense)``, scanning ``CSR_BLOCK_BYTES`` of rows at a time.
+
+    Besides the result, only one block's nonzero mask and positions are
+    live at a time.  ``flatnonzero`` walks the mask in row-major order, so
+    each row's column indices come out sorted.
+    """
+    from scipy.sparse import csr_array
+
+    n_rows, n_cols = dense.shape
+    step = max(1, CSR_BLOCK_BYTES // max(1, n_cols * dense.itemsize))
+    # int32 when any nonzero count fits it; else csr_array narrows by content
+    idx = np.int32 if n_rows * n_cols <= np.iinfo(np.int32).max else np.intp
+    counts, cols, vals = [np.zeros(1, idx)], [np.zeros(0, idx)], [np.zeros(0)]
+    for r0 in range(0, n_rows, step):
+        block = dense[r0 : r0 + step]
+        mask = block != 0
+        counts.append(np.count_nonzero(mask, axis=1).astype(idx))
+        flat = np.flatnonzero(mask)
+        cols.append((flat % n_cols).astype(idx))
+        vals.append(block.ravel()[flat])
+    indptr = np.cumsum(np.concatenate(counts), dtype=idx)
+    return csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=dense.shape)
 
 
 @dataclass(frozen=True)
@@ -370,18 +412,17 @@ def import_solver() -> None:
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with HiGHS (``scipy.optimize.linprog``); deterministic for identical inputs.
 
-    G and A become sparse only for the call.  Row duals are the negated
-    HiGHS marginals, so ``check_kkt`` audits the point like any other.  An
-    infeasible problem names its blocking rows through an elastic re-solve.
+    HiGHS reads G and A from ``lp.csr``.  Row duals are the negated HiGHS
+    marginals, so ``check_kkt`` audits the point against the dense G and A
+    like any other.  An infeasible problem names its blocking rows through
+    an elastic re-solve.
     """
-    from scipy.sparse import csr_array
-
-    g, a = csr_array(lp.g), csr_array(lp.a_eq)
+    g, a = lp.csr
     res = _highs(lp.c, g, lp.h, a, lp.b_eq, lp.lower, lp.upper)
     status = HIGHS_STATUS.get(res.status, "failed")
     if status == "infeasible":
         return LpSolution(
-            status=status, iterations=res.nit, blocking_rows=_elastic_blocking_rows(lp, g, a)
+            status=status, iterations=res.nit, blocking_rows=_elastic_blocking_rows(lp)
         )
     if status != "optimal":
         return LpSolution(status=status, iterations=res.nit)
@@ -397,7 +438,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     )
 
 
-def _elastic_blocking_rows(lp: LinearProgram, g, a) -> tuple[str, ...]:
+def _elastic_blocking_rows(lp: LinearProgram) -> tuple[str, ...]:
     """Rows that must give way for the LP to become feasible.
 
     Every inequality gets a slack s >= 0 and every equality a pair p, q >= 0
@@ -408,6 +449,7 @@ def _elastic_blocking_rows(lp: LinearProgram, g, a) -> tuple[str, ...]:
     from scipy.sparse import coo_array, eye_array, hstack
 
     n, m1, m2 = lp.n_vars, lp.n_ineq, lp.n_eq
+    g, a = lp.csr
     g_el = hstack([g, -eye_array(m1), coo_array((m1, 2 * m2))], format="csr")
     a_el = hstack([a, coo_array((m2, m1)), eye_array(m2), -eye_array(m2)], format="csr")
     n_slack = m1 + 2 * m2

@@ -3,8 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+import chpdispatch.cli as cli_module
 from chpdispatch.cli import run
 
 HORIZON = ["--horizon", "12", "--dt", "3600"]
@@ -55,6 +57,23 @@ def test_dispatch_writes_summary_and_trajectory(tmp_path):
     timings = json.loads(read(tmp_path / "timings.json"))
     assert "solve_seconds" in timings
     assert timings["solver"] == "highs" and isinstance(timings["iterations"], int)
+
+
+def test_dispatch_lp_nonzeros_count_the_built_lp(tmp_path, monkeypatch):
+    built = []
+    build = cli_module.build_nominal_problem
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli_module, "build_nominal_problem", recording)
+    assert run(["dispatch", "--horizon", "24", "--dt", "3600", "--out", str(tmp_path)]) == 0
+    (problem,) = built
+    summary = json.loads(read(tmp_path / "summary.json"))
+    assert summary["lp_nonzeros"] == (
+        np.count_nonzero(problem.lp.g) + np.count_nonzero(problem.lp.a_eq)
+    )
 
 
 def test_dispatch_plot_data(tmp_path):
