@@ -24,10 +24,10 @@ from .compile import (
 from .config_io import document_text, load_system
 from .dispatch import (
     CostModel,
+    LpTooLargeError,
     Policy,
     build_nominal_problem,
     deterministic_schedule,
-    lp_shape,
     solve_dispatch,
 )
 from .lp import import_solver
@@ -167,6 +167,11 @@ def run(argv: list[str] | None = None) -> int:
     # DomainError derive from ValueError or RuntimeError
     try:
         return _dispatch_command(args)
+    except LpTooLargeError as exc:
+        # the horizon/dt flags apply to the bundled reference only
+        coarser = "fewer, longer steps in the config" if args.config else "--horizon 24 --dt 3600"
+        print(f"error: {exc}; use a coarser horizon (e.g. {coarser})", file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -197,15 +202,6 @@ def _dispatch_command(args) -> int:
 
         import_solver()
         schedule, label = _schedule(args, ssm, constraints, tube, gain)
-        n_ineq, n_eq, n_vars = lp_shape(ssm, schedule)
-        if (n_ineq + n_eq) * n_vars * 8 > 3e8:
-            # the horizon/dt flags apply to the bundled reference only
-            coarser = "fewer, longer steps in the config" if args.config else "--horizon 24 --dt 3600"
-            print(
-                f"warning: dense dispatch LP of {n_ineq} inequality and {n_eq} equality"
-                f" rows over {n_vars} variables; consider a coarser horizon (e.g. {coarser})",
-                file=sys.stderr,
-            )
         t0 = time.perf_counter()
         problem = build_nominal_problem(ssm, schedule, costs, tube.w_center)
         t_build = time.perf_counter() - t0

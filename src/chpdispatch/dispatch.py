@@ -19,11 +19,19 @@ from .model import SystemModel
 from .sets import UncertaintyTube
 from .tighten import FeedbackGain, TightenedSchedule, tighten
 
+# Largest CSR of the inequality matrix G that ``build_nominal_problem``
+# builds: 64 MiB.  The bundled reference's G takes 8 MB at 288 steps of
+# 300 s and 41 MB at 1152 steps of 75 s, where one ``dispatch`` peaks at
+# 244 MB and 855 MB of RSS.
+MAX_LP_BYTES = 1 << 26
+
 __all__ = [
     "CostModel",
     "NominalProblem",
     "DispatchSolution",
     "Policy",
+    "LpTooLargeError",
+    "MAX_LP_BYTES",
     "build_nominal_problem",
     "lp_shape",
     "solve_dispatch",
@@ -156,11 +164,14 @@ def build_nominal_problem(
 ) -> NominalProblem:
     """Assemble the nominal LP over x(0..T), u(0..T-1), and epigraph terms.
 
-    The dense G and A are allocated once and filled block by block.  Every
-    family, and the epigraph rows as rows over y, takes its coefficients
-    from the :class:`~chpdispatch.compile.Lags` of its row selector over the
-    vector it is decided by (``StateSpaceModel.row_blocks``), written from
-    each step's latest to its earliest nonzero lag.
+    G and A are collected as COO triplets and built as one CSR each; no
+    dense matrix of the LP's size is made.  Every family, and the epigraph
+    rows as rows over y, takes its coefficients from the
+    :class:`~chpdispatch.compile.Lags` of its row selector over the vector
+    it is decided by (``StateSpaceModel.row_blocks``): each step's rows
+    read the lags that fall inside the horizon.  Before any triplet is
+    made, a G whose CSR would exceed ``MAX_LP_BYTES`` is refused with
+    :class:`LpTooLargeError`.
     """
     T = ssm.horizon
     n_x, n_u = ssm.n_x, ssm.n_u
@@ -174,6 +185,8 @@ def build_nominal_problem(
 
     prob = _Layout.of(ssm)
     n_ineq, n_eq, n_vars = lp_shape(ssm, schedule)
+    blocks = _ineq_blocks(ssm, schedule, epi_rows)
+    _check_size(n_ineq, blocks, T)
     u0 = prob.u_slice(0).start
     e0 = prob.epi_slice(0).start
     y_base = ssm.output.evaluate(np.zeros((T, n_u)), w_center)   # w and constant parts
@@ -185,23 +198,20 @@ def build_nominal_problem(
 
     # equalities: initial state, dynamics, reactive balance
     x_names = [man.name("x", i)[1] for i in range(n_x)]
-    a_eq = np.zeros((n_eq, n_vars))
+    x_at, u_at = np.arange(T + 1) * n_x, u0 + np.arange(T) * n_u
+    eq = [
+        _placed(np.eye(n_x), x_at, x_at),
+        _placed(-ssm.A, x_at[1:], x_at[:-1]),
+        _placed(-ssm.B, x_at[1:], u_at),
+    ]
     b_eq = np.zeros(n_eq)
-    a_eq[:n_x, prob.x_slice(0)] = np.eye(n_x)
     b_eq[:n_x] = ssm.x0
     eq_labels = [f"initial_state[{name}]" for name in x_names]
     # row by row, D[i] . w(t): a matrix product rounds the last bit differently
-    dyn_rhs = [[d_row @ w for d_row in ssm.D] for w in w_center]
-    for t in range(T):
-        rows = slice((t + 1) * n_x, (t + 2) * n_x)
-        a_eq[rows, prob.x_slice(t + 1)] = np.eye(n_x)
-        a_eq[rows, prob.x_slice(t)] -= ssm.A
-        a_eq[rows, prob.u_slice(t)] -= ssm.B
-        b_eq[rows] = dyn_rhs[t]
-        eq_labels += [f"dynamics[{name}][t={t}]" for name in x_names]
+    b_eq[n_x : (T + 1) * n_x] = np.ravel([[d_row @ w for d_row in ssm.D] for w in w_center])
+    eq_labels += [f"dynamics[{name}][t={t}]" for t in range(T) for name in x_names]
     if prob.reactive:
-        for t in range(T):
-            a_eq[(T + 1) * n_x + t, prob.u_slice(t)] = ssm.reactive_u
+        eq.append(_placed(ssm.reactive_u[np.newaxis], (T + 1) * n_x + np.arange(T), u_at))
         b_eq[(T + 1) * n_x :] = [-ssm.reactive_w @ w for w in w_center]
         eq_labels += [f"reactive_balance[t={t}]" for t in range(T)]
 
@@ -210,50 +220,112 @@ def build_nominal_problem(
     # Every family reads x or u through the lags of its row selector, from
     # step t - latest lag, or step 0, to step t - earliest lag, and the w and
     # constant parts of y move to the right-hand side
+    ineq = []
+    h = np.zeros(n_ineq)
+    g_labels: list[str] = []
+    row = 0
+    for name, s, rhs, labels, aux, lags in blocks:
+        vector, diff, steps = family_form(name, T)
+        if vector == "y":
+            rhs = rhs - (y_base[steps] - y_base[steps - 1] if diff else y_base[steps]) @ s.T
+        h[row : row + rhs.size] = rhs.ravel()
+        width, at = (n_x, prob.x_slice) if vector == "x" else (n_u, prob.u_slice)
+        n = lags.stop
+        # (M, n width): lag n - 1 over the first width columns, lag 0 over the
+        # last; step t places it from step t - n + 1 on and drops the lags
+        # that reach before step 0
+        rev = lags.dense(n)[::-1].transpose(1, 0, 2).reshape(len(s), n * width)
+        row_at = row + np.arange(len(steps)) * len(s)
+        ineq.append(_placed(
+            rev, row_at, at(0).start + (steps - n + 1) * width, np.maximum(n - 1 - steps, 0) * width
+        ))
+        if aux is not None:
+            ineq.append(_placed(aux, row_at, e0 + steps * n_epi))
+        g_labels += [f"{prefix}[t={t}]{suffix}" for t in steps.tolist() for prefix, suffix in labels]
+        row += rhs.size
+
+    lp = LinearProgram(
+        c=c,
+        g=_csr(ineq, (n_ineq, n_vars)) if n_ineq else None,
+        h=h if n_ineq else None,
+        a_eq=_csr(eq, (n_eq, n_vars)) if n_eq else None,
+        b_eq=b_eq if n_eq else None,
+        row_labels=tuple(g_labels),
+        eq_labels=tuple(eq_labels),
+    )
+    return NominalProblem(lp=lp, layout=prob)
+
+
+class LpTooLargeError(ValueError):
+    """The dispatch LP's G would not fit ``MAX_LP_BYTES`` as CSR."""
+
+
+def _ineq_blocks(ssm: StateSpaceModel, schedule: TightenedSchedule, epi_rows: np.ndarray) -> list:
+    """(family, selector, right-hand side, labels, epigraph auxiliary block,
+    lags) for each row block of G, in row order: the families, then the
+    epigraph rows as rows over y."""
+    T, man = ssm.horizon, ssm.manifest
+    n_epi = len(epi_rows)
     epi_s = np.zeros((2 * n_epi, ssm.n_y))
     epi_s[np.arange(2 * n_epi), np.repeat(epi_rows, 2)] = np.tile([1.0, -1.0], n_epi)
     epi_aux = np.repeat(-np.eye(n_epi), 2, axis=0)
     epi_labels = [(f"epigraph[{man.name('y', r)[1]}]", f" {side}") for r in epi_rows for side in ("pos", "neg")]
-    # (family, selector, right-hand side, labels, epigraph auxiliary columns)
     blocks = [
         (name, fam.polyhedron.coefficients, fam.tightened_bounds,
          [(name, f" {label}") for label in fam.polyhedron.labels], None)
         for name, fam in schedule.families.items()
     ]
     blocks.append(("y", epi_s, np.zeros((T, 2 * n_epi)), epi_labels, epi_aux))
-    g = np.zeros((n_ineq, n_vars))
-    h = np.zeros(n_ineq)
-    g_labels: list[str] = []
-    row = 0
-    for name, s, rhs, labels, aux in blocks:
-        vector, diff, steps = family_form(name, T)
-        if vector == "y":
-            rhs = rhs - (y_base[steps] - y_base[steps - 1] if diff else y_base[steps]) @ s.T
-        h[row : row + rhs.size] = rhs.ravel()
-        width, at = (n_x, prob.x_slice) if vector == "x" else (n_u, prob.u_slice)
-        lags = Lags.of(*ssm.row_blocks(vector, s), diff=diff)
-        n, first = lags.stop, lags.first
-        # (M, n width): lag n - 1 over the first width columns, lag 0 over the last
-        rev = lags.dense(n)[::-1].transpose(1, 0, 2).reshape(len(s), n * width)
-        for t in steps.tolist():
-            lo = max(t - n + 1, 0)               # the earliest step read
-            start, block = at(lo).start, rev[:, (lo - t + n - 1) * width : (n - first) * width]
-            g[row : row + len(s), start : start + block.shape[1]] = block
-            if aux is not None:
-                g[row : row + len(s), prob.epi_slice(t)] = aux
-            g_labels += [f"{prefix}[t={t}]{suffix}" for prefix, suffix in labels]
-            row += len(s)
+    out = []
+    for block in blocks:
+        vector, diff, _ = family_form(block[0], T)
+        out.append((*block, Lags.of(*ssm.row_blocks(vector, block[1]), diff=diff)))
+    return out
 
-    lp = LinearProgram(
-        c=c,
-        g=g if n_ineq else None,
-        h=h if n_ineq else None,
-        a_eq=a_eq if n_eq else None,
-        b_eq=b_eq if n_eq else None,
-        row_labels=tuple(g_labels),
-        eq_labels=tuple(eq_labels),
-    )
-    return NominalProblem(lp=lp, layout=prob)
+
+def _check_size(n_ineq: int, blocks: list, horizon: int) -> None:
+    """Raise :class:`LpTooLargeError` if G's CSR (float64 values, int32
+    indices) would exceed ``MAX_LP_BYTES``.  G's nonzeros are counted
+    exactly: a row block at step t holds its lags 0..t, and each epigraph
+    row one auxiliary entry."""
+    nnz = 0
+    for name, _, _, _, aux, lags in blocks:
+        steps = family_form(name, horizon)[2]
+        per_lag = np.zeros(lags.stop + 1, dtype=np.int64)
+        for b in lags.blocks:
+            per_lag[b.first + 1 : b.first + 1 + len(b.values)] = np.count_nonzero(b.values, axis=(1, 2))
+        nnz += int(np.cumsum(per_lag)[np.minimum(steps + 1, lags.stop)].sum())
+        nnz += 0 if aux is None else int(np.count_nonzero(aux)) * len(steps)
+    size = 12 * nnz + 4 * (n_ineq + 1)
+    if size > MAX_LP_BYTES:
+        raise LpTooLargeError(
+            f"dispatch LP of {n_ineq} inequality rows with {nnz} nonzeros needs"
+            f" {size} bytes as CSR, more than the limit of {MAX_LP_BYTES}"
+        )
+
+
+def _placed(block: np.ndarray, row_at: np.ndarray, col_at: np.ndarray, skip=None):
+    """COO triplets of the nonzeros of ``block`` placed with its top-left
+    corner at (row_at[i], col_at[i]) for each i, without its first
+    ``skip[i]`` columns (none if ``skip`` is None)."""
+    cols, rows = np.nonzero(block.T)       # sorted by column: a skip drops a prefix
+    first = np.zeros(len(row_at), np.intp) if skip is None else np.searchsorted(cols, skip)
+    counts = len(cols) - first
+    i = np.repeat(np.arange(len(row_at)), counts)
+    k = np.arange(i.size) + np.repeat(first + counts - np.cumsum(counts), counts)
+    rows, cols = rows[k], cols[k]
+    return row_at[i] + rows, col_at[i] + cols, block[rows, cols]
+
+
+def _csr(triplets: list, shape: tuple[int, int]):
+    """One ``csr_array`` from COO triplets of nonzeros, with int32 indices
+    where they fit, as ``csr_array`` of the dense matrix has them; built
+    from triplets, it sums duplicates and sorts each row's indices."""
+    from scipy.sparse import csr_array
+
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
+    index = np.int32 if max(*shape, vals.size) <= np.iinfo(np.int32).max else np.int64
+    return csr_array((vals, (rows.astype(index), cols.astype(index))), shape=shape)
 
 
 def _cost_weights(ssm: StateSpaceModel, costs: CostModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

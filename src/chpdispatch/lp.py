@@ -7,10 +7,11 @@ Bland's-rule fallback against cycling) that shares no code with HiGHS; it
 is the independent oracle behind the iterative tightening baseline and the
 tests.  ``check_kkt`` audits a point from either solver.
 
-G and A are held dense.  HiGHS and the CLI's nonzero count read one CSR copy
-of them (``LinearProgram.csr``), converted on first use and kept with the
-LP; the simplex oracle and the KKT audit read the dense arrays, so a fault
-in the conversion shows up in the audit instead of being certified by it.
+An LP stores each of G and A once, in the form it was given: the dispatch
+LP as CSR, the small oracle LPs dense.  HiGHS, the KKT audit and the CLI's
+nonzero count read the sparse view (``LinearProgram.csr``); the simplex
+oracle reads the dense views (``g``, ``a_eq``).  A view in the other form
+is made on first use and kept.
 """
 
 from __future__ import annotations
@@ -36,35 +37,37 @@ HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}   # linprog statu
 # HiGHS's own primal feasibility tolerance: elastic slack below it is zero
 ELASTIC_TOL = 1e-7
 MAX_BLOCKING_ROWS = 20
-# rows of a dense matrix scanned at once when it is converted to CSR
-CSR_BLOCK_BYTES = 1 << 22
 
 
-@dataclass(frozen=True)
 class LinearProgram:
-    """min c^T z  s.t.  G z <= h,  A z = b,  lower <= z <= upper."""
+    """min c^T z  s.t.  G z <= h,  A z = b,  lower <= z <= upper.
 
-    c: np.ndarray
-    g: np.ndarray | None = None
-    h: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    row_labels: tuple[str, ...] = ()
-    eq_labels: tuple[str, ...] = ()
+    G (``g``) and A (``a_eq``) may each be given dense or as a
+    ``scipy.sparse`` matrix, and each is stored once, as given.
+    """
 
-    def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float)
+    def __init__(
+        self,
+        c: np.ndarray,
+        g=None,
+        h: np.ndarray | None = None,
+        a_eq=None,
+        b_eq: np.ndarray | None = None,
+        lower: np.ndarray | None = None,
+        upper: np.ndarray | None = None,
+        row_labels: tuple[str, ...] = (),
+        eq_labels: tuple[str, ...] = (),
+    ) -> None:
+        c = np.asarray(c, dtype=float)
         n = c.shape[0]
-        g = np.zeros((0, n)) if self.g is None else np.atleast_2d(np.asarray(self.g, dtype=float))
-        h = np.zeros(0) if self.h is None else np.atleast_1d(np.asarray(self.h, dtype=float))
-        a = np.zeros((0, n)) if self.a_eq is None else np.atleast_2d(np.asarray(self.a_eq, dtype=float))
-        b = np.zeros(0) if self.b_eq is None else np.atleast_1d(np.asarray(self.b_eq, dtype=float))
-        lo = np.full(n, -np.inf) if self.lower is None else np.asarray(self.lower, dtype=float)
-        up = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
+        g, a = _stored(g, n), _stored(a_eq, n)
+        h = np.zeros(0) if h is None else np.atleast_1d(np.asarray(h, dtype=float))
+        b = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
+        lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+        up = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
         for name, val in (("c", c), ("g", g), ("h", h), ("a_eq", a), ("b_eq", b)):
-            if val.size and not np.all(np.isfinite(val)):
+            values = val if isinstance(val, np.ndarray) else val.data
+            if values.size and not np.all(np.isfinite(values)):
                 raise ValueError(f"non-finite coefficients in {name}")
         if g.shape != (h.shape[0], n) or a.shape != (b.shape[0], n):
             raise ValueError(
@@ -75,13 +78,9 @@ class LinearProgram:
             raise ValueError("bound arrays must match the variable count")
         if np.any(lo > up):
             raise ValueError("some lower bound exceeds its upper bound")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "a_eq", a)
-        object.__setattr__(self, "b_eq", b)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
+        self.c, self.h, self.b_eq, self.lower, self.upper = c, h, b, lo, up
+        self._g, self._a_eq = g, a
+        self.row_labels, self.eq_labels = tuple(row_labels), tuple(eq_labels)
 
     @property
     def n_vars(self) -> int:
@@ -89,45 +88,49 @@ class LinearProgram:
 
     @property
     def n_ineq(self) -> int:
-        return self.g.shape[0]
+        return self._g.shape[0]
 
     @property
     def n_eq(self) -> int:
-        return self.a_eq.shape[0]
+        return self._a_eq.shape[0]
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """G as a dense array: the stored one, or the sparse one expanded on first use."""
+        return _dense(self._g)
+
+    @cached_property
+    def a_eq(self) -> np.ndarray:
+        """A as a dense array: the stored one, or the sparse one expanded on first use."""
+        return _dense(self._a_eq)
 
     @cached_property
     def csr(self):
-        """(G, A) as ``scipy.sparse.csr_array``, converted on first use and kept.
-
-        Each equals ``csr_array`` of the dense matrix: the same ``indptr``,
-        sorted ``indices``, ``data`` and index dtype.
-        """
-        return _to_csr(self.g), _to_csr(self.a_eq)
+        """(G, A) as CSR: the stored matrices, or ``csr_array`` of the dense
+        ones, converted on first use."""
+        return _sparse(self._g), _sparse(self._a_eq)
 
 
-def _to_csr(dense: np.ndarray):
-    """``csr_array(dense)``, scanning ``CSR_BLOCK_BYTES`` of rows at a time.
+def _stored(matrix, n: int):
+    """G or A as given: a CSR matrix if sparse, else a 2-D float array
+    (with no rows for None)."""
+    if matrix is None:
+        return np.zeros((0, n))
+    if hasattr(matrix, "tocsr"):     # any scipy.sparse matrix or array
+        return matrix.tocsr().astype(float, copy=False)
+    return np.atleast_2d(np.asarray(matrix, dtype=float))
 
-    Besides the result, only one block's nonzero mask and positions are
-    live at a time.  ``flatnonzero`` walks the mask in row-major order, so
-    each row's column indices come out sorted.
-    """
+
+def _dense(matrix) -> np.ndarray:
+    return matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
+
+
+def _sparse(matrix):
+    if not isinstance(matrix, np.ndarray):
+        return matrix
     from scipy.sparse import csr_array
 
-    n_rows, n_cols = dense.shape
-    step = max(1, CSR_BLOCK_BYTES // max(1, n_cols * dense.itemsize))
-    # int32 when any nonzero count fits it; else csr_array narrows by content
-    idx = np.int32 if n_rows * n_cols <= np.iinfo(np.int32).max else np.intp
-    counts, cols, vals = [np.zeros(1, idx)], [np.zeros(0, idx)], [np.zeros(0)]
-    for r0 in range(0, n_rows, step):
-        block = dense[r0 : r0 + step]
-        mask = block != 0
-        counts.append(np.count_nonzero(mask, axis=1).astype(idx))
-        flat = np.flatnonzero(mask)
-        cols.append((flat % n_cols).astype(idx))
-        vals.append(block.ravel()[flat])
-    indptr = np.cumsum(np.concatenate(counts), dtype=idx)
-    return csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=dense.shape)
+    return csr_array(matrix)
 
 
 @dataclass(frozen=True)
@@ -413,9 +416,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with HiGHS (``scipy.optimize.linprog``); deterministic for identical inputs.
 
     HiGHS reads G and A from ``lp.csr``.  Row duals are the negated HiGHS
-    marginals, so ``check_kkt`` audits the point against the dense G and A
-    like any other.  An infeasible problem names its blocking rows through
-    an elastic re-solve.
+    marginals, so ``check_kkt`` audits the point like any other.  An
+    infeasible problem names its blocking rows through an elastic re-solve.
     """
     g, a = lp.csr
     res = _highs(lp.c, g, lp.h, a, lp.b_eq, lp.lower, lp.upper)
@@ -479,23 +481,28 @@ def _row_label(lp: LinearProgram, i: int) -> str:
 
 
 def check_kkt(lp: LinearProgram, sol: LpSolution) -> KktReport:
-    """Primal/dual residuals, complementary slackness, and the duality gap."""
+    """Primal/dual residuals, complementary slackness, and the duality gap.
+
+    The products read G and A as built (``lp.csr``), not as any solver
+    received them.
+    """
     if not sol.is_optimal:
         raise ValueError("KKT audit requires an optimal solution")
     z = sol.z
+    g, a = lp.csr
     lam = sol.duals_ineq if sol.duals_ineq is not None else np.zeros(lp.n_ineq)
     nu = sol.duals_eq if sol.duals_eq is not None else np.zeros(lp.n_eq)
 
     primal = 0.0
-    slack = lp.h - lp.g @ z
+    slack = lp.h - g @ z
     primal = max(primal, float(np.max(-slack, initial=0.0)))
-    primal = max(primal, float(np.max(np.abs(lp.a_eq @ z - lp.b_eq), initial=0.0)))
+    primal = max(primal, float(np.max(np.abs(a @ z - lp.b_eq), initial=0.0)))
     finite_l = np.isfinite(lp.lower)
     finite_u = np.isfinite(lp.upper)
     primal = max(primal, float(np.max(lp.lower[finite_l] - z[finite_l], initial=0.0)))
     primal = max(primal, float(np.max(z[finite_u] - lp.upper[finite_u], initial=0.0)))
 
-    r = lp.c + lp.g.T @ lam + lp.a_eq.T @ nu
+    r = lp.c + g.T @ lam + a.T @ nu
     mu_l = np.where(finite_l, np.maximum(r, 0.0), 0.0)
     mu_u = np.where(finite_u, np.maximum(-r, 0.0), 0.0)
     dual = float(np.max(np.abs(r - mu_l + mu_u), initial=0.0))

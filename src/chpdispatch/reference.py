@@ -241,10 +241,10 @@ def reference_document(horizon: int = 288, step_seconds: float = 300.0) -> dict:
 
 
 def _interval(center: np.ndarray, width: np.ndarray) -> dict:
+    # Python's round on Python floats: np.round rounds some values differently
     return {
-        "min": [round(float(v), 12) for v in center - width],
-        "center": [round(float(v), 12) for v in center],
-        "max": [round(float(v), 12) for v in center + width],
+        key: [round(v, 12) for v in values.tolist()]
+        for key, values in (("min", center - width), ("center", center), ("max", center + width))
     }
 
 

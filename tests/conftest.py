@@ -14,11 +14,18 @@ from chpdispatch.compile import (
     compile_state_space,
     compile_uncertainty_tube,
 )
-from chpdispatch.dispatch import CostModel, Policy, deterministic_schedule, solve_dispatch
+from chpdispatch.dispatch import (
+    CostModel,
+    Policy,
+    build_nominal_problem,
+    deterministic_schedule,
+    solve_dispatch,
+)
+from chpdispatch.lp import LinearProgram
 from chpdispatch.model import SystemModel
 from chpdispatch.reference import build_reference_system
 from chpdispatch.sets import UncertaintyTube
-from chpdispatch.tighten import FeedbackGain, choose_gain, tighten
+from chpdispatch.tighten import FeedbackGain, TightenedSchedule, choose_gain, tighten
 
 
 @dataclass
@@ -29,6 +36,36 @@ class Pipeline:
     tube: UncertaintyTube
     gain: FeedbackGain
     costs: CostModel
+
+
+@dataclass
+class ReferenceDay:
+    """The reference over one day, its DO, box and budget:10 schedules and
+    their nominal LPs."""
+
+    ssm: StateSpaceModel
+    tube: UncertaintyTube
+    costs: CostModel
+    schedules: dict[str, TightenedSchedule]
+    lps: dict[str, LinearProgram]
+
+
+@pytest.fixture(scope="session", params=[24, 48])
+def reference_day(request) -> ReferenceDay:
+    T = request.param
+    model = build_reference_system(T, 86400.0 / T)
+    ssm = compile_state_space(model)
+    cons = compile_constraints(model, ssm)
+    tube = compile_uncertainty_tube(model)
+    gain = choose_gain(ssm)
+    costs = CostModel.from_model(model)
+    schedules = {
+        "do": deterministic_schedule(ssm, cons, tube, gain),
+        "erd-box": tighten(ssm, cons, tube, gain, mode="box"),
+        "erd-budget:10": tighten(ssm, cons, tube, gain, mode="budget", budget=10.0),
+    }
+    lps = {k: build_nominal_problem(ssm, s, costs, tube.w_center).lp for k, s in schedules.items()}
+    return ReferenceDay(ssm, tube, costs, schedules, lps)
 
 
 @pytest.fixture(scope="session")

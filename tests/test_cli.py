@@ -8,6 +8,7 @@ import pytest
 
 import chpdispatch.cli as cli_module
 from chpdispatch.cli import run
+from chpdispatch.lp import LinearProgram
 
 HORIZON = ["--horizon", "12", "--dt", "3600"]
 
@@ -74,6 +75,23 @@ def test_dispatch_lp_nonzeros_count_the_built_lp(tmp_path, monkeypatch):
     assert summary["lp_nonzeros"] == (
         np.count_nonzero(problem.lp.g) + np.count_nonzero(problem.lp.a_eq)
     )
+
+
+def test_dispatch_validate_compare_never_read_a_dense_lp(tmp_path, monkeypatch):
+    """The dispatch LP stays sparse from its build to the KKT audit: no
+    command on the dispatch path reads the dense view of G or A."""
+
+    def refuse(lp):
+        raise AssertionError("dense view of a dispatch LP read")
+
+    monkeypatch.setattr(LinearProgram, "g", property(refuse))
+    monkeypatch.setattr(LinearProgram, "a_eq", property(refuse))
+    day = ["--horizon", "24", "--dt", "3600"]
+    assert run(["dispatch", *day, "--out", str(tmp_path / "d")]) == 0
+    assert run(["validate", *day, "--samples", "200", "--out", str(tmp_path / "v")]) == 0
+    methods = "do,erd-box,erd-budget:10"
+    assert run(["compare", *day, "--methods", methods, "--samples", "200",
+                "--out", str(tmp_path / "c")]) == 0
 
 
 def test_dispatch_plot_data(tmp_path):
@@ -232,19 +250,24 @@ def test_zero_override_with_config_is_domain_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("with_config", [False, True], ids=["reference", "config"])
-def test_dense_lp_warning_hint_fits_the_input(tmp_path, capsys, monkeypatch, with_config):
-    """The dense-LP warning suggests only what the run accepts: the
-    horizon/dt flags for the bundled reference, an edit of the config
-    otherwise (which refuses those flags)."""
+def test_lp_size_guard_hint_fits_the_input(tmp_path, capsys, monkeypatch, with_config):
+    """An LP over the size limit is refused before it is built, with a hint
+    that suggests only what the run accepts: the horizon/dt flags for the
+    bundled reference, an edit of the config otherwise (which refuses those
+    flags)."""
     source = HORIZON
     if with_config:
         assert run(["reference", *HORIZON, "--out", str(tmp_path)]) == 0
         source = ["--config", str(tmp_path / "reference.yaml")]
-    monkeypatch.setattr("chpdispatch.cli.lp_shape", lambda ssm, schedule: (10**6, 10**3, 10**4))
+    placed = []
+    monkeypatch.setattr("chpdispatch.dispatch._placed", lambda *args: placed.append(args))
+    monkeypatch.setattr("chpdispatch.dispatch.MAX_LP_BYTES", 1000)
     capsys.readouterr()
-    assert run(["dispatch", *source, "--out", str(tmp_path)]) == 0
+    assert run(["dispatch", *source, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "warning: dense dispatch LP of 1000000 inequality and 1000 equality rows over 10000" in err
+    assert not placed   # refused before any triplet of G or A was made
+    # the T=12 reference's G: 12 B per nonzero and 4 B per row pointer
+    assert "dispatch LP of 2318 inequality rows with 10372 nonzeros needs 133740 bytes" in err
     if with_config:
         assert "fewer, longer steps in the config" in err and "--horizon" not in err
         code = run(["dispatch", *source, "--horizon", "24", "--dt", "3600", "--out", str(tmp_path)])

@@ -11,21 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chpdispatch
-import chpdispatch.lp as lp_module
-from chpdispatch.compile import (
-    compile_constraints,
-    compile_state_space,
-    compile_uncertainty_tube,
-)
-from chpdispatch.dispatch import (
-    CostModel,
-    build_nominal_problem,
-    deterministic_schedule,
-    solve_dispatch,
-)
 from chpdispatch.lp import LinearProgram, check_kkt, solve_lp, solve_lp_simplex
-from chpdispatch.reference import build_reference_system
-from chpdispatch.tighten import choose_gain, tighten
 
 
 def brute_force_optimum(lp: LinearProgram) -> float | None:
@@ -299,45 +285,13 @@ def assert_csr_of(matrix, dense):
         assert np.array_equal(got, want), attr
 
 
-@pytest.fixture(scope="module", params=[24, 48])
-def reference_lps(request):
-    """The DO, erd-box and erd-budget:10 nominal LPs of the reference."""
-    model = build_reference_system(request.param, 86400.0 / request.param)
-    ssm = compile_state_space(model)
-    cons = compile_constraints(model, ssm)
-    tube = compile_uncertainty_tube(model)
-    gain = choose_gain(ssm)
-    costs = CostModel.from_model(model)
-    schedules = {
-        "do": deterministic_schedule(ssm, cons, tube, gain),
-        "erd-box": tighten(ssm, cons, tube, gain, mode="box"),
-        "erd-budget:10": tighten(ssm, cons, tube, gain, mode="budget", budget=10.0),
-    }
-    return {
-        label: build_nominal_problem(ssm, sched, costs, tube.w_center).lp
-        for label, sched in schedules.items()
-    }
-
-
 @pytest.mark.parametrize("method", ["do", "erd-box", "erd-budget:10"])
-def test_cached_csr_equals_scipy_conversion_on_reference_lps(reference_lps, method):
-    lp = reference_lps[method]
+def test_cached_csr_equals_scipy_conversion_on_reference_lps(reference_day, method):
+    lp = reference_day.lps[method]
     g, a = lp.csr
-    assert lp.csr[0] is g   # converted once
+    assert lp.csr[0] is g   # the stored matrix, not a copy
     assert_csr_of(g, lp.g)
     assert_csr_of(a, lp.a_eq)
-
-
-def test_cached_csr_across_row_blocks_with_zero_rows_at_the_edge():
-    n = 4
-    rows_per_block = lp_module.CSR_BLOCK_BYTES // (n * 8)
-    m = 2 * rows_per_block + 3
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.4)
-    g[rows_per_block - 2 : rows_per_block + 2] = 0.0   # straddles the first edge
-    g[-1] = 0.0
-    lp = LinearProgram(c=np.ones(n), g=g, h=np.ones(m))
-    assert_csr_of(lp.csr[0], lp.g)
 
 
 def test_cached_csr_of_rowless_lp():
@@ -348,28 +302,16 @@ def test_cached_csr_of_rowless_lp():
     assert_csr_of(a, lp.a_eq)
 
 
-def test_kkt_audit_catches_a_nonzero_lost_in_conversion(ref24, monkeypatch):
-    schedule = tighten(ref24.ssm, ref24.constraints, ref24.tube, ref24.gain, mode="box")
-    problem = build_nominal_problem(ref24.ssm, schedule, ref24.costs, ref24.tube.w_center)
-    g = problem.lp.g
-    # G's last stored nonzero is the epigraph term's -1 in the last epigraph
-    # row: without it that row stops bounding the term, and the LP HiGHS
-    # sees stays feasible but is not the LP the audit reads
-    assert problem.lp.row_labels[-1].startswith("epigraph")
-    convert = lp_module._to_csr
+def test_sparse_lp_is_stored_once_and_checked():
+    from scipy.sparse import csr_array
 
-    def dropping(dense):
-        out = convert(dense)
-        if dense is g:
-            out.data[-1] = 0.0
-            out.eliminate_zeros()
-        return out
-
-    monkeypatch.setattr(lp_module, "_to_csr", dropping)
-    sol = solve_dispatch(
-        ref24.ssm, schedule, ref24.costs, ref24.tube.w_center, problem=problem
-    )
-    assert sol.is_optimal
-    kkt = sol.kkt
-    worst = max(kkt.primal_residual, kkt.dual_residual, kkt.complementarity, kkt.gap)
-    assert worst > 1e-7
+    g = csr_array(np.array([[1.0, 1.0], [1.0, -1.0]]))
+    lp = LinearProgram(c=np.array([-1.0, -2.0]), g=g, h=np.array([4.0, 1.0]),
+                       lower=np.zeros(2), upper=np.full(2, 3.0))
+    assert lp.csr[0] is g
+    assert lp.g is lp.g and np.array_equal(lp.g, g.toarray())   # expanded once
+    assert lp.a_eq.shape == (0, 2) and lp.csr[1].shape == (0, 2)
+    assert solve_lp_simplex(lp).objective == pytest.approx(solve_lp(lp).objective)
+    g.data[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite coefficients in g"):
+        LinearProgram(c=np.ones(2), g=g, h=np.ones(2))
