@@ -14,6 +14,7 @@ from .compile import (
 from .config_io import ConfigError, ModelValidationError, dump_system, load_system
 from .dispatch import (
     CostModel,
+    DispatchError,
     DispatchSolution,
     Policy,
     build_nominal_problem,

@@ -29,11 +29,11 @@ __all__ = [
     "CostModel",
     "NominalProblem",
     "DispatchSolution",
+    "DispatchError",
     "Policy",
     "LpTooLargeError",
     "MAX_LP_BYTES",
     "build_nominal_problem",
-    "lp_shape",
     "solve_dispatch",
     "deterministic_schedule",
     "realized_cost",
@@ -112,21 +112,25 @@ class NominalProblem:
 
 @dataclass(frozen=True)
 class DispatchSolution:
-    """Nominal trajectories, objective, and the audit of the solve."""
+    """Nominal trajectories, objective, and the KKT audit of an optimal solve."""
 
-    status: str
-    objective: float | None
-    x_seq: np.ndarray | None
-    u_seq: np.ndarray | None
-    y_seq: np.ndarray | None
+    objective: float
+    x_seq: np.ndarray
+    u_seq: np.ndarray
+    y_seq: np.ndarray
     schedule: TightenedSchedule
-    kkt: KktReport | None
+    kkt: KktReport
     iterations: int
-    blocking_rows: tuple[str, ...] = ()
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
+
+class DispatchError(RuntimeError):
+    """The dispatch LP has no optimal solution: ``status`` is the solver's
+    verdict, ``blocking_rows`` the rows its elastic re-solve names."""
+
+    def __init__(self, status: str, blocking_rows: tuple[str, ...]) -> None:
+        super().__init__(f"dispatch {status}; blocking rows: {', '.join(blocking_rows) or 'n/a'}")
+        self.status = status
+        self.blocking_rows = blocking_rows
 
 
 @dataclass(frozen=True)
@@ -143,17 +147,6 @@ def deterministic_schedule(
     """Tightening disabled: the schedule produced by a zero-width tube."""
     degenerate = UncertaintyTube(tube.w_center, tube.w_center, tube.w_center)
     return tighten(ssm, constraints, degenerate, gain, mode="box")
-
-
-def lp_shape(ssm: StateSpaceModel, schedule: TightenedSchedule) -> tuple[int, int, int]:
-    """(n_ineq, n_eq, n_vars) of the nominal LP: one inequality per tightened
-    row and step plus a pos and a neg epigraph row per priced flow and step;
-    the initial state, the dynamics and any reactive balance as equalities."""
-    layout = _Layout.of(ssm)
-    T = layout.horizon
-    n_ineq = sum(fam.reductions.size for fam in schedule.families.values()) + 2 * layout.n_epi * T
-    n_eq = (T + 1) * layout.n_x + (T if layout.reactive else 0)
-    return n_ineq, n_eq, layout.n_vars
 
 
 def build_nominal_problem(
@@ -184,8 +177,12 @@ def build_nominal_problem(
     n_epi = len(epi_rows)
 
     prob = _Layout.of(ssm)
-    n_ineq, n_eq, n_vars = lp_shape(ssm, schedule)
+    n_vars = prob.n_vars
     blocks = _ineq_blocks(ssm, schedule, epi_rows)
+    # one inequality per tightened row and step, the epigraph rows included;
+    # the initial state, the dynamics and any reactive balance as equalities
+    n_ineq = sum(block[2].size for block in blocks)
+    n_eq = (T + 1) * n_x + (T if prob.reactive else 0)
     _check_size(n_ineq, blocks, T)
     u0 = prob.u_slice(0).start
     e0 = prob.epi_slice(0).start
@@ -356,32 +353,22 @@ def solve_dispatch(
     w_center: np.ndarray,
     problem: NominalProblem | None = None,
 ) -> DispatchSolution:
-    """Build and solve the nominal problem; audit the result with KKT."""
+    """Build (unless ``problem`` is given) and solve the nominal problem, and
+    audit the optimum with KKT.  A solve that ends other than optimal raises
+    :class:`DispatchError` with the solver's status and blocking rows."""
     prob = problem or build_nominal_problem(ssm, schedule, costs, w_center)
     sol = solve_lp(prob.lp)
     if not sol.is_optimal:
-        return DispatchSolution(
-            status=sol.status,
-            objective=None,
-            x_seq=None,
-            u_seq=None,
-            y_seq=None,
-            schedule=schedule,
-            kkt=None,
-            iterations=sol.iterations,
-            blocking_rows=sol.blocking_rows,
-        )
+        raise DispatchError(sol.status, sol.blocking_rows)
     x_seq, u_seq = prob.layout.decode(sol.z)
     y_seq = ssm.output.evaluate(u_seq, np.atleast_2d(w_center))
-    kkt = check_kkt(prob.lp, sol)
     return DispatchSolution(
-        status="optimal",
         objective=sol.objective,
         x_seq=x_seq,
         u_seq=u_seq,
         y_seq=y_seq,
         schedule=schedule,
-        kkt=kkt,
+        kkt=check_kkt(prob.lp, sol),
         iterations=sol.iterations,
     )
 

@@ -490,8 +490,7 @@ def check_kkt(lp: LinearProgram, sol: LpSolution) -> KktReport:
         raise ValueError("KKT audit requires an optimal solution")
     z = sol.z
     g, a = lp.csr
-    lam = sol.duals_ineq if sol.duals_ineq is not None else np.zeros(lp.n_ineq)
-    nu = sol.duals_eq if sol.duals_eq is not None else np.zeros(lp.n_eq)
+    lam, nu = sol.duals_ineq, sol.duals_eq
 
     primal = 0.0
     slack = lp.h - g @ z

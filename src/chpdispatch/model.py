@@ -389,9 +389,12 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
 
     if T < 1:
         d.append(Diagnostic("horizon", f"must be >= 1, got {T}"))
-    if model.step_seconds <= 0:
+    # the checks read "not x > 0": NaN fails every comparison, so it is refused
+    if not model.step_seconds > 0:
         d.append(Diagnostic("step_seconds", f"must be > 0, got {model.step_seconds}"))
-    if model.base_mva <= 0:
+    elif not np.isfinite(model.step_seconds):
+        d.append(Diagnostic("step_seconds", f"must be finite, got {model.step_seconds}"))
+    if not model.base_mva > 0:
         d.append(Diagnostic("base_mva", f"must be > 0, got {model.base_mva}"))
 
     for kind in ("chp_units", "heat_pumps", "batteries", "tanks", "pv_units"):
@@ -418,10 +421,11 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
         check_node(p, c.heat_node)
         _check_interval(d, p + ".p", c.p_min, c.p_max)
         _check_interval(d, p + ".q", c.q_min, c.q_max)
-        if c.power_to_heat <= 0:
+        if not c.power_to_heat > 0:
             d.append(Diagnostic(p, f"power_to_heat must be > 0, got {c.power_to_heat}"))
-        if c.ramp_p < 0 or c.ramp_q < 0:
-            d.append(Diagnostic(p, "ramp limits must be >= 0"))
+        for ramp in ("ramp_p", "ramp_q"):
+            if not getattr(c, ramp) >= 0:
+                d.append(Diagnostic(p, f"{ramp} must be >= 0, got {getattr(c, ramp)}"))
 
     for h in model.heat_pumps:
         p = f"heat_pumps[{h.name}]"
@@ -430,10 +434,10 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
         _check_interval(d, p + ".p", h.p_min, h.p_max)
         if not 0 < h.power_factor <= 1:
             d.append(Diagnostic(p, f"power factor must be in (0, 1], got {h.power_factor}"))
-        if h.power_to_heat <= 0:
+        if not h.power_to_heat > 0:
             d.append(Diagnostic(p, f"power_to_heat must be > 0, got {h.power_to_heat}"))
-        if h.ramp_p < 0:
-            d.append(Diagnostic(p, "ramp limit must be >= 0"))
+        if not h.ramp_p >= 0:
+            d.append(Diagnostic(p, f"ramp_p must be >= 0, got {h.ramp_p}"))
 
     for kind, units in (("batteries", model.batteries), ("tanks", model.tanks)):
         for s in units:
@@ -448,7 +452,7 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
                 eta = getattr(s, eta_name)
                 if not 0 < eta <= 1:
                     d.append(Diagnostic(p, f"{eta_name} must be in (0, 1], got {eta}"))
-            if s.capacity <= 0:
+            if not s.capacity > 0:
                 d.append(Diagnostic(p, f"capacity must be > 0, got {s.capacity}"))
             _check_interval(d, p + ".e", s.e_min, s.e_max)
             if not s.e_min <= s.e_initial <= s.e_max:
@@ -463,9 +467,9 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
             hi = s.p_max if kind == "batteries" else s.h_max
             if not lo <= 0 <= hi:
                 d.append(Diagnostic(p, f"power bounds [{lo}, {hi}] must bracket zero"))
-            ramp = s.ramp_p if kind == "batteries" else s.ramp_h
-            if ramp < 0:
-                d.append(Diagnostic(p, "ramp limit must be >= 0"))
+            ramp = "ramp_p" if kind == "batteries" else "ramp_h"
+            if not getattr(s, ramp) >= 0:
+                d.append(Diagnostic(p, f"{ramp} must be >= 0, got {getattr(s, ramp)}"))
 
     for pv in model.pv_units:
         check_bus(f"pv_units[{pv.name}]", pv.bus)
@@ -497,8 +501,8 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
                 d.append(Diagnostic(p, f"references bus {b} of a {net.n_bus}-bus network"))
         if br.from_bus == br.to_bus:
             d.append(Diagnostic(p, "self-loop branch"))
-        if br.flow_max <= 0:
-            d.append(Diagnostic(p, "flow_max must be > 0"))
+        if not br.flow_max > 0:
+            d.append(Diagnostic(p, f"flow_max must be > 0, got {br.flow_max}"))
     if not net.is_connected():
         d.append(Diagnostic("electric", "network is not connected"))
 
@@ -512,7 +516,7 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
         for i in range(heat.n_node):
             _check_interval(d, f"heat.node[{i}].ts", heat.ts_min[i], heat.ts_max[i])
             _check_interval(d, f"heat.node[{i}].tr", heat.tr_min[i], heat.tr_max[i])
-        if np.any(heat.inflow < 0) or np.any(heat.outflow < 0):
+        if not (np.all(heat.inflow >= 0) and np.all(heat.outflow >= 0)):
             d.append(Diagnostic("heat", "inflow/outflow mass rates must be >= 0"))
         for j, pipe in enumerate(heat.pipes):
             p = f"heat.pipe[{j}]"
@@ -520,12 +524,14 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
                 if not 0 <= n < heat.n_node:
                     d.append(Diagnostic(p, f"references node {n} of a {heat.n_node}-node network"))
             expected = np.pi * pipe.diameter**2 / 4.0
-            if abs(pipe.cross_section - expected) > 1e-9 * max(expected, 1e-30):
+            if not abs(pipe.cross_section - expected) <= 1e-9 * max(expected, 1e-30):
                 d.append(
                     Diagnostic(p, f"cross_section {pipe.cross_section} != pi*D^2/4 = {expected}")
                 )
-            if pipe.mass_flow <= 0:
-                d.append(Diagnostic(p, "mass flow must stay > 0 (constant-flow regime)"))
+            if not pipe.mass_flow > 0:
+                d.append(Diagnostic(
+                    p, f"mass_flow must stay > 0 (constant-flow regime), got {pipe.mass_flow}"
+                ))
         if heat.is_tree():
             d.extend(_check_heat_mass_balance(heat))
 
@@ -548,7 +554,7 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
                     )
                 )
         if lo.shape == mid.shape == hi.shape and lo.size:
-            bad = np.argwhere((lo > mid + 1e-12) | (mid > hi + 1e-12))
+            bad = np.argwhere(~((lo <= mid + 1e-12) & (mid <= hi + 1e-12)))
             for row, t in bad[:8]:
                 d.append(
                     Diagnostic(

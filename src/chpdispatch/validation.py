@@ -19,7 +19,8 @@ import numpy as np
 
 from .compile import ConstraintFamily, LiftedConvolution, StateSpaceModel, family_form
 from .dispatch import (
-    CostModel, Policy, _cost_weights, deterministic_schedule, realized_cost, solve_dispatch,
+    CostModel, DispatchError, Policy, _cost_weights, deterministic_schedule, realized_cost,
+    solve_dispatch,
 )
 from .sets import UncertaintyTube
 from .tighten import FeedbackGain, TightenedSchedule, check_budget, tighten, tighten_iterative_lp
@@ -232,22 +233,18 @@ def evaluate(
     constraints: ConstraintFamily,
     costs: CostModel,
     batch: ScenarioBatch,
-    return_traces: bool = False,
-):
+) -> tuple[Metrics, dict[str, np.ndarray]]:
     """Check every sample against the original families and price it.
 
     Each chunk of the batch is drawn right before it is rolled out, checked
     and priced, so no array holds the whole batch.  Prices are taken one
     sample per ``realized_cost`` call (``bench/test_bench.py`` counts those
     calls per sample, although ``realized_cost`` takes a whole chunk), with
-    the cost weights built once per call of ``evaluate``.  With
-    ``return_traces`` the per-sample violation flags and realized costs, and
-    the per-step state envelope over the batch ("state_min"/"state_max",
-    (T+1, n_x)), come back alongside the aggregate metrics.
+    the cost weights built once per call of ``evaluate``.  Returns the
+    aggregate metrics and the traces: the per-sample violation flags
+    ("violated") and realized costs ("realized_cost"), and the per-step
+    state envelope over the batch ("state_min"/"state_max", (T+1, n_x)).
     """
-    sol = policy.solution
-    if not sol.is_optimal:
-        raise ValueError("cannot evaluate a non-optimal dispatch solution")
     count = batch.count
     limits = _limit_rows(constraints)
     weights = _cost_weights(ssm, costs)
@@ -268,24 +265,21 @@ def evaluate(
         state_min = np.minimum(state_min, x_c.min(axis=0))
         state_max = np.maximum(state_max, x_c.max(axis=0))
 
-    j_nom = sol.objective
     metrics = Metrics(
         violation_rate=float(np.mean(violated)),
-        j_nominal=float(j_nom),
+        j_nominal=float(policy.solution.objective),
         j_expected=float(np.mean(costs_out)),
         j_max=float(np.max(costs_out)),
         j_min=float(np.min(costs_out)),
         sample_count=count,
         violations_by_row=by_row,
     )
-    if return_traces:
-        return metrics, {
-            "violated": violated,
-            "realized_cost": costs_out,
-            "state_min": state_min,
-            "state_max": state_max,
-        }
-    return metrics
+    return metrics, {
+        "violated": violated,
+        "realized_cost": costs_out,
+        "state_min": state_min,
+        "state_max": state_max,
+    }
 
 
 def _chunk_size(ssm: StateSpaceModel, count: int) -> int:
@@ -463,14 +457,12 @@ def compare_methods(
         schedule = _schedule_for(kind, gamma_value, ssm, constraints, tube, gain)
         t_tighten = time.perf_counter() - t0
         t0 = time.perf_counter()
-        sol = solve_dispatch(ssm, schedule, costs, tube.w_center)
+        try:
+            sol = solve_dispatch(ssm, schedule, costs, tube.w_center)
+        except DispatchError as exc:
+            raise RuntimeError(f"method {spec}: {exc}") from exc
         t_solve = time.perf_counter() - t0
-        if not sol.is_optimal:
-            raise RuntimeError(
-                f"method {spec}: dispatch {sol.status}; blocking rows {sol.blocking_rows}"
-            )
-        policy = Policy(solution=sol, gain=gain)
-        metrics = evaluate(policy, ssm, constraints, costs, batch)
+        metrics, _ = evaluate(Policy(solution=sol, gain=gain), ssm, constraints, costs, batch)
         results.append(
             MethodResult(
                 method=kind,

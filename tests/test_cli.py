@@ -249,6 +249,36 @@ def test_zero_override_with_config_is_domain_error(tmp_path, capsys):
     assert "overrides apply to the bundled reference only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, prefix, output",
+    [
+        (["dispatch", "--deterministic"], "", "dispatch.csv"),
+        (["validate", "--deterministic", "--samples", "20"], "", "metrics.json"),
+        (["compare", "--methods", "do", "--samples", "20"], "method do: ", "comparison.json"),
+    ],
+    ids=["dispatch", "validate", "compare"],
+)
+def test_infeasible_dispatch_names_blocking_rows(tmp_path, capsys, argv, prefix, output):
+    """A grid that must export 2.9 pu at every step leaves no feasible
+    dispatch: each command exits 1 with one line naming the blocking rows,
+    and writes no result."""
+    from chpdispatch.config_io import document_text
+    from chpdispatch.reference import reference_document
+
+    doc = reference_document(4, 3600.0)
+    doc["grid"]["p_max"] = -2.9
+    config = tmp_path / "export.yaml"
+    config.write_text(document_text(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([*argv, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        f"error: {prefix}dispatch infeasible; blocking rows: x[t=4] battery_energy[bat_10] lower, "
+    )
+    assert not (out / output).exists()
+
+
 @pytest.mark.parametrize("with_config", [False, True], ids=["reference", "config"])
 def test_lp_size_guard_hint_fits_the_input(tmp_path, capsys, monkeypatch, with_config):
     """An LP over the size limit is refused before it is built, with a hint

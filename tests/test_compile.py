@@ -267,7 +267,7 @@ def test_lossless_storage_conserves_energy():
     w = rng.normal(size=(8, ssm.n_w)) * 0.2
     # the zero-gain policy applies the planned controls whatever the states
     planned = DispatchSolution(
-        status="optimal", objective=0.0, x_seq=np.tile(ssm.x0, (9, 1)), u_seq=u,
+        objective=0.0, x_seq=np.tile(ssm.x0, (9, 1)), u_seq=u,
         y_seq=None, schedule=None, kkt=None, iterations=0,
     )
     xs, _, y = simulate(Policy(planned, choose_gain(ssm)), ssm, w)

@@ -15,11 +15,11 @@ from chpdispatch.compile import (
 )
 from chpdispatch.dispatch import (
     CostModel,
+    DispatchError,
     LpTooLargeError,
     Policy,
     build_nominal_problem,
     deterministic_schedule,
-    lp_shape,
     solve_dispatch,
 )
 from chpdispatch.reference import build_reference_system
@@ -79,25 +79,6 @@ def test_epigraph_rows_counted(ref24, ref_sched):
     epi_rows = [lab for lab in prob.lp.row_labels if lab.startswith("epigraph")]
     n_storage = len(ref24.model.batteries) + len(ref24.model.tanks)
     assert len(epi_rows) == 2 * n_storage * ref24.ssm.horizon
-
-
-@pytest.mark.parametrize("horizon,dt", [(24, 3600.0), (48, 1800.0)])
-def test_lp_shape_matches_built_lp(horizon, dt):
-    model = build_reference_system(horizon, dt)
-    ssm = compile_state_space(model)
-    cons = compile_constraints(model, ssm)
-    tube = compile_uncertainty_tube(model)
-    gain = choose_gain(ssm)
-    costs = CostModel.from_model(model)
-    for sched in (
-        deterministic_schedule(ssm, cons, tube, gain),
-        tighten(ssm, cons, tube, gain, mode="box"),
-        tighten(ssm, cons, tube, gain, mode="budget", budget=10.0),
-    ):
-        lp = build_nominal_problem(ssm, sched, costs, tube.w_center).lp
-        n_ineq, n_eq, n_vars = lp_shape(ssm, sched)
-        assert lp.g.shape == (n_ineq, n_vars)
-        assert lp.a_eq.shape == (n_eq, n_vars)
 
 
 @pytest.mark.parametrize("method", ["do", "erd-box", "erd-budget:10"])
@@ -163,7 +144,6 @@ def test_box_dispatch_at_the_headline_size():
         tracemalloc.stop()
     assert peak < 100 * 2**20
     sol = solve_dispatch(ssm, schedule, costs, tube.w_center, problem=problem)
-    assert sol.is_optimal
     kkt = sol.kkt
     assert max(kkt.primal_residual, kkt.dual_residual, kkt.complementarity, kkt.gap) <= 1e-7
 
@@ -233,7 +213,6 @@ def test_do_recovery_objective(ref24, ref24_do_solution):
     )
     sched_zero = tighten(ref24.ssm, ref24.constraints, degenerate, ref24.gain)
     sol = solve_dispatch(ref24.ssm, sched_zero, ref24.costs, ref24.tube.w_center)
-    assert sol.is_optimal
     assert sol.objective == pytest.approx(ref24_do_solution.objective, abs=1e-9)
 
 
@@ -246,7 +225,6 @@ def test_objective_monotone_in_tube_width(ref24):
         )
         sched = tighten(ref24.ssm, ref24.constraints, tube, ref24.gain)
         sol = solve_dispatch(ref24.ssm, sched, ref24.costs, ref24.tube.w_center)
-        assert sol.is_optimal
         js.append(sol.objective)
     assert js[0] <= js[1] + 1e-9
     assert js[1] <= js[2] + 1e-9
@@ -260,7 +238,6 @@ def test_budget_objective_monotone_in_gamma(ref24):
             mode="budget", budget=budget,
         )
         sol = solve_dispatch(ref24.ssm, sched, ref24.costs, ref24.tube.w_center)
-        assert sol.is_optimal
         js.append(sol.objective)
     assert js[0] <= js[1] + 1e-9
     assert js[1] <= js[2] + 1e-9
@@ -295,9 +272,11 @@ def test_infeasible_dispatch_names_blocking_rows(ref24):
         empty_steps=fam.empty_steps,
     )
     doctored = TightenedSchedule(families=fams)
-    sol = solve_dispatch(ref24.ssm, doctored, ref24.costs, ref24.tube.w_center)
-    assert sol.status == "infeasible"
-    assert sol.blocking_rows
+    with pytest.raises(DispatchError) as err:
+        solve_dispatch(ref24.ssm, doctored, ref24.costs, ref24.tube.w_center)
+    assert err.value.status == "infeasible"
+    assert err.value.blocking_rows
+    assert str(err.value) == f"dispatch infeasible; blocking rows: {', '.join(err.value.blocking_rows)}"
 
 
 def test_cost_model_validation(ref24):

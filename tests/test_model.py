@@ -167,6 +167,39 @@ def test_infinite_limit_roundtrips_through_file(tmp_path, which):
     assert json.loads(document_text(minimal_document())) == minimal_document()
 
 
+# (document keys, value, diagnostic) of settings whose checks NaN, which
+# fails every comparison, used to pass; an infinite step is refused too
+NON_FINITE = [
+    (("base_mva",), "nan", "base_mva: must be > 0, got nan"),
+    (("horizon", "step_seconds"), "nan", "step_seconds: must be > 0, got nan"),
+    (("horizon", "step_seconds"), "inf", "step_seconds: must be finite, got inf"),
+    (("batteries", 0, "capacity"), "nan", "batteries[bat_10]: capacity must be > 0, got nan"),
+    (("batteries", 0, "ramp_p"), "nan", "batteries[bat_10]: ramp_p must be >= 0, got nan"),
+    (("chp_units", 0, "power_to_heat"), "nan", "chp_units[chp_main]: power_to_heat must be > 0, got nan"),
+    (("electric_network", "branches", 0, "flow_max"), "nan",
+     "electric.branch[0]: flow_max must be > 0, got nan"),
+    (("heat_network", "pipes", 0, "mass_flow"), "nan",
+     "heat.pipe[0]: mass_flow must stay > 0 (constant-flow regime), got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "keys, value, diagnostic", NON_FINITE,
+    ids=[".".join(map(str, keys)) + f"={value}" for keys, value, _ in NON_FINITE],
+)
+def test_non_finite_setting_is_refused_by_name(tmp_path, keys, value, diagnostic):
+    doc = reference_document(4, 3600.0)
+    entry = doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = float(value)
+    path = tmp_path / "system.yaml"
+    path.write_text(document_text(doc), encoding="utf-8")   # block YAML: .nan, .inf
+    with pytest.raises(ModelValidationError) as err:
+        load_system(path)
+    assert diagnostic in [str(d) for d in err.value.diagnostics]
+
+
 def test_truncated_json_names_file_line_and_column(tmp_path):
     text = document_text(minimal_document())
     head = text[: len(text) // 2]

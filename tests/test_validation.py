@@ -219,7 +219,7 @@ def scalar_policy(phi: float, horizon: int):
         x_seq[t + 1] = A @ x_seq[t] + B @ u_seq[t]
     y_seq = out.evaluate(u_seq, np.zeros((horizon, 1)))
     sol = DispatchSolution(
-        status="optimal", objective=0.0, x_seq=x_seq, u_seq=u_seq, y_seq=y_seq,
+        objective=0.0, x_seq=x_seq, u_seq=u_seq, y_seq=y_seq,
         schedule=None, kkt=None, iterations=0,
     )
     return ssm, Policy(solution=sol, gain=gain)
@@ -327,7 +327,7 @@ class TestEvaluate:
         center_batch = sample_disturbances(
             UncertaintyTube(tube.w_center, tube.w_center, tube.w_center), 1, 0, "uniform"
         )
-        met = evaluate(
+        met, _ = evaluate(
             ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, center_batch
         )
         assert met.violation_rate == 0.0
@@ -336,15 +336,15 @@ class TestEvaluate:
 
     def test_cost_ordering_invariant(self, ref24, ref24_box_policy):
         batch = sample_disturbances(ref24.tube, 500, seed=3, mode="uniform")
-        met = evaluate(ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch)
+        met, _ = evaluate(ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch)
         assert met.j_min <= met.j_expected <= met.j_max
         assert 0.0 <= met.violation_rate <= 1.0
         assert met.sample_count == 500
 
     def test_do_policy_violates_more(self, ref24, ref24_box_policy, ref24_do_policy):
         batch = sample_disturbances(ref24.tube, 1000, seed=21, mode="uniform")
-        met_box = evaluate(ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch)
-        met_do = evaluate(ref24_do_policy, ref24.ssm, ref24.constraints, ref24.costs, batch)
+        met_box, _ = evaluate(ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch)
+        met_do, _ = evaluate(ref24_do_policy, ref24.ssm, ref24.constraints, ref24.costs, batch)
         assert met_box.violation_rate == 0.0
         assert met_do.violation_rate > met_box.violation_rate
         assert met_do.violations_by_row   # histogram populated
@@ -361,9 +361,7 @@ class TestEvaluate:
             })
         monkeypatch.setattr(validation, "EVALUATE_CHUNK_ELEMENTS", 37 * 24 * ref24.ssm.n_y)
         batch = sample_disturbances(ref24.tube, 200, seed=17, mode="uniform")
-        met, traces = evaluate(
-            ref24_do_policy, ref24.ssm, constraints, ref24.costs, batch, return_traces=True
-        )
+        met, traces = evaluate(ref24_do_policy, ref24.ssm, constraints, ref24.costs, batch)
         want: dict[str, int] = {}
         flags = []
         families_hit = set()
@@ -388,9 +386,7 @@ class TestEvaluate:
     def test_traced_envelopes_span_the_batch(self, ref24, ref24_box_policy, monkeypatch):
         monkeypatch.setattr(validation, "EVALUATE_CHUNK_ELEMENTS", 30 * 24 * ref24.ssm.n_y)
         batch = sample_disturbances(ref24.tube, 100, seed=4, mode="uniform")
-        _, traces = evaluate(
-            ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch, return_traces=True
-        )
+        _, traces = evaluate(ref24_box_policy, ref24.ssm, ref24.constraints, ref24.costs, batch)
         # the same 30-sample chunks: a rollout of another batch size may round
         # its state products differently
         x, u, y = (np.concatenate(parts) for parts in zip(
@@ -524,7 +520,7 @@ def ref288():
     for t in range(ssm.horizon):
         x_seq[t + 1] = ssm.A @ x_seq[t] + ssm.B @ u_seq[t] + ssm.D @ tube.w_center[t]
     sol = DispatchSolution(
-        status="optimal", objective=0.0, x_seq=x_seq, u_seq=u_seq, y_seq=None,
+        objective=0.0, x_seq=x_seq, u_seq=u_seq, y_seq=None,
         schedule=None, kkt=None, iterations=0,
     )
     policy = Policy(solution=sol, gain=choose_gain(ssm, k=-5.0 * ssm.B.T))
@@ -537,7 +533,7 @@ class TestVerdictGate:
 
     @staticmethod
     def check(policy, ssm, constraints, costs, batch):
-        met, traces = evaluate(policy, ssm, constraints, costs, batch, return_traces=True)
+        met, traces = evaluate(policy, ssm, constraints, costs, batch)
         x, u, y = oracle_rollout(policy, ssm, batch.samples)
         flags, by_row = oracle_verdicts(constraints, x, u, y)
         assert np.array_equal(traces["violated"], flags)
@@ -655,7 +651,7 @@ class TestMetrics:
         costs = CostModel(*(getattr(ref24.costs, f.name) * 1e4 for f in dataclasses.fields(CostModel)))
         center = ref24.tube.w_center
         batch = sample_disturbances(UncertaintyTube(center, center, center), 1000, seed=0)
-        m = evaluate(ref24_do_policy, ref24.ssm, ref24.constraints, costs, batch)
+        m, _ = evaluate(ref24_do_policy, ref24.ssm, ref24.constraints, costs, batch)
         assert m.j_min == m.j_max > 1e7
         assert m.j_expected == pytest.approx(m.j_min, rel=1e-14)
 
