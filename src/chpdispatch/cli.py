@@ -12,9 +12,11 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from . import csvtext
 from .compile import (
     compile_constraints,
     compile_state_space,
@@ -152,9 +154,10 @@ def _ensure_out(args) -> str:
     return out
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str | Iterable[str]) -> None:
+    """Write a text, or the parts of one in turn (never joined in memory)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _json_text(payload) -> str:
@@ -193,7 +196,7 @@ def _dispatch_command(args) -> int:
     if args.command == "tighten":
         schedule, label = _schedule(args, ssm, constraints, tube, gain)
         path = os.path.join(out, "schedule.csv")
-        _write(path, schedule.to_csv())
+        _write(path, schedule.csv_blocks())
         print(f"wrote {path} ({label})")
         return 0
 
@@ -251,12 +254,7 @@ def _dispatch_command(args) -> int:
         _write(os.path.join(out, "metrics.json"), _json_text(payload))
         _write(os.path.join(out, "metrics.csv"), _metrics_csv(payload))
         if args.traces:
-            lines = ["sample,violated[bool],realized_cost[$]"]
-            for i in range(batch.count):
-                lines.append(
-                    f"{i},{int(traces['violated'][i])},{traces['realized_cost'][i]:.12g}"
-                )
-            _write(os.path.join(out, "samples.csv"), "\n".join(lines) + "\n")
+            _write(os.path.join(out, "samples.csv"), _samples_csv(traces))
         if getattr(args, "plot_data", False):
             _envelope_data(out, ssm, sol, schedule, traces)
         print(
@@ -280,30 +278,31 @@ def _dispatch_command(args) -> int:
     raise DomainError(f"unhandled command {args.command}")
 
 
-def _trajectory_csv(ssm, sol) -> str:
+def _trajectory_csv(ssm, sol) -> Iterator[str]:
     man = ssm.manifest
     cols = (
         [f"x:{k}:{n}[{unit_of(k)}]" for k, n in man.x]
         + [f"u:{k}:{n}[{unit_of(k)}]" for k, n in man.u]
         + [f"y:{k}:{n}[{unit_of(k)}]" for k, n in man.y]
     )
-    lines = ["step," + ",".join(cols)]
+    yield "step," + ",".join(cols) + "\n"
     T = ssm.horizon
-    for t in range(T):
-        vals = (
-            [f"{v:.12g}" for v in sol.x_seq[t]]
-            + [f"{v:.12g}" for v in sol.u_seq[t]]
-            + [f"{v:.12g}" for v in sol.y_seq[t]]
-        )
-        lines.append(f"{t}," + ",".join(vals))
-    lines.append(
-        f"{T},"
-        + ",".join(
-            [f"{v:.12g}" for v in sol.x_seq[T]]
-            + [""] * (len(man.u) + len(man.y))
-        )
+    values = np.hstack([sol.x_seq[:T], sol.u_seq, sol.y_seq])
+    yield from csvtext.blocks(
+        map(str, range(T)), [csvtext.line([None] * len(cols))], values.tolist()
     )
-    return "\n".join(lines) + "\n"
+    # the state after the last step has no control or output
+    last = csvtext.line([None] * len(man.x) + [""] * (len(man.u) + len(man.y)))
+    yield from csvtext.blocks([str(T)], [last], [sol.x_seq[T].tolist()])
+
+
+def _samples_csv(traces) -> Iterator[str]:
+    yield "sample,violated[bool],realized_cost[$]\n"
+    # a violation flag prints as 0 or 1 through %.12g too
+    values = np.column_stack((traces["violated"], traces["realized_cost"]))
+    yield from csvtext.blocks(
+        map(str, range(len(values))), [csvtext.line([None, None])], values.tolist()
+    )
 
 
 def _metrics_csv(payload: dict) -> str:
@@ -327,20 +326,23 @@ def _bound_pairs(poly) -> dict[str, tuple[int, int]]:
     }
 
 
-def _write_bounds_csv(path: str, unit: str, fam, rows: tuple[int, int], nominal, **extra) -> None:
+def _bounds_csv(unit: str, fam, rows: tuple[int, int], nominal, **extra) -> Iterator[str]:
     """Per step of ``fam``: the nominal value, the original and tightened
     bounds of the (upper, lower) row pair, then one column per ``extra``
     per-step series."""
     up, lo = rows
     bounds, tight = fam.polyhedron.bounds, fam.tightened_bounds
     columns = ["nominal", "orig_lower", "orig_upper", "tight_lower", "tight_upper", *extra]
-    lines = ["step," + ",".join(f"{col}[{unit}]" for col in columns)]
-    for si, t in enumerate(fam.steps):
-        t = int(t)
-        values = [nominal[t], -bounds[lo], bounds[up], -tight[si, lo], tight[si, up]]
-        values += [series[t] for series in extra.values()]
-        lines.append(f"{t}," + ",".join(f"{v:.12g}" for v in values))
-    _write(path, "\n".join(lines) + "\n")
+    steps = fam.steps.astype(int)
+    n = len(steps)
+    values = np.column_stack([
+        nominal[steps], np.full(n, -bounds[lo]), np.full(n, bounds[up]),
+        -tight[:, lo], tight[:, up], *(series[steps] for series in extra.values()),
+    ])
+    yield "step," + ",".join(f"{col}[{unit}]" for col in columns) + "\n"
+    yield from csvtext.blocks(
+        map(str, steps.tolist()), [csvtext.line([None] * len(columns))], values.tolist()
+    )
 
 
 def _plot_data(out: str, sol, schedule) -> None:
@@ -359,7 +361,10 @@ def _plot_data(out: str, sol, schedule) -> None:
                 continue
             idx = int(np.argmax(np.abs(fam.polyhedron.coefficients[rows[0]])))
             name = stem.replace("[", "_").replace("]", "").replace(" ", "_")
-            _write_bounds_csv(os.path.join(out, f"bounds_{name}.csv"), unit_of(stem), fam, rows, seq[:, idx])
+            _write(
+                os.path.join(out, f"bounds_{name}.csv"),
+                _bounds_csv(unit_of(stem), fam, rows, seq[:, idx]),
+            )
 
 
 def _envelope_data(out: str, ssm, sol, schedule, traces) -> None:
@@ -372,11 +377,10 @@ def _envelope_data(out: str, ssm, sol, schedule, traces) -> None:
         if rows is None:
             continue
         safe = f"{kind}_{name}".replace("[", "_").replace("]", "")
-        _write_bounds_csv(
-            os.path.join(out, f"envelope_{safe}.csv"), unit_of(kind), fam,
-            rows, sol.x_seq[:, idx],
+        _write(os.path.join(out, f"envelope_{safe}.csv"), _bounds_csv(
+            unit_of(kind), fam, rows, sol.x_seq[:, idx],
             env_min=traces["state_min"][:, idx], env_max=traces["state_max"][:, idx],
-        )
+        ))
 
 
 def main() -> None:

@@ -304,7 +304,10 @@ class LiftedOutputMap:
         down a path 2-3x slower): [feed_u; feed_w].T and [heat_u; heat_w].T,
         so that one GEMM over the stacked [u, w] rows gives each, and the
         heat kernel as one :class:`LiftedConvolution` (a GEMM at T=24 and
-        T=48 in the reference, 1.2 and 4.7 MB; an rFFT from T=96 on)."""
+        T=48 in the reference, 1.2 and 4.7 MB; an rFFT from T=96 on).  The
+        memory rows become a slice when they form one range, as in the
+        reference: supply then return temperatures, adjacent kinds of the
+        manifest (y rows 67-82)."""
         c = np.ascontiguousarray
         feed = c(np.vstack([self.feed_u.T, self.feed_w.T]))
         if not self._has_memory:
@@ -312,7 +315,7 @@ class LiftedOutputMap:
         heat = c(np.vstack([self.heat_u.T, self.heat_w.T]))
         # (T, n_ch, n_mem): heat inputs in, memory rows out
         memory = LiftedConvolution.of(self.temps.kernel.transpose(0, 2, 1))
-        return _RolloutOperands(feed, heat, memory)
+        return _RolloutOperands(feed, heat, memory, _as_range(self.memory_rows))
 
     def evaluate(self, u_seq: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
         """All y(t) for sequences shaped (..., T, n_u) and (..., T, n_w) with
@@ -347,7 +350,7 @@ class LiftedOutputMap:
         out += self.const
         if inputs is not None:
             mem = ops.memory.apply(inputs.reshape(-1, T, inputs.shape[1]))
-            out[..., self.memory_rows] += mem.reshape(lead + mem.shape[1:])
+            out[..., ops.memory_rows] += mem.reshape(lead + mem.shape[1:])
         return out
 
 
@@ -403,12 +406,22 @@ class LiftedConvolution:
 
 @dataclass(frozen=True)
 class _RolloutOperands:
-    """The contiguous operands of :meth:`LiftedOutputMap.evaluate`; ``heat``
-    and ``memory`` are None for a map without heat memory."""
+    """The contiguous operands of :meth:`LiftedOutputMap.evaluate`; ``heat``,
+    ``memory`` and ``memory_rows`` are None for a map without heat memory."""
 
     feed: np.ndarray                          # (n_u + n_w, n_y)
     heat: np.ndarray | None = None            # (n_u + n_w, n_ch)
     memory: LiftedConvolution | None = None   # kernel (T, n_ch, n_mem)
+    memory_rows: slice | np.ndarray | None = None   # of y, a slice if one range
+
+
+def _as_range(index: np.ndarray) -> slice | np.ndarray:
+    """``index`` as a slice if it is one ascending run of consecutive
+    integers (then indexing y with it is a strided view, not a gather and
+    a scatter), else unchanged."""
+    if len(index) and np.array_equal(index, np.arange(index[0], index[0] + len(index))):
+        return slice(int(index[0]), int(index[0]) + len(index))
+    return index
 
 
 @dataclass(frozen=True)

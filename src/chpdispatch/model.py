@@ -382,6 +382,21 @@ def _check_interval(diags: list[Diagnostic], path: str, lo: float, hi: float) ->
         diags.append(Diagnostic(path, f"lower bound {lo} exceeds upper bound {hi}"))
 
 
+def _check_number(
+    diags: list[Diagnostic], path: str, name: str, value, sign: str = ""
+) -> None:
+    """Refuse a setting by name unless it (every entry of a series) is
+    finite and, for a ``sign`` of "> 0" or ">= 0", has that sign."""
+    values = np.atleast_1d(np.asarray(value, dtype=float))
+    # "not x > 0" refuses NaN too, which fails every comparison
+    wrong = {"": np.zeros(values.shape, bool), "> 0": ~(values > 0), ">= 0": ~(values >= 0)}[sign]
+    if wrong.any():
+        diags.append(Diagnostic(path, f"{name} must be {sign}, got {values[wrong][0]}"))
+    elif not np.all(np.isfinite(values)):
+        got = values[~np.isfinite(values)][0]
+        diags.append(Diagnostic(path, f"{name} must be finite, got {got}"))
+
+
 def validate_system(model: SystemModel) -> list[Diagnostic]:
     """Collect every violated invariant; an empty list means a valid model."""
     d: list[Diagnostic] = []
@@ -396,6 +411,8 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
         d.append(Diagnostic("step_seconds", f"must be finite, got {model.step_seconds}"))
     if not model.base_mva > 0:
         d.append(Diagnostic("base_mva", f"must be > 0, got {model.base_mva}"))
+    elif not np.isfinite(model.base_mva):
+        d.append(Diagnostic("base_mva", f"must be finite, got {model.base_mva}"))
 
     for kind in ("chp_units", "heat_pumps", "batteries", "tanks", "pv_units"):
         for name, uses in Counter(unit.name for unit in getattr(model, kind)).items():
@@ -426,6 +443,7 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
         for ramp in ("ramp_p", "ramp_q"):
             if not getattr(c, ramp) >= 0:
                 d.append(Diagnostic(p, f"{ramp} must be >= 0, got {getattr(c, ramp)}"))
+        _check_number(d, p, "cost", c.cost)
 
     for h in model.heat_pumps:
         p = f"heat_pumps[{h.name}]"
@@ -438,6 +456,7 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
             d.append(Diagnostic(p, f"power_to_heat must be > 0, got {h.power_to_heat}"))
         if not h.ramp_p >= 0:
             d.append(Diagnostic(p, f"ramp_p must be >= 0, got {h.ramp_p}"))
+        _check_number(d, p, "cost", h.cost)
 
     for kind, units in (("batteries", model.batteries), ("tanks", model.tanks)):
         for s in units:
@@ -470,6 +489,7 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
             ramp = "ramp_p" if kind == "batteries" else "ramp_h"
             if not getattr(s, ramp) >= 0:
                 d.append(Diagnostic(p, f"{ramp} must be >= 0, got {getattr(s, ramp)}"))
+            _check_number(d, p, "cost", s.cost)
 
     for pv in model.pv_units:
         check_bus(f"pv_units[{pv.name}]", pv.bus)
@@ -482,10 +502,12 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
     _check_interval(d, "grid.q", g.q_min, g.q_max)
     if len(g.price) != T:
         d.append(Diagnostic("grid.price", f"series length {len(g.price)} != horizon {T}"))
+    _check_number(d, "grid", "price", g.price)
 
     # electric network structure
     if not 0 <= net.slack_bus < net.n_bus:
         d.append(Diagnostic("electric.slack_bus", f"bus {net.slack_bus} out of range"))
+    _check_number(d, "electric", "slack_voltage", net.slack_voltage, "> 0")
     if net.v_min.shape != (net.n_bus,) or net.v_max.shape != (net.n_bus,):
         d.append(Diagnostic("electric.v_bounds", "per-bus bound arrays must match n_bus"))
     else:
@@ -503,6 +525,8 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
             d.append(Diagnostic(p, "self-loop branch"))
         if not br.flow_max > 0:
             d.append(Diagnostic(p, f"flow_max must be > 0, got {br.flow_max}"))
+        _check_number(d, p, "r", br.resistance)
+        _check_number(d, p, "x", br.reactance)
     if not net.is_connected():
         d.append(Diagnostic("electric", "network is not connected"))
 
@@ -510,6 +534,11 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
     if heat.n_node > 0:
         if not heat.is_tree():
             d.append(Diagnostic("heat", "supply network must be a tree"))
+        _check_number(d, "heat.water", "density", heat.water_density, "> 0")
+        _check_number(d, "heat.water", "heat_capacity", heat.water_heat_capacity, "> 0")
+        for name in ("ground_temperature", "initial_supply_temperature",
+                     "initial_return_temperature"):
+            _check_number(d, "heat", name, getattr(heat, name))
         for name in ("ts_min", "ts_max", "tr_min", "tr_max", "inflow", "outflow"):
             if getattr(heat, name).shape != (heat.n_node,):
                 d.append(Diagnostic(f"heat.{name}", "length must match n_node"))
@@ -532,6 +561,8 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
                 d.append(Diagnostic(
                     p, f"mass_flow must stay > 0 (constant-flow regime), got {pipe.mass_flow}"
                 ))
+            _check_number(d, p, "length", pipe.length, ">= 0")
+            _check_number(d, p, "conductivity", pipe.conductivity, ">= 0")
         if heat.is_tree():
             d.extend(_check_heat_mass_balance(heat))
 

@@ -15,10 +15,12 @@ baseline.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvtext
 from .compile import ConstraintFamily, Lags, StateSpaceModel, family_form, unit_of
 from .lp import LinearProgram, solve_lp_simplex
 from .sets import PolyhedronH, UncertaintyTube
@@ -158,24 +160,27 @@ class TightenedSchedule:
                 worst = max(worst, float(np.max(np.abs(fam.reductions - o.reductions))))
         return worst
 
-    def to_csv(self) -> str:
-        lines = ["family,step,row,unit,original_bound,reduction,tightened_bound"]
+    def csv_blocks(self) -> Iterator[str]:
+        """The text of :meth:`to_csv` in parts: the header line, then one
+        block of lines per family and step."""
+        yield "family,step,row,unit,original_bound,reduction,tightened_bound\n"
         for name, fam in self.families.items():
             poly = fam.polyhedron
             # the text between step and reduction is fixed per row
-            rows = [
-                f",{label},{unit_of(label)},{r:.12g},"
+            lines = [
+                csvtext.line((label, unit_of(label), f"{r:.12g}", None, None))
                 for label, r in zip(poly.labels, poly.bounds.tolist())
             ]
-            for t, reds, tights in zip(
-                fam.steps.tolist(), fam.reductions.tolist(), fam.tightened_bounds.tolist()
-            ):
-                head = f"{name},{t}"
-                lines.extend(
-                    f"{head}{row}{red:.12g},{tight:.12g}"
-                    for row, red, tight in zip(rows, reds, tights)
-                )
-        return "\n".join(lines) + "\n"
+            # per step, the (reduction, tightened bound) of each row in turn
+            values = np.stack((fam.reductions, fam.tightened_bounds), axis=-1)
+            yield from csvtext.blocks(
+                (f"{name},{t}" for t in fam.steps.tolist()),
+                lines,
+                values.reshape(len(fam.steps), 2 * poly.n_rows).tolist(),
+            )
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_blocks())
 
 
 class _DeviationFamily:

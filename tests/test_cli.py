@@ -8,14 +8,98 @@ import pytest
 
 import chpdispatch.cli as cli_module
 from chpdispatch.cli import run
+from chpdispatch.compile import unit_of
 from chpdispatch.lp import LinearProgram
 
 HORIZON = ["--horizon", "12", "--dt", "3600"]
+DAY = ["--horizon", "24", "--dt", "3600"]
 
 
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """What the CLI's calls of these functions returned, by name."""
+    seen = {}
+
+    def record(name):
+        fn = getattr(cli_module, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name] = fn(*args, **kwargs)
+            return seen[name]
+
+        monkeypatch.setattr(cli_module, name, wrapper)
+
+    for name in ("compile_state_space", "tighten", "solve_dispatch", "evaluate"):
+        record(name)
+    return seen
+
+
+# The output tables written one f-string per line or per cell, as before
+# they were formatted a block at a time: references that share no code
+# with the block templates.
+
+def per_row_trajectory_csv(ssm, sol) -> str:
+    man = ssm.manifest
+    cols = (
+        [f"x:{k}:{n}[{unit_of(k)}]" for k, n in man.x]
+        + [f"u:{k}:{n}[{unit_of(k)}]" for k, n in man.u]
+        + [f"y:{k}:{n}[{unit_of(k)}]" for k, n in man.y]
+    )
+    lines = ["step," + ",".join(cols)]
+    T = ssm.horizon
+    for t in range(T):
+        vals = (
+            [f"{v:.12g}" for v in sol.x_seq[t]]
+            + [f"{v:.12g}" for v in sol.u_seq[t]]
+            + [f"{v:.12g}" for v in sol.y_seq[t]]
+        )
+        lines.append(f"{t}," + ",".join(vals))
+    lines.append(
+        f"{T},"
+        + ",".join([f"{v:.12g}" for v in sol.x_seq[T]] + [""] * (len(man.u) + len(man.y)))
+    )
+    return "\n".join(lines) + "\n"
+
+
+def per_row_samples_csv(traces) -> str:
+    lines = ["sample,violated[bool],realized_cost[$]"]
+    for i in range(len(traces["violated"])):
+        lines.append(f"{i},{int(traces['violated'][i])},{traces['realized_cost'][i]:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def per_row_bounds_csv(unit, fam, rows, nominal, **extra) -> str:
+    up, lo = rows
+    bounds, tight = fam.polyhedron.bounds, fam.tightened_bounds
+    columns = ["nominal", "orig_lower", "orig_upper", "tight_lower", "tight_upper", *extra]
+    lines = ["step," + ",".join(f"{col}[{unit}]" for col in columns)]
+    for si, t in enumerate(fam.steps):
+        t = int(t)
+        values = [nominal[t], -bounds[lo], bounds[up], -tight[si, lo], tight[si, up]]
+        values += [series[t] for series in extra.values()]
+        lines.append(f"{t}," + ",".join(f"{v:.12g}" for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def bounds_files(prefix, fam, kinds, seq, **extra) -> dict[str, str]:
+    """File name -> per-row text of each bounds pair of ``fam`` whose stem
+    starts with one of ``kinds``, for the nominal column of ``seq``."""
+    files = {}
+    for stem, rows in cli_module._bound_pairs(fam.polyhedron).items():
+        if not stem.startswith(kinds):
+            continue
+        idx = int(np.argmax(np.abs(fam.polyhedron.coefficients[rows[0]])))
+        name = stem.replace("[", "_").replace("]", "").replace(" ", "_")
+        files[f"{prefix}_{name}.csv"] = per_row_bounds_csv(
+            unit_of(stem), fam, rows, seq[:, idx],
+            **{key: series[:, idx] for key, series in extra.items()},
+        )
+    return files
 
 
 def test_reference_emits_loadable_config(tmp_path):
@@ -37,6 +121,47 @@ def test_tighten_writes_schedule(tmp_path):
     assert header == "family,step,row,unit,original_bound,reduction,tightened_bound"
     assert "battery_energy[bat_10]" in text
     assert ",fraction," in text and ",degC," in text
+
+
+def test_tighten_streams_the_schedule_to_csv(tmp_path, recorded):
+    code = run(["tighten", *DAY, "--mode", "budget", "--gamma", "10", "--out", str(tmp_path)])
+    assert code == 0
+    text = recorded["tighten"].to_csv()
+    assert (tmp_path / "schedule.csv").read_bytes() == text.encode()
+
+
+def test_dispatch_tables_match_per_row_writers(tmp_path, recorded):
+    assert run(["dispatch", *DAY, "--plot-data", "--out", str(tmp_path)]) == 0
+    ssm, sol = recorded["compile_state_space"], recorded["solve_dispatch"]
+    assert (tmp_path / "dispatch.csv").read_bytes() == per_row_trajectory_csv(ssm, sol).encode()
+    schedule = recorded["tighten"]
+    expected = {
+        **bounds_files("bounds", schedule.family("x"), ("battery_energy", "tank_level"), sol.x_seq),
+        **bounds_files("bounds", schedule.family("u"), ("chp_p", "grid_p"), sol.u_seq),
+    }
+    written = sorted(f for f in os.listdir(tmp_path) if f.startswith("bounds_"))
+    assert written == sorted(expected) and len(written) == 4
+    for name in written:
+        assert (tmp_path / name).read_bytes() == expected[name].encode(), name
+
+
+def test_validate_tables_match_per_row_writers(tmp_path, recorded):
+    # a budget that some of the uniform samples exceed: samples.csv flags both ways
+    argv = ["validate", *DAY, "--mode", "budget", "--gamma", "1", "--samples", "300",
+            "--seed", "7", "--traces", "--plot-data"]
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    sol = recorded["solve_dispatch"]
+    _, traces = recorded["evaluate"]
+    assert 0 < traces["violated"].sum() < len(traces["violated"])
+    assert (tmp_path / "samples.csv").read_bytes() == per_row_samples_csv(traces).encode()
+    expected = bounds_files(
+        "envelope", recorded["tighten"].family("x"), ("battery_energy", "tank_level"),
+        sol.x_seq, env_min=traces["state_min"], env_max=traces["state_max"],
+    )
+    written = sorted(f for f in os.listdir(tmp_path) if f.startswith("envelope_"))
+    assert written == sorted(expected) and len(written) == 2
+    for name in written:
+        assert (tmp_path / name).read_bytes() == expected[name].encode(), name
 
 
 def test_dispatch_writes_summary_and_trajectory(tmp_path):

@@ -204,6 +204,8 @@ def test_lifted_map_matches_lag_loop(reference_output, lead):
             out, feed_u=out.feed_u[order], feed_w=out.feed_w[order], const=out.const[:, order],
             memory_rows=out.n_y - 1 - out.memory_rows,
         )
+    # one range of y rows is added through a slice, other rows by index
+    assert isinstance(out._rollout_operands.memory_rows, slice) == (lead != "chunk-scattered-rows")
     assert_matches_lag_loop(out, lead_shape(out, lead))
 
 

@@ -167,8 +167,8 @@ def test_infinite_limit_roundtrips_through_file(tmp_path, which):
     assert json.loads(document_text(minimal_document())) == minimal_document()
 
 
-# (document keys, value, diagnostic) of settings whose checks NaN, which
-# fails every comparison, used to pass; an infinite step is refused too
+# (document keys, value, diagnostic) of settings that NaN, which fails every
+# comparison, or infinity used to pass, or that had no check at all
 NON_FINITE = [
     (("base_mva",), "nan", "base_mva: must be > 0, got nan"),
     (("horizon", "step_seconds"), "nan", "step_seconds: must be > 0, got nan"),
@@ -180,6 +180,26 @@ NON_FINITE = [
      "electric.branch[0]: flow_max must be > 0, got nan"),
     (("heat_network", "pipes", 0, "mass_flow"), "nan",
      "heat.pipe[0]: mass_flow must stay > 0 (constant-flow regime), got nan"),
+    (("base_mva",), "inf", "base_mva: must be finite, got inf"),
+    (("grid", "price"), "nan", "grid: price must be finite, got nan"),
+    (("chp_units", 0, "cost"), "nan", "chp_units[chp_main]: cost must be finite, got nan"),
+    (("heat_pumps", 0, "cost"), "nan", "heat_pumps[hp_plant]: cost must be finite, got nan"),
+    (("batteries", 0, "cost"), "nan", "batteries[bat_10]: cost must be finite, got nan"),
+    (("thermal_tanks", 0, "cost"), "nan", "tanks[tank_hub]: cost must be finite, got nan"),
+    (("electric_network", "branches", 0, "r"), "nan", "electric.branch[0]: r must be finite, got nan"),
+    (("electric_network", "branches", 0, "x"), "nan", "electric.branch[0]: x must be finite, got nan"),
+    (("electric_network", "slack_voltage"), "nan", "electric: slack_voltage must be > 0, got nan"),
+    (("heat_network", "water", "density"), "nan", "heat.water: density must be > 0, got nan"),
+    (("heat_network", "water", "heat_capacity"), "nan",
+     "heat.water: heat_capacity must be > 0, got nan"),
+    (("heat_network", "ground_temperature"), "nan", "heat: ground_temperature must be finite, got nan"),
+    (("heat_network", "initial_supply_temperature"), "nan",
+     "heat: initial_supply_temperature must be finite, got nan"),
+    (("heat_network", "initial_return_temperature"), "nan",
+     "heat: initial_return_temperature must be finite, got nan"),
+    (("heat_network", "pipes", 0, "length"), "nan", "heat.pipe[0]: length must be >= 0, got nan"),
+    (("heat_network", "pipes", 0, "conductivity"), "nan",
+     "heat.pipe[0]: conductivity must be >= 0, got nan"),
 ]
 
 

@@ -23,7 +23,9 @@ from chpdispatch.lp import LinearProgram, solve_lp, solve_lp_simplex
 from chpdispatch.reference import build_reference_system
 from chpdispatch.sets import PolyhedronH, UncertaintyTube
 from chpdispatch.tighten import (
+    FamilySchedule,
     FeedbackGain,
+    TightenedSchedule,
     TighteningInfeasibleError,
     _build_families,
     _DeviationFamily,
@@ -410,6 +412,70 @@ class TestTighten:
                         f"{name},{t},{label},{unit_of(label)},{r:.12g},{red:.12g},{r - red:.12g}"
                     )
         assert sched.to_csv().encode() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("mode, budget", [("box", None), ("budget", 10.0)])
+    def test_full_day_csv_matches_per_row_writer(self, mode, budget):
+        model = build_reference_system(288, 300.0)
+        ssm = compile_state_space(model)
+        sched = tighten(
+            ssm, compile_constraints(model, ssm), compile_uncertainty_tube(model),
+            choose_gain(ssm), mode=mode, budget=budget,
+        )
+        text = sched.to_csv()
+        assert text.count("\n") == 54_711
+        assert text.encode() == per_row_csv(sched).encode()
+
+    def test_csv_matches_per_row_writer_on_edge_values(self):
+        # numbers on both sides of the exponent switch of .12g (1e-05 and
+        # 0.0001, 1e+12 and 999999999999), signed zeros, a subnormal, the
+        # non-finite values and labels that hold "%"
+        edges = np.array([
+            [-0.0, np.inf, -np.inf, np.nan],
+            [1e-05, 0.0001, 1e12, 999999999999.0],
+            [5e-324, -2.5e-308, 123456789012.5, -1.5e-05],
+        ])
+        labels = ("battery_energy[b%1] upper", "100% load lower", "%s%d%%(x)s", "grid_p lower")
+        poly = PolyhedronH(np.eye(4), np.array([-0.0, 5e-324, 1e-05, 999999999999.0]), labels)
+        pair = PolyhedronH(
+            np.array([[1.0], [-1.0]]), np.array([1e12, 0.5]), ("chp_p[%] upper", "chp_p[%] lower")
+        )
+        sched = TightenedSchedule(families={
+            "x%": FamilySchedule(poly, np.array([0, 1, 2]), edges, np.zeros(3, dtype=bool)),
+            "no_rows": FamilySchedule(
+                PolyhedronH.empty(3), np.array([0, 1]), np.zeros((2, 0)), np.zeros(2, dtype=bool)
+            ),
+            "no_steps": FamilySchedule(
+                pair, np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0, dtype=bool)
+            ),
+            "d%s": FamilySchedule(
+                pair, np.array([7]), np.array([[np.nan, -0.0]]), np.zeros(1, dtype=bool)
+            ),
+        })
+        text = sched.to_csv()
+        assert text.encode() == per_row_csv(sched).encode()
+        assert "x%,0,%s%d%%(x)s,mixed,1e-05,-inf,inf\n" in text
+        assert text.count("\n") == 1 + 3 * 4 + 2
+
+
+def per_row_csv(schedule: TightenedSchedule) -> str:
+    """The schedule CSV written one f-string per row, as it was before the
+    block templates: the reference they must reproduce byte for byte."""
+    lines = ["family,step,row,unit,original_bound,reduction,tightened_bound"]
+    for name, fam in schedule.families.items():
+        poly = fam.polyhedron
+        rows = [
+            f",{label},{unit_of(label)},{r:.12g},"
+            for label, r in zip(poly.labels, poly.bounds.tolist())
+        ]
+        for t, reds, tights in zip(
+            fam.steps.tolist(), fam.reductions.tolist(), fam.tightened_bounds.tolist()
+        ):
+            head = f"{name},{t}"
+            lines.extend(
+                f"{head}{row}{red:.12g},{tight:.12g}"
+                for row, red, tight in zip(rows, reds, tights)
+            )
+    return "\n".join(lines) + "\n"
 
 
 class TestIterativeEquivalence:
