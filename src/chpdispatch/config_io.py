@@ -7,10 +7,12 @@ a fully validated :class:`~chpdispatch.model.SystemModel`; ``dump_system``
 is its exact inverse (round-trips are field-identical).  Documents are
 written as JSON, which is also YAML.
 
-The CHP, heat-pump, battery, tank, PV and grid records are read and written
-from their model dataclass's fields, the one list of their keys; the
-branches, pipes, buses, nodes, water and forecasts have document forms of
-their own.
+The CHP, heat-pump, battery, tank, PV, grid, branch and pipe records are
+written from their model dataclass's fields, the one list of their keys (a
+field's ``key`` metadata where the key is not its name), and all but the
+pipes are read so too: a pipe's ``mass_flow`` may be a constant series and
+its ``cross_section`` defaults to pi D^2 / 4.  The buses, nodes, water and
+forecasts have document forms of their own.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .model import (
     PvUnit,
     SystemModel,
     ThermalTank,
+    document_key,
     validate_system,
 )
 
@@ -251,7 +254,7 @@ def _parse(doc: Mapping[str, Any]) -> SystemModel:
 
 
 def _record(cls: type, r: _Reader, length: int) -> Any:
-    """A flat device record: each dataclass field read under its own name by
+    """A flat record: each dataclass field read under its document key by
     the reader its annotation selects (an array is a series of ``length``)."""
     read = {
         "str": r.string,
@@ -259,7 +262,7 @@ def _record(cls: type, r: _Reader, length: int) -> Any:
         "float": r.number,
         "np.ndarray": lambda key: r.series(key, length),
     }
-    return cls(**{f.name: read[f.type](f.name) for f in dataclasses.fields(cls)})
+    return cls(**{f.name: read[f.type](document_key(f)) for f in dataclasses.fields(cls)})
 
 
 def _parse_electric(r: _Reader) -> ElectricNetwork:
@@ -275,23 +278,13 @@ def _parse_electric(r: _Reader) -> ElectricNetwork:
     for b, i in zip(buses, ids):
         v_min[i] = b.number("v_min", 0.9)
         v_max[i] = b.number("v_max", 1.1)
-    branches = [
-        Branch(
-            from_bus=br.integer("from"),
-            to_bus=br.integer("to"),
-            resistance=br.number("r"),
-            reactance=br.number("x"),
-            flow_max=br.number("flow_max"),
-        )
-        for br in r.items("branches")
-    ]
     return ElectricNetwork(
         n_bus=n,
         slack_bus=r.integer("slack_bus", 0),
         slack_voltage=r.number("slack_voltage", 1.0),
         v_min=v_min,
         v_max=v_max,
-        branches=tuple(branches),
+        branches=tuple(_record(Branch, br, 0) for br in r.items("branches")),
     )
 
 
@@ -434,11 +427,11 @@ def _series_out(a: np.ndarray) -> list[float] | float:
 
 
 def _record_out(obj: Any) -> dict[str, Any]:
-    """The document entry of a flat device record, keys in field order."""
+    """The document entry of a flat record, keys in field order."""
     out = {}
     for f in dataclasses.fields(obj):
         val = getattr(obj, f.name)
-        out[f.name] = _series_out(val) if isinstance(val, np.ndarray) else val
+        out[document_key(f)] = _series_out(val) if isinstance(val, np.ndarray) else val
     return out
 
 
@@ -456,16 +449,7 @@ def _to_document(m: SystemModel) -> dict:
                 {"id": i, "v_min": float(net.v_min[i]), "v_max": float(net.v_max[i])}
                 for i in range(net.n_bus)
             ],
-            "branches": [
-                {
-                    "from": br.from_bus,
-                    "to": br.to_bus,
-                    "r": br.resistance,
-                    "x": br.reactance,
-                    "flow_max": br.flow_max,
-                }
-                for br in net.branches
-            ],
+            "branches": [_record_out(br) for br in net.branches],
         },
         "chp_units": [_record_out(c) for c in m.chp_units],
         "heat_pumps": [_record_out(h) for h in m.heat_pumps],
@@ -489,15 +473,7 @@ def _to_document(m: SystemModel) -> dict:
                 }
                 for i in range(heat.n_node)
             ],
-            "pipes": [
-                {
-                    "from": p.from_node, "to": p.to_node, "length": p.length,
-                    "diameter": p.diameter, "conductivity": p.conductivity,
-                    "mass_flow": p.mass_flow,
-                    "cross_section": p.cross_section,
-                }
-                for p in heat.pipes
-            ],
+            "pipes": [_record_out(p) for p in heat.pipes],
         }
     fc = m.forecasts
     forecasts: dict[str, Any] = {}

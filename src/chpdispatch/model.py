@@ -9,8 +9,10 @@ rather than raised piecemeal.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+import math
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +35,18 @@ __all__ = [
 ]
 
 
+def _field(domain: str = "finite", key: str | None = None, **kwargs):
+    """A checked field: the domain of its values (see ``_DOMAINS``, or a
+    "bus" or "heat node" reference), and its document key where that is
+    not the field name."""
+    return field(metadata={"domain": domain, "key": key}, **kwargs)
+
+
+def document_key(f) -> str:
+    """The document key of a dataclass field: its ``key`` metadata, else its name."""
+    return f.metadata.get("key") or f.name
+
+
 def _arr(values: Sequence[float] | np.ndarray) -> np.ndarray:
     out = np.asarray(values, dtype=float)
     out.flags.writeable = False
@@ -44,29 +58,29 @@ class ChpUnit:
     """Back-pressure unit: heat output is power_to_heat * electric output."""
 
     name: str
-    bus: int
-    heat_node: int
-    power_to_heat: float
-    p_min: float
-    p_max: float
-    q_min: float
-    q_max: float
-    ramp_p: float
-    ramp_q: float
-    cost: float
+    bus: int = _field("bus")
+    heat_node: int = _field("heat node")
+    power_to_heat: float = _field("> 0")
+    p_min: float = _field("limit")
+    p_max: float = _field("limit")
+    q_min: float = _field("limit")
+    q_max: float = _field("limit")
+    ramp_p: float = _field(">= 0, inf allowed")
+    ramp_q: float = _field(">= 0, inf allowed")
+    cost: float = _field()
 
 
 @dataclass(frozen=True)
 class HeatPump:
     name: str
-    bus: int
-    heat_node: int
-    power_to_heat: float
-    power_factor: float
-    p_min: float
-    p_max: float
-    ramp_p: float
-    cost: float
+    bus: int = _field("bus")
+    heat_node: int = _field("heat node")
+    power_to_heat: float = _field("> 0")
+    power_factor: float = _field("(0, 1]")
+    p_min: float = _field("limit")
+    p_max: float = _field("limit")
+    ramp_p: float = _field(">= 0, inf allowed")
+    cost: float = _field()
 
     @property
     def reactive_ratio(self) -> float:
@@ -79,18 +93,18 @@ class BatteryUnit:
     """Electric storage; power > 0 charges, sign convention of the balance."""
 
     name: str
-    bus: int
-    retention: float          # per-step fraction of energy kept
-    eta_charge: float
-    eta_discharge: float
-    capacity: float           # pu*h
-    e_min: float              # fraction of capacity
-    e_max: float
-    e_initial: float
-    p_min: float              # discharge limit (<= 0)
-    p_max: float              # charge limit (>= 0)
-    ramp_p: float
-    cost: float
+    bus: int = _field("bus")
+    retention: float = _field("(0, 1]")         # per-step fraction of energy kept
+    eta_charge: float = _field("(0, 1]")
+    eta_discharge: float = _field("(0, 1]")
+    capacity: float = _field("> 0")             # pu*h
+    e_min: float = _field("limit")              # fraction of capacity
+    e_max: float = _field("limit")
+    e_initial: float = _field()
+    p_min: float = _field("limit")              # discharge limit (<= 0)
+    p_max: float = _field("limit")              # charge limit (>= 0)
+    ramp_p: float = _field(">= 0, inf allowed")
+    cost: float = _field()
 
     @property
     def linear_efficiency(self) -> float:
@@ -101,18 +115,18 @@ class BatteryUnit:
 @dataclass(frozen=True)
 class ThermalTank:
     name: str
-    heat_node: int
-    retention: float
-    eta_charge: float
-    eta_discharge: float
-    capacity: float           # MWh
-    e_min: float
-    e_max: float
-    e_initial: float
-    h_min: float              # MW, discharge limit (<= 0)
-    h_max: float              # MW, charge limit (>= 0)
-    ramp_h: float
-    cost: float
+    heat_node: int = _field("heat node")
+    retention: float = _field("(0, 1]")
+    eta_charge: float = _field("(0, 1]")
+    eta_discharge: float = _field("(0, 1]")
+    capacity: float = _field("> 0")             # MWh
+    e_min: float = _field("limit")
+    e_max: float = _field("limit")
+    e_initial: float = _field()
+    h_min: float = _field("limit")              # MW, discharge limit (<= 0)
+    h_max: float = _field("limit")              # MW, charge limit (>= 0)
+    ramp_h: float = _field(">= 0, inf allowed")
+    cost: float = _field()
 
     @property
     def linear_efficiency(self) -> float:
@@ -122,19 +136,19 @@ class ThermalTank:
 @dataclass(frozen=True)
 class PvUnit:
     name: str
-    bus: int
+    bus: int = _field("bus")
 
 
 @dataclass(frozen=True)
 class GridConnection:
     """Exchange with the main grid at the slack bus."""
 
-    bus: int
-    p_min: float
-    p_max: float
-    q_min: float
-    q_max: float
-    price: np.ndarray         # $/pu per step, length = horizon
+    bus: int = _field("bus")
+    p_min: float = _field("limit")
+    p_max: float = _field("limit")
+    q_min: float = _field("limit")
+    q_max: float = _field("limit")
+    price: np.ndarray = _field()    # $/pu per step, length = horizon
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "price", _arr(self.price))
@@ -142,11 +156,11 @@ class GridConnection:
 
 @dataclass(frozen=True)
 class Branch:
-    from_bus: int
-    to_bus: int
-    resistance: float         # pu
-    reactance: float          # pu
-    flow_max: float           # pu active power
+    from_bus: int = _field("bus", "from")
+    to_bus: int = _field("bus", "to")
+    resistance: float = _field(key="r")         # pu
+    reactance: float = _field(key="x")          # pu
+    flow_max: float = _field("> 0, inf allowed")   # pu active power
 
     @property
     def impedance(self) -> complex:
@@ -158,10 +172,10 @@ class ElectricNetwork:
     """Radial distribution network with a fixed-voltage slack bus."""
 
     n_bus: int
-    slack_bus: int
-    slack_voltage: float
-    v_min: np.ndarray
-    v_max: np.ndarray
+    slack_bus: int = _field("bus")
+    slack_voltage: float = _field("> 0")
+    v_min: np.ndarray = _field("limit")
+    v_max: np.ndarray = _field("limit")
     branches: tuple[Branch, ...]
 
     def __post_init__(self) -> None:
@@ -176,7 +190,8 @@ class ElectricNetwork:
     def is_connected(self) -> bool:
         if self.n_bus == 1:
             return True
-        adj: dict[int, list[int]] = {i: [] for i in range(self.n_bus)}
+        # a bus id out of range (a diagnostic of its own) is a node too
+        adj: defaultdict[int, list[int]] = defaultdict(list)
         for br in self.branches:
             adj[br.from_bus].append(br.to_bus)
             adj[br.to_bus].append(br.from_bus)
@@ -187,19 +202,19 @@ class ElectricNetwork:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        return len(seen) == self.n_bus
+        return seen >= set(range(self.n_bus))
 
 
 @dataclass(frozen=True)
 class HeatPipe:
     """Supply-network pipe; the return pipe mirrors it in reverse."""
 
-    from_node: int
-    to_node: int
-    length: float             # m
-    diameter: float           # m
-    conductivity: float       # W/(m*K)
-    mass_flow: float          # kg/s, constant over the horizon
+    from_node: int = _field("heat node", "from")
+    to_node: int = _field("heat node", "to")
+    length: float = _field(">= 0")              # m
+    diameter: float = _field("> 0")             # m
+    conductivity: float = _field(">= 0")        # W/(m*K)
+    mass_flow: float = _field("> 0 (constant-flow regime)")   # kg/s, constant over the horizon
     cross_section: float = 0.0
 
     def __post_init__(self) -> None:
@@ -216,17 +231,17 @@ class HeatNetwork:
 
     n_node: int
     pipes: tuple[HeatPipe, ...]
-    ts_min: np.ndarray
-    ts_max: np.ndarray
-    tr_min: np.ndarray
-    tr_max: np.ndarray
-    inflow: np.ndarray        # kg/s injected at each node (sources)
-    outflow: np.ndarray       # kg/s drawn at each node (loads)
-    ground_temperature: np.ndarray   # degC per step (length 1 = constant)
-    initial_supply_temperature: float
-    initial_return_temperature: float
-    water_density: float = 1000.0    # kg/m^3
-    water_heat_capacity: float = 4182.0  # J/(kg*K)
+    ts_min: np.ndarray = _field("limit")
+    ts_max: np.ndarray = _field("limit")
+    tr_min: np.ndarray = _field("limit")
+    tr_max: np.ndarray = _field("limit")
+    inflow: np.ndarray = _field(">= 0", "inflow_kg_s")     # kg/s injected at each node (sources)
+    outflow: np.ndarray = _field(">= 0", "outflow_kg_s")   # kg/s drawn at each node (loads)
+    ground_temperature: np.ndarray = _field()   # degC per step (length 1 = constant)
+    initial_supply_temperature: float = _field()
+    initial_return_temperature: float = _field()
+    water_density: float = _field("> 0", "water.density", default=1000.0)   # kg/m^3
+    water_heat_capacity: float = _field("> 0", "water.heat_capacity", default=4182.0)  # J/(kg*K)
 
     def __post_init__(self) -> None:
         for name in ("ts_min", "ts_max", "tr_min", "tr_max", "inflow", "outflow"):
@@ -266,7 +281,8 @@ class HeatNetwork:
     def is_tree(self) -> bool:
         if self.n_node == 0:
             return True
-        if self.n_pipe != self.n_node - 1:
+        ends = {n for p in self.pipes for n in (p.from_node, p.to_node)}
+        if self.n_pipe != self.n_node - 1 or not ends <= set(range(self.n_node)):
             return False
         try:
             par = self.parent_pipe()
@@ -296,18 +312,18 @@ class ForecastSeries:
     heat_load_* is (n_heat_node, T).
     """
 
-    pv_min: np.ndarray
-    pv_center: np.ndarray
-    pv_max: np.ndarray
-    p_load_min: np.ndarray
-    p_load_center: np.ndarray
-    p_load_max: np.ndarray
-    q_load_min: np.ndarray
-    q_load_center: np.ndarray
-    q_load_max: np.ndarray
-    heat_load_min: np.ndarray
-    heat_load_center: np.ndarray
-    heat_load_max: np.ndarray
+    pv_min: np.ndarray = _field(key="pv.min")
+    pv_center: np.ndarray = _field(key="pv.center")
+    pv_max: np.ndarray = _field(key="pv.max")
+    p_load_min: np.ndarray = _field(key="electric_load_p.min")
+    p_load_center: np.ndarray = _field(key="electric_load_p.center")
+    p_load_max: np.ndarray = _field(key="electric_load_p.max")
+    q_load_min: np.ndarray = _field(key="electric_load_q.min")
+    q_load_center: np.ndarray = _field(key="electric_load_q.center")
+    q_load_max: np.ndarray = _field(key="electric_load_q.max")
+    heat_load_min: np.ndarray = _field(key="heat_load.min")
+    heat_load_center: np.ndarray = _field(key="heat_load.center")
+    heat_load_max: np.ndarray = _field(key="heat_load.max")
 
     def __post_init__(self) -> None:
         for f in self.__dataclass_fields__:
@@ -326,9 +342,9 @@ class ForecastSeries:
 class SystemModel:
     """Complete physical description of the system over one dispatch horizon."""
 
-    base_mva: float
-    horizon: int              # number of steps T
-    step_seconds: float
+    base_mva: float = _field("> 0")
+    horizon: int = _field(">= 1")       # number of steps T
+    step_seconds: float = _field("> 0")
     chp_units: tuple[ChpUnit, ...]
     heat_pumps: tuple[HeatPump, ...]
     batteries: tuple[BatteryUnit, ...]
@@ -382,192 +398,157 @@ def _check_interval(diags: list[Diagnostic], path: str, lo: float, hi: float) ->
         diags.append(Diagnostic(path, f"lower bound {lo} exceeds upper bound {hi}"))
 
 
-def _check_number(
-    diags: list[Diagnostic], path: str, name: str, value, sign: str = ""
-) -> None:
-    """Refuse a setting by name unless it (every entry of a series) is
-    finite and, for a ``sign`` of "> 0" or ">= 0", has that sign."""
-    values = np.atleast_1d(np.asarray(value, dtype=float))
-    # "not x > 0" refuses NaN too, which fails every comparison
-    wrong = {"": np.zeros(values.shape, bool), "> 0": ~(values > 0), ">= 0": ~(values >= 0)}[sign]
-    if wrong.any():
-        diags.append(Diagnostic(path, f"{name} must be {sign}, got {values[wrong][0]}"))
-    elif not np.all(np.isfinite(values)):
-        got = values[~np.isfinite(values)][0]
-        diags.append(Diagnostic(path, f"{name} must be finite, got {got}"))
+# domain -> (the test a value passes, what one that fails "must" do).  A
+# value that passes must also be finite unless its domain allows infinity.
+# A "limit" may be infinite and is left to its interval check, which
+# refuses NaN, as every comparison does.
+_DOMAINS = {
+    "finite": (lambda v: True, ""),
+    "> 0": (lambda v: v > 0, "be > 0"),
+    ">= 0": (lambda v: v >= 0, "be >= 0"),
+    ">= 1": (lambda v: v >= 1, "be >= 1"),
+    "(0, 1]": (lambda v: 0 < v <= 1, "be in (0, 1]"),
+    "> 0, inf allowed": (lambda v: v > 0, "be > 0"),
+    ">= 0, inf allowed": (lambda v: v >= 0, "be >= 0"),
+    "> 0 (constant-flow regime)": (lambda v: v > 0, "stay > 0 (constant-flow regime)"),
+}
+
+
+# each kind of device and its limit pairs <stem>_min <= <stem>_max
+_LIMIT_PAIRS = {
+    "chp_units": ("p", "q"), "heat_pumps": ("p",), "batteries": ("e",), "tanks": ("e",),
+    "pv_units": (),
+}
+
+
+@cache
+def _declared(cls: type) -> tuple[tuple[str, str, str], ...]:
+    """(field, document key, domain) of each field of ``cls`` to check."""
+    return tuple(
+        (f.name, document_key(f), f.metadata["domain"])
+        for f in fields(cls)
+        if f.metadata.get("domain", "limit") != "limit"
+    )
+
+
+def _fault(domain: str, value, refs: dict[str, int]) -> str | None:
+    """Why ``value`` (an entry of an array) is outside ``domain``, or None."""
+    if isinstance(value, np.ndarray):
+        # the extremes fail wherever an entry does; a NaN is the minimum
+        if not value.size:
+            return None
+        return _fault(domain, float(value.min()), refs) or _fault(domain, float(value.max()), refs)
+    if domain in refs:
+        n = refs[domain]
+        if 0 <= value < n:
+            return None
+        return f"references {domain} {value} of a {n}-{domain.split()[-1]} network"
+    test, must = _DOMAINS[domain]
+    if not test(value):
+        return f"must {must}, got {value}"
+    if not (math.isfinite(value) or domain.endswith("inf allowed")):
+        return f"must be finite, got {value}"
+    return None
+
+
+def _check_fields(d: list[Diagnostic], refs: dict[str, int], path: str, record) -> None:
+    """Check each declared field of ``record`` against its domain.  At the
+    root a fault is reported at its key; elsewhere at ``path`` (extended by
+    a dotted key's head) as "<key> must ..."."""
+    for name, key, domain in _declared(type(record)):
+        fault = _fault(domain, getattr(record, name), refs)
+        if fault is None:
+            continue
+        if path:
+            where, _, key = f"{path}.{key}".rpartition(".")
+            d.append(Diagnostic(where, f"{key} {fault}"))
+        else:
+            d.append(Diagnostic(key, fault))
 
 
 def validate_system(model: SystemModel) -> list[Diagnostic]:
-    """Collect every violated invariant; an empty list means a valid model."""
+    """Collect every violated invariant; an empty list means a valid model.
+
+    Every record's declared fields are checked against their domains; the
+    checks written out here relate fields to each other."""
     d: list[Diagnostic] = []
     T = model.horizon
-
-    if T < 1:
-        d.append(Diagnostic("horizon", f"must be >= 1, got {T}"))
-    # the checks read "not x > 0": NaN fails every comparison, so it is refused
-    if not model.step_seconds > 0:
-        d.append(Diagnostic("step_seconds", f"must be > 0, got {model.step_seconds}"))
-    elif not np.isfinite(model.step_seconds):
-        d.append(Diagnostic("step_seconds", f"must be finite, got {model.step_seconds}"))
-    if not model.base_mva > 0:
-        d.append(Diagnostic("base_mva", f"must be > 0, got {model.base_mva}"))
-    elif not np.isfinite(model.base_mva):
-        d.append(Diagnostic("base_mva", f"must be finite, got {model.base_mva}"))
-
-    for kind in ("chp_units", "heat_pumps", "batteries", "tanks", "pv_units"):
-        for name, uses in Counter(unit.name for unit in getattr(model, kind)).items():
-            if uses > 1:
-                d.append(Diagnostic(f"{kind}[{name}]", f"name used by {uses} entries"))
-
     net = model.electric
     heat = model.heat
+    refs = {"bus": net.n_bus, "heat node": heat.n_node}
+    _check_fields(d, refs, "", model)
 
-    def check_bus(path: str, bus: int) -> None:
-        if not 0 <= bus < net.n_bus:
-            d.append(Diagnostic(path, f"references bus {bus} of a {net.n_bus}-bus network"))
-
-    def check_node(path: str, node: int) -> None:
-        if not 0 <= node < heat.n_node:
-            d.append(
-                Diagnostic(path, f"references heat node {node} of a {heat.n_node}-node network")
-            )
-
-    for c in model.chp_units:
-        p = f"chp_units[{c.name}]"
-        check_bus(p, c.bus)
-        check_node(p, c.heat_node)
-        _check_interval(d, p + ".p", c.p_min, c.p_max)
-        _check_interval(d, p + ".q", c.q_min, c.q_max)
-        if not c.power_to_heat > 0:
-            d.append(Diagnostic(p, f"power_to_heat must be > 0, got {c.power_to_heat}"))
-        for ramp in ("ramp_p", "ramp_q"):
-            if not getattr(c, ramp) >= 0:
-                d.append(Diagnostic(p, f"{ramp} must be >= 0, got {getattr(c, ramp)}"))
-        _check_number(d, p, "cost", c.cost)
-
-    for h in model.heat_pumps:
-        p = f"heat_pumps[{h.name}]"
-        check_bus(p, h.bus)
-        check_node(p, h.heat_node)
-        _check_interval(d, p + ".p", h.p_min, h.p_max)
-        if not 0 < h.power_factor <= 1:
-            d.append(Diagnostic(p, f"power factor must be in (0, 1], got {h.power_factor}"))
-        if not h.power_to_heat > 0:
-            d.append(Diagnostic(p, f"power_to_heat must be > 0, got {h.power_to_heat}"))
-        if not h.ramp_p >= 0:
-            d.append(Diagnostic(p, f"ramp_p must be >= 0, got {h.ramp_p}"))
-        _check_number(d, p, "cost", h.cost)
-
-    for kind, units in (("batteries", model.batteries), ("tanks", model.tanks)):
-        for s in units:
+    for kind, pairs in _LIMIT_PAIRS.items():
+        units = getattr(model, kind)
+        for name, uses in Counter(unit.name for unit in units).items():
+            if uses > 1:
+                d.append(Diagnostic(f"{kind}[{name}]", f"name used by {uses} entries"))
+        for unit in units:
+            p = f"{kind}[{unit.name}]"
+            _check_fields(d, refs, p, unit)
+            for stem in pairs:
+                lo, hi = getattr(unit, f"{stem}_min"), getattr(unit, f"{stem}_max")
+                _check_interval(d, f"{p}.{stem}", lo, hi)
+    for kind, lo, hi in (("batteries", "p_min", "p_max"), ("tanks", "h_min", "h_max")):
+        for s in getattr(model, kind):
             p = f"{kind}[{s.name}]"
-            if kind == "batteries":
-                check_bus(p, s.bus)
-            else:
-                check_node(p, s.heat_node)
-            if not 0 < s.retention <= 1:
-                d.append(Diagnostic(p, f"retention must be in (0, 1], got {s.retention}"))
-            for eta_name in ("eta_charge", "eta_discharge"):
-                eta = getattr(s, eta_name)
-                if not 0 < eta <= 1:
-                    d.append(Diagnostic(p, f"{eta_name} must be in (0, 1], got {eta}"))
-            if not s.capacity > 0:
-                d.append(Diagnostic(p, f"capacity must be > 0, got {s.capacity}"))
-            _check_interval(d, p + ".e", s.e_min, s.e_max)
             if not s.e_min <= s.e_initial <= s.e_max:
-                d.append(
-                    Diagnostic(
-                        p,
-                        f"initial level {s.e_initial} outside energy bounds "
-                        f"[{s.e_min}, {s.e_max}]",
-                    )
-                )
-            lo = s.p_min if kind == "batteries" else s.h_min
-            hi = s.p_max if kind == "batteries" else s.h_max
-            if not lo <= 0 <= hi:
-                d.append(Diagnostic(p, f"power bounds [{lo}, {hi}] must bracket zero"))
-            ramp = "ramp_p" if kind == "batteries" else "ramp_h"
-            if not getattr(s, ramp) >= 0:
-                d.append(Diagnostic(p, f"{ramp} must be >= 0, got {getattr(s, ramp)}"))
-            _check_number(d, p, "cost", s.cost)
-
-    for pv in model.pv_units:
-        check_bus(f"pv_units[{pv.name}]", pv.bus)
+                d.append(Diagnostic(
+                    p, f"initial level {s.e_initial} outside energy bounds [{s.e_min}, {s.e_max}]"
+                ))
+            if not getattr(s, lo) <= 0 <= getattr(s, hi):
+                d.append(Diagnostic(
+                    p, f"{lo} and {hi} must bracket zero, got [{getattr(s, lo)}, {getattr(s, hi)}]"
+                ))
 
     g = model.grid
-    check_bus("grid", g.bus)
+    _check_fields(d, refs, "grid", g)
     if g.bus != net.slack_bus:
         d.append(Diagnostic("grid", f"must sit at the slack bus {net.slack_bus}, got {g.bus}"))
     _check_interval(d, "grid.p", g.p_min, g.p_max)
     _check_interval(d, "grid.q", g.q_min, g.q_max)
     if len(g.price) != T:
         d.append(Diagnostic("grid.price", f"series length {len(g.price)} != horizon {T}"))
-    _check_number(d, "grid", "price", g.price)
 
     # electric network structure
-    if not 0 <= net.slack_bus < net.n_bus:
-        d.append(Diagnostic("electric.slack_bus", f"bus {net.slack_bus} out of range"))
-    _check_number(d, "electric", "slack_voltage", net.slack_voltage, "> 0")
+    _check_fields(d, refs, "electric", net)
     if net.v_min.shape != (net.n_bus,) or net.v_max.shape != (net.n_bus,):
         d.append(Diagnostic("electric.v_bounds", "per-bus bound arrays must match n_bus"))
     else:
         for i in range(net.n_bus):
             if not net.v_min[i] < net.v_max[i]:
-                d.append(
-                    Diagnostic(f"electric.bus[{i}]", "requires v_min < v_max")
-                )
+                d.append(Diagnostic(f"electric.bus[{i}]", "requires v_min < v_max"))
     for j, br in enumerate(net.branches):
-        p = f"electric.branch[{j}]"
-        for b in (br.from_bus, br.to_bus):
-            if not 0 <= b < net.n_bus:
-                d.append(Diagnostic(p, f"references bus {b} of a {net.n_bus}-bus network"))
+        _check_fields(d, refs, f"electric.branch[{j}]", br)
         if br.from_bus == br.to_bus:
-            d.append(Diagnostic(p, "self-loop branch"))
-        if not br.flow_max > 0:
-            d.append(Diagnostic(p, f"flow_max must be > 0, got {br.flow_max}"))
-        _check_number(d, p, "r", br.resistance)
-        _check_number(d, p, "x", br.reactance)
+            d.append(Diagnostic(f"electric.branch[{j}]", "self-loop branch"))
     if not net.is_connected():
         d.append(Diagnostic("electric", "network is not connected"))
 
     # heat network structure
     if heat.n_node > 0:
-        if not heat.is_tree():
+        _check_fields(d, refs, "heat", heat)
+        tree = heat.is_tree()
+        if not tree:
             d.append(Diagnostic("heat", "supply network must be a tree"))
-        _check_number(d, "heat.water", "density", heat.water_density, "> 0")
-        _check_number(d, "heat.water", "heat_capacity", heat.water_heat_capacity, "> 0")
-        for name in ("ground_temperature", "initial_supply_temperature",
-                     "initial_return_temperature"):
-            _check_number(d, "heat", name, getattr(heat, name))
         for name in ("ts_min", "ts_max", "tr_min", "tr_max", "inflow", "outflow"):
             if getattr(heat, name).shape != (heat.n_node,):
                 d.append(Diagnostic(f"heat.{name}", "length must match n_node"))
         for i in range(heat.n_node):
             _check_interval(d, f"heat.node[{i}].ts", heat.ts_min[i], heat.ts_max[i])
             _check_interval(d, f"heat.node[{i}].tr", heat.tr_min[i], heat.tr_max[i])
-        if not (np.all(heat.inflow >= 0) and np.all(heat.outflow >= 0)):
-            d.append(Diagnostic("heat", "inflow/outflow mass rates must be >= 0"))
         for j, pipe in enumerate(heat.pipes):
             p = f"heat.pipe[{j}]"
-            for n in (pipe.from_node, pipe.to_node):
-                if not 0 <= n < heat.n_node:
-                    d.append(Diagnostic(p, f"references node {n} of a {heat.n_node}-node network"))
+            _check_fields(d, refs, p, pipe)
             expected = np.pi * pipe.diameter**2 / 4.0
             if not abs(pipe.cross_section - expected) <= 1e-9 * max(expected, 1e-30):
-                d.append(
-                    Diagnostic(p, f"cross_section {pipe.cross_section} != pi*D^2/4 = {expected}")
-                )
-            if not pipe.mass_flow > 0:
-                d.append(Diagnostic(
-                    p, f"mass_flow must stay > 0 (constant-flow regime), got {pipe.mass_flow}"
-                ))
-            _check_number(d, p, "length", pipe.length, ">= 0")
-            _check_number(d, p, "conductivity", pipe.conductivity, ">= 0")
-        if heat.is_tree():
+                d.append(Diagnostic(p, f"cross_section {pipe.cross_section} != pi*D^2/4 = {expected}"))
+        if tree:
             d.extend(_check_heat_mass_balance(heat))
 
     # forecasts
     fc = model.forecasts
+    _check_fields(d, refs, "forecasts", fc)
     expected_rows = {
         "pv": len(model.pv_units),
         "electric_load_p": net.n_bus,
@@ -578,21 +559,12 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
         rows = expected_rows[name]
         for label, a in (("min", lo), ("center", mid), ("max", hi)):
             if a.shape != (rows, T) and not (rows == 0 and a.size == 0):
-                d.append(
-                    Diagnostic(
-                        f"forecasts.{name}.{label}",
-                        f"shape {a.shape} != ({rows}, {T})",
-                    )
-                )
+                d.append(Diagnostic(f"forecasts.{name}.{label}", f"shape {a.shape} != ({rows}, {T})"))
         if lo.shape == mid.shape == hi.shape and lo.size:
             bad = np.argwhere(~((lo <= mid + 1e-12) & (mid <= hi + 1e-12)))
             for row, t in bad[:8]:
-                d.append(
-                    Diagnostic(
-                        f"forecasts.{name}[{row}]",
-                        f"interval ordering min <= center <= max violated at t={t}",
-                    )
-                )
+                d.append(Diagnostic(f"forecasts.{name}[{row}]",
+                                    f"interval ordering min <= center <= max violated at t={t}"))
     return d
 
 

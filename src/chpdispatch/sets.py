@@ -54,17 +54,22 @@ class PolyhedronH:
     def from_box_rows(
         rows: list[tuple[np.ndarray, float, float, str]], dimension: int
     ) -> "PolyhedronH":
-        """Build pairs (s^T z <= hi, -s^T z <= -lo) from (s, lo, hi, label)."""
+        """Build pairs (s^T z <= hi, -s^T z <= -lo) from (s, lo, hi, label).
+
+        An infinite bound limits nothing, so its row is left out; a NaN
+        bound is kept, for the finiteness check to refuse."""
         coeff = []
         bound = []
         labels = []
         for s, lo, hi, label in rows:
-            coeff.append(s)
-            bound.append(hi)
-            labels.append(f"{label} upper")
-            coeff.append(-np.asarray(s))
-            bound.append(-lo)
-            labels.append(f"{label} lower")
+            if hi != np.inf:
+                coeff.append(s)
+                bound.append(hi)
+                labels.append(f"{label} upper")
+            if lo != -np.inf:
+                coeff.append(-np.asarray(s))
+                bound.append(-lo)
+                labels.append(f"{label} lower")
         if not coeff:
             return PolyhedronH.empty(dimension)
         return PolyhedronH(np.vstack(coeff), np.array(bound), tuple(labels))

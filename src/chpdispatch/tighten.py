@@ -192,10 +192,12 @@ class _DeviationFamily:
     as ``lags`` (:class:`~chpdispatch.compile.Lags`), never as one dense
     (lags, M, n_w) array.
 
-    Row pairs are fixed once: ``gamma_rows`` drops every row 2i+1 whose
-    coefficients negate row 2i (same |theta|, so the same budget term) and
-    ``gamma_index`` maps each row to its entry there; ``upper_rows`` lists
-    the rows i labelled "... upper" that row i+1 closes as "... lower".
+    Row pairs are fixed once from the labels, as a row with an infinite
+    bound has no partner: ``upper_rows`` lists the rows i labelled
+    "<stem> upper" that row i+1 closes as "<stem> lower".  ``gamma_rows``
+    drops every such row i+1 whose coefficients negate row i (same |theta|,
+    so the same budget term) and ``gamma_index`` maps each row to its entry
+    there.
     """
 
     def __init__(self, name: str, poly: PolyhedronH, steps: np.ndarray, lags: Lags):
@@ -204,17 +206,20 @@ class _DeviationFamily:
         self.steps = steps
         self.lags = lags
         coeff = poly.coefficients
-        even = np.arange(0, poly.n_rows - 1, 2)
-        mirrored = even[np.all(coeff[even + 1] == -coeff[even], axis=1)] + 1
+        labels = poly.labels
+        self.upper_rows = np.array(
+            [
+                i for i in range(poly.n_rows - 1)
+                if labels[i].endswith(" upper") and labels[i + 1] == labels[i][:-5] + "lower"
+            ],
+            dtype=int,
+        )
+        up = self.upper_rows
+        mirrored = up[np.all(coeff[up + 1] == -coeff[up], axis=1)] + 1
         source = np.arange(poly.n_rows)
         source[mirrored] -= 1
         self.gamma_rows = np.delete(source, mirrored)
         self.gamma_index = np.searchsorted(self.gamma_rows, source)
-        labels = poly.labels
-        self.upper_rows = np.array(
-            [i for i in even if labels[i].endswith(" upper") and labels[i + 1].endswith(" lower")],
-            dtype=int,
-        )
 
 
 def _build_families(

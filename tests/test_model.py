@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from chpdispatch import cli
 from chpdispatch.config_io import (
     SAFE_LOADER,
     ConfigError,
@@ -19,10 +20,16 @@ from chpdispatch.config_io import (
 )
 from chpdispatch.model import (
     BatteryUnit,
+    Branch,
     ChpUnit,
+    ElectricNetwork,
+    ForecastSeries,
     GridConnection,
+    HeatNetwork,
+    HeatPipe,
     HeatPump,
     PvUnit,
+    SystemModel,
     ThermalTank,
     validate_system,
 )
@@ -72,6 +79,26 @@ def test_dangling_bus_on_reference_network():
     with pytest.raises(ModelValidationError) as err:
         load_system(doc)
     assert "references bus 99 of a 33-bus network" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "section, key, diagnostic",
+    [
+        (("electric_network", "branches"), "from",
+         "electric.branch[0]: from references bus 99 of a 33-bus network"),
+        (("electric_network", "branches"), "to",
+         "electric.branch[0]: to references bus 99 of a 33-bus network"),
+        (("heat_network", "pipes"), "from", "heat.pipe[0]: from references heat node 99 of a 8-node network"),
+        (("heat_network", "pipes"), "to", "heat.pipe[0]: to references heat node 99 of a 8-node network"),
+    ],
+)
+def test_dangling_network_reference_is_refused_by_name(section, key, diagnostic):
+    # the connectivity and tree walks meet the id too, and must not raise
+    doc = reference_document(4, 3600.0)
+    doc[section[0]][section[1]][0][key] = 99
+    with pytest.raises(ModelValidationError) as err:
+        load_system(doc)
+    assert diagnostic in [str(d) for d in err.value.diagnostics]
 
 
 def test_repeated_device_name_rejected():
@@ -220,6 +247,60 @@ def test_non_finite_setting_is_refused_by_name(tmp_path, keys, value, diagnostic
     assert diagnostic in [str(d) for d in err.value.diagnostics]
 
 
+def number_keys(node, keys=()):
+    """The key path of every number in a document, down the first entry of
+    each list: every scalar of one record per list and one entry of every
+    series (each forecast channel's min, center and max included)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from number_keys(value, keys + (key,))
+    elif isinstance(node, list):
+        if node:
+            yield from number_keys(node[0], keys + (0,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield keys
+
+
+def names_key(text: str, key: str) -> bool:
+    """Whether a diagnostic names ``key``, or the interval of a _min/_max key."""
+    stem = re.fullmatch(r"(.+)_(min|max)", key)
+    return bool(
+        re.search(rf"(^|[ .]){re.escape(key)}\b", text)
+        or stem and re.search(rf"\.{re.escape(stem.group(1))}:", text)
+    )
+
+
+@pytest.mark.parametrize(
+    "keys", list(number_keys(reference_document(4, 3600.0))), ids=lambda keys: ".".join(map(str, keys))
+)
+def test_non_finite_number_is_refused_by_name_or_dispatches(tmp_path, keys):
+    # a value either fails at load naming its key, or it is an infinite
+    # limit or ramp, which drops its row and dispatches
+    key = next(k for k in reversed(keys) if isinstance(k, str))
+    values = ["nan", "inf", "-inf"]
+    if key in ("diameter", "capacity", "power_to_heat"):
+        values.append("0")
+    for value in values:
+        doc = reference_document(4, 3600.0)
+        entry = doc
+        for k in keys[:-1]:
+            entry = entry[k]
+        entry[keys[-1]] = float(value)
+        try:
+            load_system(doc)
+        except ConfigError as err:
+            assert err.path.endswith(key), (value, str(err))
+            continue
+        except ModelValidationError as err:
+            assert any(names_key(str(d), key) for d in err.diagnostics), (value, str(err))
+            continue
+        assert value != "nan" and key in INFINITE_KEYS, value
+        path = tmp_path / f"{value}.yaml"
+        path.write_text(document_text(doc), encoding="utf-8")
+        code = cli.run(["dispatch", "--config", str(path), "--out", str(tmp_path / value)])
+        assert code == 0, value
+
+
 def test_truncated_json_names_file_line_and_column(tmp_path):
     text = document_text(minimal_document())
     head = text[: len(text) // 2]
@@ -315,15 +396,78 @@ def test_record_field_violation_names_path(key, field, case):
     assert str(err.value) == f"{path}.{field}: {message}"
 
 
+SCHEMA_DOC = pathlib.Path(__file__).parents[1] / "docs" / "config-schema.md"
+
+
+def document_keys(cls: type) -> list[str]:
+    return [f.metadata.get("key") or f.name for f in dataclasses.fields(cls)]
+
+
 def test_schema_doc_lists_the_record_fields():
-    # a flat device record's keys are its dataclass's fields, in order; the
-    # example in the schema reference shows them so
-    text = (pathlib.Path(__file__).parents[1] / "docs" / "config-schema.md").read_text(encoding="utf-8")
+    # a flat record's keys are its dataclass's fields (their document keys),
+    # in order; the example in the schema reference shows them so
+    text = SCHEMA_DOC.read_text(encoding="utf-8")
     example = yaml.safe_load(re.search(r"```yaml\n(.*?)```", text, re.S).group(1))
     classes = (ChpUnit, HeatPump, BatteryUnit, ThermalTank, PvUnit, GridConnection)
     for key, cls in zip(RECORD_KEYS, classes):
         entry = record_entry(example, key)[1]
-        assert list(entry) == [f.name for f in dataclasses.fields(cls)], key
+        assert list(entry) == document_keys(cls), key
+    assert list(example["electric_network"]["branches"][0]) == document_keys(Branch)
+
+
+# where each record's keys sit in the document ("[]": in every entry of a
+# list), and the fields whose keys sit elsewhere
+SCHEMA_RECORDS = {
+    SystemModel: "",
+    ElectricNetwork: "electric_network",
+    Branch: "electric_network.branches[]",
+    HeatNetwork: "heat_network",
+    HeatPipe: "heat_network.pipes[]",
+    ChpUnit: "chp_units[]",
+    HeatPump: "heat_pumps[]",
+    BatteryUnit: "batteries[]",
+    ThermalTank: "thermal_tanks[]",
+    PvUnit: "pv_units[]",
+    GridConnection: "grid",
+    ForecastSeries: "forecasts",
+}
+FIELD_PATHS = {
+    "horizon": "horizon.steps",
+    "step_seconds": "horizon.step_seconds",
+    **{f: f"electric_network.buses[].{f}" for f in ("v_min", "v_max")},
+    **{f: f"heat_network.nodes[].{f}" for f in ("ts_min", "ts_max", "tr_min", "tr_max")},
+    "inflow": "heat_network.nodes[].inflow_kg_s",
+    "outflow": "heat_network.nodes[].outflow_kg_s",
+}
+
+
+def schema_table() -> str:
+    """The per-field table of the schema reference, from the field metadata."""
+    lines = ["| document path | key | domain |", "| --- | --- | --- |"]
+    for cls, where in SCHEMA_RECORDS.items():
+        for f in dataclasses.fields(cls):
+            if "domain" not in f.metadata:
+                continue
+            key = f.metadata["key"] or f.name
+            path = FIELD_PATHS.get(f.name) or ".".join(filter(None, (where, key)))
+            if cls is ForecastSeries:
+                head, _, tail = path.rpartition(".")
+                path = f"{head}.<channel>.{tail}"
+            lines.append(f"| `{path}` | `{key}` | {f.metadata['domain']} |")
+    return "\n".join(lines) + "\n"
+
+
+# the keys whose declared domain allows an infinite value
+INFINITE_KEYS = {
+    f.metadata["key"] or f.name
+    for cls in SCHEMA_RECORDS
+    for f in dataclasses.fields(cls)
+    if f.metadata.get("domain", "").endswith(("limit", "inf allowed"))
+}
+
+
+def test_schema_doc_has_the_field_table():
+    assert schema_table() in SCHEMA_DOC.read_text(encoding="utf-8")
 
 
 def test_series_length_mismatch_names_path():

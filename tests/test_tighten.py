@@ -19,8 +19,10 @@ from chpdispatch.compile import (
     compile_uncertainty_tube,
     unit_of,
 )
+from chpdispatch.config_io import load_system
+from chpdispatch.dispatch import CostModel, solve_dispatch
 from chpdispatch.lp import LinearProgram, solve_lp, solve_lp_simplex
-from chpdispatch.reference import build_reference_system
+from chpdispatch.reference import build_reference_system, reference_document
 from chpdispatch.sets import PolyhedronH, UncertaintyTube
 from chpdispatch.tighten import (
     FamilySchedule,
@@ -369,6 +371,38 @@ class TestTighten:
         assert err.value.step == 3   # cumulative reduction first exceeds the span here
         sched = tighten(ssm, cons, tube, gain, on_empty="flag")
         assert sched.family("x").empty_steps.any()
+
+    def test_one_sided_row_before_an_emptying_pair(self):
+        # an infinite bound drops its row, so the pair after it starts at
+        # an odd row; its emptiness is still found and named
+        ssm, tube, gain = scalar_system(1.0, 1.0, 6, np.ones(6))
+        rows = [(np.array([1.0]), -np.inf, 9.0, "cap"), (np.array([1.0]), -2.0, 2.0, "state")]
+        x = PolyhedronH.from_box_rows(rows, 1)
+        assert x.labels == ("cap upper", "state upper", "state lower")
+        empty = PolyhedronH.empty(1)
+        cons = ConstraintFamily(x=x, u=empty, y=empty, du=empty, dy=empty)
+        with pytest.raises(TighteningInfeasibleError) as err:
+            tighten(ssm, cons, tube, gain)
+        assert (err.value.family, err.value.step, err.value.row) == ("x", 3, "state")
+
+    def test_infinite_ramp_drops_its_rows(self):
+        def dispatch(ramp: float):
+            doc = reference_document(4, 3600.0)
+            doc["chp_units"][0]["ramp_p"] = ramp
+            model = load_system(doc)
+            ssm = compile_state_space(model)
+            tube = compile_uncertainty_tube(model)
+            sched = tighten(ssm, compile_constraints(model, ssm), tube, choose_gain(ssm))
+            sol = solve_dispatch(ssm, sched, CostModel.from_model(model), tube.w_center)
+            return sched, sol.objective
+
+        free, j_free = dispatch(np.inf)
+        loose, j_loose = dispatch(100.0)
+        stem = "chp_p_ramp[chp_main]"
+        assert f"{stem} upper" in loose.family("du").polyhedron.labels
+        assert stem not in free.to_csv()
+        assert free.family("du").polyhedron.n_rows == loose.family("du").polyhedron.n_rows - 2
+        assert j_free == pytest.approx(j_loose, rel=1e-8)
 
     def test_single_step_horizon(self):
         # the ramp families have no steps when T = 1
