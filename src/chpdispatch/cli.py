@@ -313,31 +313,30 @@ def _metrics_csv(payload: dict) -> str:
     return header + "\n" + row + "\n"
 
 
-def _bound_pairs(poly) -> dict[str, tuple[int, int]]:
-    """Label stem -> (upper row, lower row) for the stems that have both."""
+def _bound_pairs(poly) -> dict[str, tuple[int | None, int | None]]:
+    """Label stem -> (upper row, lower row), None for a side with no row
+    (an infinite limit's)."""
     sides: dict[str, dict[str, int]] = {}
     for ri, label in enumerate(poly.labels):
         stem, side = label.rsplit(" ", 1)
         sides.setdefault(stem, {})[side] = ri
-    return {
-        stem: (pair["upper"], pair["lower"])
-        for stem, pair in sides.items()
-        if "upper" in pair and "lower" in pair
-    }
+    return {stem: (pair.get("upper"), pair.get("lower")) for stem, pair in sides.items()}
 
 
-def _bounds_csv(unit: str, fam, rows: tuple[int, int], nominal, **extra) -> Iterator[str]:
+def _bounds_csv(unit: str, fam, rows: tuple[int | None, int | None], nominal, **extra) -> Iterator[str]:
     """Per step of ``fam``: the nominal value, the original and tightened
-    bounds of the (upper, lower) row pair, then one column per ``extra``
-    per-step series."""
-    up, lo = rows
+    bounds of the (upper, lower) row pair (+-inf for a side with no row),
+    then one column per ``extra`` per-step series."""
     bounds, tight = fam.polyhedron.bounds, fam.tightened_bounds
     columns = ["nominal", "orig_lower", "orig_upper", "tight_lower", "tight_upper", *extra]
     steps = fam.steps.astype(int)
     n = len(steps)
+    # (upper, lower) in upper form; a side with no row is +inf
+    orig = [np.inf if row is None else bounds[row] for row in rows]
+    tighter = [np.full(n, np.inf) if row is None else tight[:, row] for row in rows]
     values = np.column_stack([
-        nominal[steps], np.full(n, -bounds[lo]), np.full(n, bounds[up]),
-        -tight[:, lo], tight[:, up], *(series[steps] for series in extra.values()),
+        nominal[steps], np.full(n, -orig[1]), np.full(n, orig[0]), -tighter[1], tighter[0],
+        *(series[steps] for series in extra.values()),
     ])
     yield "step," + ",".join(f"{col}[{unit}]" for col in columns) + "\n"
     yield from csvtext.blocks(
@@ -359,7 +358,8 @@ def _plot_data(out: str, sol, schedule) -> None:
         for stem, rows in _bound_pairs(fam.polyhedron).items():
             if not stem.startswith(kind):
                 continue
-            idx = int(np.argmax(np.abs(fam.polyhedron.coefficients[rows[0]])))
+            row = rows[0] if rows[0] is not None else rows[1]
+            idx = int(np.argmax(np.abs(fam.polyhedron.coefficients[row])))
             name = stem.replace("[", "_").replace("]", "").replace(" ", "_")
             _write(
                 os.path.join(out, f"bounds_{name}.csv"),

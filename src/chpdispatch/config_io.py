@@ -7,17 +7,16 @@ a fully validated :class:`~chpdispatch.model.SystemModel`; ``dump_system``
 is its exact inverse (round-trips are field-identical).  Documents are
 written as JSON, which is also YAML.
 
-The CHP, heat-pump, battery, tank, PV, grid, branch and pipe records are
-written from their model dataclass's fields, the one list of their keys (a
-field's ``key`` metadata where the key is not its name), and all but the
-pipes are read so too: a pipe's ``mass_flow`` may be a constant series and
-its ``cross_section`` defaults to pi D^2 / 4.  The buses, nodes, water and
-forecasts have document forms of their own.
+The electric and heat networks and the CHP, heat-pump, battery, tank, PV,
+grid, branch and pipe records are written from their model dataclass's
+fields, the one list of their keys and defaults (see ``model._field``), and
+all but the pipes are read so too: a pipe's ``mass_flow`` may be a constant
+series and its ``cross_section`` defaults to pi D^2 / 4.  The pipes' reader
+and the forecasts' channel-keyed form are written out.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from typing import Any, Mapping
@@ -39,7 +38,7 @@ from .model import (
     PvUnit,
     SystemModel,
     ThermalTank,
-    document_key,
+    layout,
     validate_system,
 )
 
@@ -216,11 +215,12 @@ def _parse(doc: Mapping[str, Any]) -> SystemModel:
     hz = root.child("horizon")
     T = hz.integer("steps")
     dt = hz.number("step_seconds")
-    base_mva = root.number("base_mva", 1.0)
+    base_mva = root.number("base_mva", SystemModel.__dataclass_fields__["base_mva"].metadata["absent"])
 
-    net = _parse_electric(root.child("electric_network"))
-    heat_reader = root.optional_child("heat_network")
-    heat = _parse_heat(heat_reader, T) if heat_reader else _empty_heat()
+    net = _record(ElectricNetwork, root.child("electric_network"), T)
+    if not net.n_bus:
+        raise ConfigError("electric_network.buses", "at least one bus is required")
+    heat = _record(HeatNetwork, root.optional_child("heat_network") or _Reader({}, "heat_network"), T)
 
     chp = [_record(ChpUnit, r, T) for r in root.items("chp_units")]
     hps = [_record(HeatPump, r, T) for r in root.items("heat_pumps")]
@@ -254,103 +254,64 @@ def _parse(doc: Mapping[str, Any]) -> SystemModel:
 
 
 def _record(cls: type, r: _Reader, length: int) -> Any:
-    """A flat record: each dataclass field read under its document key by
-    the reader its annotation selects (an array is a series of ``length``)."""
-    read = {
-        "str": r.string,
-        "int": r.integer,
-        "float": r.number,
-        "np.ndarray": lambda key: r.series(key, length),
-    }
-    return cls(**{f.name: read[f.type](document_key(f)) for f in dataclasses.fields(cls)})
+    """A record: each dataclass field read where its key puts it (see
+    ``model.layout``), as its declared ``absent`` value where the key is
+    omitted, by the reader its annotation selects (an array is a series of
+    ``length``, a tuple the list of its records)."""
+    tables: dict[str, tuple[list[_Reader], list[int]]] = {}
+
+    def table(head: str) -> tuple[list[_Reader], list[int]]:
+        """The rows of the id-indexed list ``head`` and their ids, read once."""
+        if head not in tables:
+            rows = r.items(head)
+            ids = [row.integer("id") for row in rows]
+            if sorted(ids) != list(range(len(rows))):
+                raise ConfigError(r._join(head), f"ids must be 0..{len(rows) - 1}, got {sorted(ids)}")
+            tables[head] = rows, ids
+        return tables[head]
+
+    values: dict[str, Any] = {}
+    for name, kind, head, key, column, meta in layout(cls):
+        absent = meta.get("absent")
+        if column and not key:
+            values[name] = len(table(head)[0])
+        elif column:
+            rows, ids = table(head)
+            values[name] = np.zeros(len(rows))
+            for row, i in zip(rows, ids):
+                values[name][i] = row.number(key, absent)
+        elif kind in _ITEMS:
+            values[name] = tuple(_ITEMS[kind](item, length) for item in r.items(key))
+        else:
+            sub = (r.optional_child(head) or _Reader({}, r._join(head))) if head else r
+            if kind == "np.ndarray":
+                values[name] = sub.series(key, length, absent)
+            else:
+                values[name] = _SCALARS[kind](sub, key, absent)
+    return cls(**values)
 
 
-def _parse_electric(r: _Reader) -> ElectricNetwork:
-    buses = r.items("buses")
-    if not buses:
-        raise ConfigError("electric_network.buses", "at least one bus is required")
-    n = len(buses)
-    ids = [b.integer("id") for b in buses]
-    if sorted(ids) != list(range(n)):
-        raise ConfigError("electric_network.buses", f"bus ids must be 0..{n - 1}, got {sorted(ids)}")
-    v_min = np.zeros(n)
-    v_max = np.zeros(n)
-    for b, i in zip(buses, ids):
-        v_min[i] = b.number("v_min", 0.9)
-        v_max[i] = b.number("v_max", 1.1)
-    return ElectricNetwork(
-        n_bus=n,
-        slack_bus=r.integer("slack_bus", 0),
-        slack_voltage=r.number("slack_voltage", 1.0),
-        v_min=v_min,
-        v_max=v_max,
-        branches=tuple(_record(Branch, br, 0) for br in r.items("branches")),
+def _pipe(p: _Reader, length: int) -> HeatPipe:
+    """A pipe: its ``mass_flow`` may be a constant series, and its
+    ``cross_section`` defaults to pi D^2 / 4."""
+    return HeatPipe(
+        from_node=p.integer("from"),
+        to_node=p.integer("to"),
+        length=p.number("length"),
+        diameter=p.number("diameter"),
+        conductivity=p.number("conductivity"),
+        mass_flow=p.constant("mass_flow", length),
+        cross_section=p.number("cross_section", 0.0),
     )
 
 
-def _empty_heat() -> HeatNetwork:
-    z = np.zeros(0)
-    return HeatNetwork(
-        n_node=0,
-        pipes=(),
-        ts_min=z,
-        ts_max=z,
-        tr_min=z,
-        tr_max=z,
-        inflow=z,
-        outflow=z,
-        ground_temperature=np.zeros(1),
-        initial_supply_temperature=0.0,
-        initial_return_temperature=0.0,
-    )
-
-
-def _parse_heat(r: _Reader, T: int) -> HeatNetwork:
-    nodes = r.items("nodes")
-    n = len(nodes)
-    ids = [nd.integer("id") for nd in nodes]
-    if sorted(ids) != list(range(n)):
-        raise ConfigError("heat_network.nodes", f"node ids must be 0..{n - 1}, got {sorted(ids)}")
-    arrays = {k: np.zeros(n) for k in ("ts_min", "ts_max", "tr_min", "tr_max", "inflow", "outflow")}
-    for nd, i in zip(nodes, ids):
-        arrays["ts_min"][i] = nd.number("ts_min")
-        arrays["ts_max"][i] = nd.number("ts_max")
-        arrays["tr_min"][i] = nd.number("tr_min")
-        arrays["tr_max"][i] = nd.number("tr_max")
-        arrays["inflow"][i] = nd.number("inflow_kg_s", 0.0)
-        arrays["outflow"][i] = nd.number("outflow_kg_s", 0.0)
-    pipes = []
-    for p in r.items("pipes"):
-        pipes.append(
-            HeatPipe(
-                from_node=p.integer("from"),
-                to_node=p.integer("to"),
-                length=p.number("length"),
-                diameter=p.number("diameter"),
-                conductivity=p.number("conductivity"),
-                mass_flow=p.constant("mass_flow", T),
-                cross_section=p.number("cross_section", 0.0),
-            )
-        )
-    water = r.optional_child("water")
-    density = water.number("density", 1000.0) if water else 1000.0
-    heat_capacity = water.number("heat_capacity", 4182.0) if water else 4182.0
-    ground = r.series("ground_temperature", T) if isinstance(r.get("ground_temperature"), list) else np.array([r.number("ground_temperature", 10.0)])
-    return HeatNetwork(
-        n_node=n,
-        pipes=tuple(pipes),
-        ts_min=arrays["ts_min"],
-        ts_max=arrays["ts_max"],
-        tr_min=arrays["tr_min"],
-        tr_max=arrays["tr_max"],
-        inflow=arrays["inflow"],
-        outflow=arrays["outflow"],
-        ground_temperature=ground,
-        initial_supply_temperature=r.number("initial_supply_temperature", 80.0),
-        initial_return_temperature=r.number("initial_return_temperature", 50.0),
-        water_density=density,
-        water_heat_capacity=heat_capacity,
-    )
+# the reader of a field by its annotation: of a value, or of each entry of
+# a list of records
+_SCALARS = {"str": _Reader.string, "int": _Reader.integer, "float": _Reader.number}
+_ITEMS = {
+    "tuple[Branch, ...]": lambda r, length: _record(Branch, r, length),
+    "tuple[HeatPipe, ...]": _pipe,
+}
 
 
 def _parse_forecasts(
@@ -427,11 +388,22 @@ def _series_out(a: np.ndarray) -> list[float] | float:
 
 
 def _record_out(obj: Any) -> dict[str, Any]:
-    """The document entry of a flat record, keys in field order."""
-    out = {}
-    for f in dataclasses.fields(obj):
-        val = getattr(obj, f.name)
-        out[document_key(f)] = _series_out(val) if isinstance(val, np.ndarray) else val
+    """The document entry of a record, keys in field order: the inverse of
+    ``_record`` (a list's row count is the length of its rows)."""
+    out: dict[str, Any] = {}
+    for name, _, head, key, column, _ in layout(type(obj)):
+        val = getattr(obj, name)
+        if column:
+            if key:
+                rows = out.setdefault(head, [{"id": i} for i in range(len(val))])
+                for row, v in zip(rows, val.tolist()):
+                    row[key] = v
+            continue
+        if isinstance(val, np.ndarray):
+            val = _series_out(val)
+        elif isinstance(val, tuple):
+            val = [_record_out(item) for item in val]
+        (out.setdefault(head, {}) if head else out)[key] = val
     return out
 
 
@@ -442,39 +414,15 @@ def _to_document(m: SystemModel) -> dict:
         "schema_version": SCHEMA_VERSION,
         "base_mva": m.base_mva,
         "horizon": {"steps": m.horizon, "step_seconds": m.step_seconds},
-        "electric_network": {
-            "slack_bus": net.slack_bus,
-            "slack_voltage": net.slack_voltage,
-            "buses": [
-                {"id": i, "v_min": float(net.v_min[i]), "v_max": float(net.v_max[i])}
-                for i in range(net.n_bus)
-            ],
-            "branches": [_record_out(br) for br in net.branches],
-        },
+        "electric_network": _record_out(net),
         "chp_units": [_record_out(c) for c in m.chp_units],
         "heat_pumps": [_record_out(h) for h in m.heat_pumps],
         "batteries": [_record_out(b) for b in m.batteries],
         "thermal_tanks": [_record_out(s) for s in m.tanks],
         "pv_units": [_record_out(p) for p in m.pv_units],
         "grid": _record_out(m.grid),
+        "heat_network": _record_out(heat),
     }
-    if heat.n_node > 0:
-        doc["heat_network"] = {
-            "water": {"density": heat.water_density, "heat_capacity": heat.water_heat_capacity},
-            "ground_temperature": _series_out(heat.ground_temperature),
-            "initial_supply_temperature": heat.initial_supply_temperature,
-            "initial_return_temperature": heat.initial_return_temperature,
-            "nodes": [
-                {
-                    "id": i,
-                    "ts_min": float(heat.ts_min[i]), "ts_max": float(heat.ts_max[i]),
-                    "tr_min": float(heat.tr_min[i]), "tr_max": float(heat.tr_max[i]),
-                    "inflow_kg_s": float(heat.inflow[i]), "outflow_kg_s": float(heat.outflow[i]),
-                }
-                for i in range(heat.n_node)
-            ],
-            "pipes": [_record_out(p) for p in heat.pipes],
-        }
     fc = m.forecasts
     forecasts: dict[str, Any] = {}
     channel_names = {

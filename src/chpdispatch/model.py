@@ -13,7 +13,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,16 +35,32 @@ __all__ = [
 ]
 
 
-def _field(domain: str = "finite", key: str | None = None, **kwargs):
+def _field(domain: str = "finite", key: str | None = None, absent=None, **kwargs):
     """A checked field: the domain of its values (see ``_DOMAINS``, or a
-    "bus" or "heat node" reference), and its document key where that is
-    not the field name."""
-    return field(metadata={"domain": domain, "key": key}, **kwargs)
+    "bus" or "heat node" reference), its document key where that is not
+    the field name (see ``layout``), and its value where the document
+    omits it (None: the key is required; a dataclass ``default`` is that
+    value too)."""
+    absent = kwargs.get("default", absent)
+    return field(metadata={"domain": domain, "key": key, "absent": absent}, **kwargs)
 
 
-def document_key(f) -> str:
-    """The document key of a dataclass field: its ``key`` metadata, else its name."""
-    return f.metadata.get("key") or f.name
+@cache
+def layout(cls: type) -> tuple[tuple[str, str, str, str, bool, Mapping], ...]:
+    """(field, annotation, head, key, column, metadata) of each field of
+    ``cls``: where its ``key`` metadata, else its name, puts it in its
+    record's document entry.  A key ``water.density`` is ``density`` in the
+    child mapping ``water``, and ``buses[].v_min`` the column ``v_min`` of
+    the list ``buses`` of rows indexed by their ``id`` (a key ``buses[]``
+    names its row count)."""
+    out = []
+    for f in fields(cls):
+        full = f.metadata.get("key") or f.name
+        head, column, key = full.partition("[]")
+        if not column:
+            head, _, key = full.rpartition(".")
+        out.append((f.name, f.type, head, key.lstrip("."), bool(column), f.metadata))
+    return tuple(out)
 
 
 def _arr(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -171,11 +187,11 @@ class Branch:
 class ElectricNetwork:
     """Radial distribution network with a fixed-voltage slack bus."""
 
-    n_bus: int
-    slack_bus: int = _field("bus")
-    slack_voltage: float = _field("> 0")
-    v_min: np.ndarray = _field("limit")
-    v_max: np.ndarray = _field("limit")
+    n_bus: int = field(metadata={"key": "buses[]"})
+    slack_bus: int = _field("bus", absent=0)
+    slack_voltage: float = _field("> 0", absent=1.0)
+    v_min: np.ndarray = _field("limit", "buses[].v_min", absent=0.9)
+    v_max: np.ndarray = _field("limit", "buses[].v_max", absent=1.1)
     branches: tuple[Branch, ...]
 
     def __post_init__(self) -> None:
@@ -229,17 +245,18 @@ class HeatPipe:
 class HeatNetwork:
     """Tree-shaped district heating network under the constant-flow regime."""
 
-    n_node: int
+    n_node: int = field(metadata={"key": "nodes[]"})
     pipes: tuple[HeatPipe, ...]
-    ts_min: np.ndarray = _field("limit")
-    ts_max: np.ndarray = _field("limit")
-    tr_min: np.ndarray = _field("limit")
-    tr_max: np.ndarray = _field("limit")
-    inflow: np.ndarray = _field(">= 0", "inflow_kg_s")     # kg/s injected at each node (sources)
-    outflow: np.ndarray = _field(">= 0", "outflow_kg_s")   # kg/s drawn at each node (loads)
-    ground_temperature: np.ndarray = _field()   # degC per step (length 1 = constant)
-    initial_supply_temperature: float = _field()
-    initial_return_temperature: float = _field()
+    ts_min: np.ndarray = _field("limit", "nodes[].ts_min")
+    ts_max: np.ndarray = _field("limit", "nodes[].ts_max")
+    tr_min: np.ndarray = _field("limit", "nodes[].tr_min")
+    tr_max: np.ndarray = _field("limit", "nodes[].tr_max")
+    # kg/s injected at each node (sources) and drawn at each node (loads)
+    inflow: np.ndarray = _field(">= 0", "nodes[].inflow_kg_s", absent=0.0)
+    outflow: np.ndarray = _field(">= 0", "nodes[].outflow_kg_s", absent=0.0)
+    ground_temperature: np.ndarray = _field(absent=10.0)   # degC per step (length 1 = constant)
+    initial_supply_temperature: float = _field(absent=80.0)
+    initial_return_temperature: float = _field(absent=50.0)
     water_density: float = _field("> 0", "water.density", default=1000.0)   # kg/m^3
     water_heat_capacity: float = _field("> 0", "water.heat_capacity", default=4182.0)  # J/(kg*K)
 
@@ -342,7 +359,7 @@ class ForecastSeries:
 class SystemModel:
     """Complete physical description of the system over one dispatch horizon."""
 
-    base_mva: float = _field("> 0")
+    base_mva: float = _field("> 0", absent=1.0)
     horizon: int = _field(">= 1")       # number of steps T
     step_seconds: float = _field("> 0")
     chp_units: tuple[ChpUnit, ...]
@@ -393,14 +410,9 @@ class Diagnostic:
         return f"{self.path}: {self.message}"
 
 
-def _check_interval(diags: list[Diagnostic], path: str, lo: float, hi: float) -> None:
-    if not lo <= hi:
-        diags.append(Diagnostic(path, f"lower bound {lo} exceeds upper bound {hi}"))
-
-
 # domain -> (the test a value passes, what one that fails "must" do).  A
 # value that passes must also be finite unless its domain allows infinity.
-# A "limit" may be infinite and is left to its interval check, which
+# A "limit" may be infinite and is left to its pair's check, which
 # refuses NaN, as every comparison does.
 _DOMAINS = {
     "finite": (lambda v: True, ""),
@@ -414,21 +426,23 @@ _DOMAINS = {
 }
 
 
-# each kind of device and its limit pairs <stem>_min <= <stem>_max
-_LIMIT_PAIRS = {
-    "chp_units": ("p", "q"), "heat_pumps": ("p",), "batteries": ("e",), "tanks": ("e",),
-    "pv_units": (),
-}
-
-
 @cache
-def _declared(cls: type) -> tuple[tuple[str, str, str], ...]:
-    """(field, document key, domain) of each field of ``cls`` to check."""
-    return tuple(
-        (f.name, document_key(f), f.metadata["domain"])
-        for f in fields(cls)
-        if f.metadata.get("domain", "limit") != "limit"
-    )
+def _declared(cls: type):
+    """(field, head, key, column, domain) of each field of ``cls`` to check
+    against its domain (see ``layout``), and the _min and the _max field
+    of each of its limit pairs <stem>_min <= <stem>_max."""
+    checked = [(name, head, key, column, meta["domain"])
+               for name, _, head, key, column, meta in layout(cls) if "domain" in meta]
+    limits = {c[2]: c for c in checked if c[4] == "limit"}
+    pairs = [(lo, limits[hi]) for key, lo in limits.items()
+             if key.endswith("_min") and (hi := key[:-4] + "_max") in limits]
+    return tuple(c for c in checked if c[4] != "limit"), tuple(pairs)
+
+
+def _entries(value, column: bool):
+    """(row, value) of each entry of a field: a column's one per row of
+    its list, any other field whole (row None)."""
+    return enumerate(value.tolist()) if column else ((None, value),)
 
 
 def _fault(domain: str, value, refs: dict[str, int]) -> str | None:
@@ -452,25 +466,35 @@ def _fault(domain: str, value, refs: dict[str, int]) -> str | None:
 
 
 def _check_fields(d: list[Diagnostic], refs: dict[str, int], path: str, record) -> None:
-    """Check each declared field of ``record`` against its domain.  At the
-    root a fault is reported at its key; elsewhere at ``path`` (extended by
-    a dotted key's head) as "<key> must ..."."""
-    for name, key, domain in _declared(type(record)):
-        fault = _fault(domain, getattr(record, name), refs)
-        if fault is None:
-            continue
-        if path:
-            where, _, key = f"{path}.{key}".rpartition(".")
-            d.append(Diagnostic(where, f"{key} {fault}"))
-        else:
-            d.append(Diagnostic(key, fault))
+    """Check each declared field of ``record`` against its domain, and each
+    pair of its limits.  At the root a fault is reported at its key;
+    elsewhere at ``path``, extended by a dotted key's head or by a
+    column's row, as "<key> must ..."."""
+    checked, pairs = _declared(type(record))
+
+    def where(head: str, row: int | None) -> str:
+        place = f"{path}.{head}" if head else path
+        return place if row is None else f"{place}[{row}]"
+
+    for name, head, key, column, domain in checked:
+        for row, value in _entries(getattr(record, name), column):
+            fault = _fault(domain, value, refs)
+            if fault is not None:
+                place = where(head, row)
+                d.append(Diagnostic(place, f"{key} {fault}") if place else Diagnostic(key, fault))
+    for (lo, head, lo_key, column, _), (hi, _, hi_key, _, _) in pairs:
+        highs = _entries(getattr(record, hi), column)
+        for (row, a), (_, b) in zip(_entries(getattr(record, lo), column), highs):
+            if not a <= b:
+                d.append(Diagnostic(where(head, row), f"{lo_key} {a} exceeds {hi_key} {b}"))
 
 
 def validate_system(model: SystemModel) -> list[Diagnostic]:
     """Collect every violated invariant; an empty list means a valid model.
 
-    Every record's declared fields are checked against their domains; the
-    checks written out here relate fields to each other."""
+    Every record's declared fields are checked against their domains, and
+    its limit pairs for order; the checks written out here relate other
+    fields to each other."""
     d: list[Diagnostic] = []
     T = model.horizon
     net = model.electric
@@ -478,17 +502,13 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
     refs = {"bus": net.n_bus, "heat node": heat.n_node}
     _check_fields(d, refs, "", model)
 
-    for kind, pairs in _LIMIT_PAIRS.items():
+    for kind in ("chp_units", "heat_pumps", "batteries", "tanks", "pv_units"):
         units = getattr(model, kind)
         for name, uses in Counter(unit.name for unit in units).items():
             if uses > 1:
                 d.append(Diagnostic(f"{kind}[{name}]", f"name used by {uses} entries"))
         for unit in units:
-            p = f"{kind}[{unit.name}]"
-            _check_fields(d, refs, p, unit)
-            for stem in pairs:
-                lo, hi = getattr(unit, f"{stem}_min"), getattr(unit, f"{stem}_max")
-                _check_interval(d, f"{p}.{stem}", lo, hi)
+            _check_fields(d, refs, f"{kind}[{unit.name}]", unit)
     for kind, lo, hi in (("batteries", "p_min", "p_max"), ("tanks", "h_min", "h_max")):
         for s in getattr(model, kind):
             p = f"{kind}[{s.name}]"
@@ -505,8 +525,6 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
     _check_fields(d, refs, "grid", g)
     if g.bus != net.slack_bus:
         d.append(Diagnostic("grid", f"must sit at the slack bus {net.slack_bus}, got {g.bus}"))
-    _check_interval(d, "grid.p", g.p_min, g.p_max)
-    _check_interval(d, "grid.q", g.q_min, g.q_max)
     if len(g.price) != T:
         d.append(Diagnostic("grid.price", f"series length {len(g.price)} != horizon {T}"))
 
@@ -514,10 +532,6 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
     _check_fields(d, refs, "electric", net)
     if net.v_min.shape != (net.n_bus,) or net.v_max.shape != (net.n_bus,):
         d.append(Diagnostic("electric.v_bounds", "per-bus bound arrays must match n_bus"))
-    else:
-        for i in range(net.n_bus):
-            if not net.v_min[i] < net.v_max[i]:
-                d.append(Diagnostic(f"electric.bus[{i}]", "requires v_min < v_max"))
     for j, br in enumerate(net.branches):
         _check_fields(d, refs, f"electric.branch[{j}]", br)
         if br.from_bus == br.to_bus:
@@ -534,9 +548,6 @@ def validate_system(model: SystemModel) -> list[Diagnostic]:
         for name in ("ts_min", "ts_max", "tr_min", "tr_max", "inflow", "outflow"):
             if getattr(heat, name).shape != (heat.n_node,):
                 d.append(Diagnostic(f"heat.{name}", "length must match n_node"))
-        for i in range(heat.n_node):
-            _check_interval(d, f"heat.node[{i}].ts", heat.ts_min[i], heat.ts_max[i])
-            _check_interval(d, f"heat.node[{i}].tr", heat.tr_min[i], heat.tr_max[i])
         for j, pipe in enumerate(heat.pipes):
             p = f"heat.pipe[{j}]"
             _check_fields(d, refs, p, pipe)
@@ -581,5 +592,5 @@ def _check_heat_mass_balance(heat: HeatNetwork) -> list[Diagnostic]:
         for j in ch[i]:
             outflow += heat.pipes[j].mass_flow
         if abs(inflow - outflow) > 1e-6:
-            out.append(Diagnostic(f"heat.node[{i}]", f"mass imbalance {inflow - outflow:+.3e} kg/s"))
+            out.append(Diagnostic(f"heat.nodes[{i}]", f"mass imbalance {inflow - outflow:+.3e} kg/s"))
     return out

@@ -231,6 +231,28 @@ def test_dispatch_plot_data(tmp_path):
     assert "tight_upper[" in header
 
 
+def test_plot_data_keeps_a_one_sided_bound(tmp_path):
+    # an infinite e_max drops the upper rows; the lower bound is still plotted
+    from chpdispatch.config_io import document_text
+    from chpdispatch.reference import reference_document
+
+    doc = reference_document(4, 3600.0)
+    doc["batteries"][0]["e_max"] = float("inf")
+    config = tmp_path / "e_max_inf.yaml"
+    config.write_text(document_text(doc), encoding="utf-8")
+    argv = ["--config", str(config), "--plot-data", "--out", str(tmp_path)]
+    assert run(["dispatch", *argv]) == 0
+    assert run(["validate", "--samples", "20", *argv]) == 0
+    for name in ("bounds_battery_energy_bat_10.csv", "envelope_battery_energy_bat_10.csv"):
+        header, *rows = [line.split(",") for line in read(tmp_path / name).splitlines()]
+        columns = [col.split("[")[0] for col in header]
+        assert rows, name
+        for row in rows:
+            values = dict(zip(columns, row))
+            assert values["orig_upper"] == values["tight_upper"] == "inf", name
+            assert values["orig_lower"] == "0.1", name
+
+
 def test_validate_deterministic_outputs(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

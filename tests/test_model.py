@@ -1,6 +1,7 @@
 """Domain-model invariants and diagnostics."""
 
 import dataclasses
+import functools
 import json
 import pathlib
 import re
@@ -262,12 +263,8 @@ def number_keys(node, keys=()):
 
 
 def names_key(text: str, key: str) -> bool:
-    """Whether a diagnostic names ``key``, or the interval of a _min/_max key."""
-    stem = re.fullmatch(r"(.+)_(min|max)", key)
-    return bool(
-        re.search(rf"(^|[ .]){re.escape(key)}\b", text)
-        or stem and re.search(rf"\.{re.escape(stem.group(1))}:", text)
-    )
+    """Whether a diagnostic names ``key``."""
+    return bool(re.search(rf"(^|[ .]){re.escape(key)}\b", text))
 
 
 @pytest.mark.parametrize(
@@ -431,19 +428,18 @@ SCHEMA_RECORDS = {
     GridConnection: "grid",
     ForecastSeries: "forecasts",
 }
-FIELD_PATHS = {
-    "horizon": "horizon.steps",
-    "step_seconds": "horizon.step_seconds",
-    **{f: f"electric_network.buses[].{f}" for f in ("v_min", "v_max")},
-    **{f: f"heat_network.nodes[].{f}" for f in ("ts_min", "ts_max", "tr_min", "tr_max")},
-    "inflow": "heat_network.nodes[].inflow_kg_s",
-    "outflow": "heat_network.nodes[].outflow_kg_s",
-}
+FIELD_PATHS = {"horizon": "horizon.steps", "step_seconds": "horizon.step_seconds"}
+
+
+def named_key(f: dataclasses.Field) -> str:
+    """The key a field's diagnostics name: a column's (``buses[].v_min``)
+    within its row."""
+    return (f.metadata["key"] or f.name).rpartition("[].")[2]
 
 
 def schema_table() -> str:
     """The per-field table of the schema reference, from the field metadata."""
-    lines = ["| document path | key | domain |", "| --- | --- | --- |"]
+    lines = ["| document path | key | domain | default |", "| --- | --- | --- | --- |"]
     for cls, where in SCHEMA_RECORDS.items():
         for f in dataclasses.fields(cls):
             if "domain" not in f.metadata:
@@ -453,13 +449,15 @@ def schema_table() -> str:
             if cls is ForecastSeries:
                 head, _, tail = path.rpartition(".")
                 path = f"{head}.<channel>.{tail}"
-            lines.append(f"| `{path}` | `{key}` | {f.metadata['domain']} |")
+            absent = f.metadata["absent"]
+            default = "" if absent is None else f" `{absent}`"
+            lines.append(f"| `{path}` | `{named_key(f)}` | {f.metadata['domain']} |{default} |")
     return "\n".join(lines) + "\n"
 
 
 # the keys whose declared domain allows an infinite value
 INFINITE_KEYS = {
-    f.metadata["key"] or f.name
+    named_key(f)
     for cls in SCHEMA_RECORDS
     for f in dataclasses.fields(cls)
     if f.metadata.get("domain", "").endswith(("limit", "inf allowed"))
@@ -468,6 +466,80 @@ INFINITE_KEYS = {
 
 def test_schema_doc_has_the_field_table():
     assert schema_table() in SCHEMA_DOC.read_text(encoding="utf-8")
+
+
+# each record of the reference with limit pairs: the keys of its document
+# entry, the path its diagnostics name, and its dataclass
+PAIR_RECORDS = [
+    (("chp_units", 0), "chp_units[chp_main]", ChpUnit),
+    (("heat_pumps", 0), "heat_pumps[hp_plant]", HeatPump),
+    (("batteries", 0), "batteries[bat_10]", BatteryUnit),
+    (("thermal_tanks", 0), "tanks[tank_hub]", ThermalTank),
+    (("grid",), "grid", GridConnection),
+    (("electric_network", "buses", 3), "electric.buses[3]", ElectricNetwork),
+    (("heat_network", "nodes", 3), "heat.nodes[3]", HeatNetwork),
+]
+LIMIT_PAIRS = [
+    (keys, path, lo, lo[:-4] + "_max")
+    for keys, path, cls in PAIR_RECORDS
+    for lo in (named_key(f) for f in dataclasses.fields(cls) if f.metadata.get("domain") == "limit")
+    if lo.endswith("_min")
+]
+
+
+@pytest.mark.parametrize(
+    "keys, path, lo, hi", LIMIT_PAIRS, ids=[f"{path}.{lo}" for _, path, lo, _ in LIMIT_PAIRS]
+)
+def test_reversed_limit_pair_names_both_keys(keys, path, lo, hi):
+    doc = reference_document(4, 3600.0)
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    entry[lo], entry[hi] = entry[hi], entry[lo]
+    assert entry[lo] > entry[hi]
+    with pytest.raises(ModelValidationError) as err:
+        load_system(doc)
+    diagnostic = f"{path}: {lo} {float(entry[lo])} exceeds {hi} {float(entry[hi])}"
+    assert diagnostic in [str(d) for d in err.value.diagnostics]
+
+
+@pytest.mark.parametrize("heat", ["one node", "none"])
+def test_omitted_optional_keys_load_with_declared_defaults(heat):
+    doc = minimal_document()
+    net = doc["electric_network"]
+    del net["slack_bus"], net["slack_voltage"]
+    net["buses"] = [{"id": 0}]
+    if heat == "one node":
+        # a node with no pipe balances with no inflow or outflow
+        node = {"id": 0, "ts_min": 60.0, "ts_max": 90.0, "tr_min": 30.0, "tr_max": 60.0}
+        doc["heat_network"] = {"nodes": [node]}
+    model = load_system(doc)
+    assert model.heat.n_node == (heat == "one node")
+    dumped = dump_system(model)
+    defaults = set()
+    for section, record in (("electric_network", model.electric), ("heat_network", model.heat)):
+        for f in dataclasses.fields(record):
+            absent = f.metadata.get("absent")
+            if absent is None:
+                continue
+            key = f.metadata["key"] or f.name
+            defaults.add(key)
+            assert np.all(getattr(record, f.name) == absent), f.name
+            # written out under its key
+            head, rows, col = key.partition("[].")
+            if rows:
+                written = [row[col] for row in dumped[section][head]]
+            else:
+                written = [functools.reduce(dict.get, key.split("."), dumped[section])]
+            assert written == [absent] * len(written), f.name
+    assert model.equals(load_system(dumped))
+    # every key the document omits has its default
+    assert defaults == {
+        "slack_bus", "slack_voltage", "buses[].v_min", "buses[].v_max",
+        "nodes[].inflow_kg_s", "nodes[].outflow_kg_s", "ground_temperature",
+        "initial_supply_temperature", "initial_return_temperature",
+        "water.density", "water.heat_capacity",
+    }
 
 
 def test_series_length_mismatch_names_path():
