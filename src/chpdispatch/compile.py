@@ -239,12 +239,13 @@ class LiftedOutputMap:
          + sum_{tau <= t} K(t - tau) (heat_u u(tau) + heat_w w(tau)) + const(t)
 
     where K embeds the heat-network lag kernel into the temperature rows
-    listed in ``memory_rows`` (all other rows are memoryless).  This class
-    is the only reader of the kernel.  A row selector's response to u and
-    to w comes as raw sparse lags (:meth:`StateSpaceModel.row_blocks`),
-    from which :meth:`Lags.of` builds the :class:`Lags` that the LP rows
-    and the tightening read.  The LP right-hand side and
-    the closed-loop rollout come from ``evaluate``, which applies the whole
+    ``memory_rows``, one range of y (all other rows are memoryless; a system
+    without a heat network has empty ``temps`` and an empty range).  This
+    class is the only reader of the kernel.  A row selector's response to
+    u and to w comes as raw sparse lags (:meth:`StateSpaceModel.row_blocks`),
+    from which :meth:`Lags.of` builds the :class:`Lags` that the LP rows and
+    the tightening read.  The LP right-hand side and the closed-loop
+    rollout come from ``evaluate``, which applies the whole
     sum over tau as one lifted convolution operator (a block-Toeplitz GEMM
     at short horizons, an rFFT at long ones) instead of one product per lag.
     """
@@ -252,10 +253,10 @@ class LiftedOutputMap:
     feed_u: np.ndarray          # (n_y, n_u)
     feed_w: np.ndarray          # (n_y, n_w)
     const: np.ndarray           # (T, n_y)
-    memory_rows: np.ndarray     # indices into y with kernel memory
+    memory_rows: slice          # the rows of y with kernel memory
     heat_u: np.ndarray          # (n_ch, n_u)
     heat_w: np.ndarray          # (n_ch, n_w)
-    temps: TemperatureMaps | None
+    temps: TemperatureMaps
 
     @property
     def horizon(self) -> int:
@@ -264,10 +265,6 @@ class LiftedOutputMap:
     @property
     def n_y(self) -> int:
         return self.feed_u.shape[0]
-
-    @property
-    def _has_memory(self) -> bool:
-        return self.temps is not None and len(self.memory_rows) > 0
 
     def _lags(self) -> np.ndarray:
         """The lags whose kernel block is not all zero (transport delays
@@ -281,12 +278,10 @@ class LiftedOutputMap:
         rows of S that read a memory row and the channels the heat inputs
         read (32 x 8 of 166 x 76 for the full-day reference's y rows over w)."""
         lag0 = s_rows @ feed
-        rows = cols = np.zeros(0, dtype=np.intp)
-        if self._has_memory:
-            sel = s_rows[:, self.memory_rows]
-            rows = np.flatnonzero(sel.any(axis=1))
-            cols = np.flatnonzero(heat.any(axis=0))
-            sel, heat = sel[rows], heat[:, cols]
+        sel = s_rows[:, self.memory_rows]
+        rows = np.flatnonzero(sel.any(axis=1))
+        cols = np.flatnonzero(heat.any(axis=0))
+        sel, heat = sel[rows], heat[:, cols]
         memory = np.zeros((self.horizon - 1, len(rows), len(cols)))
         if rows.size and cols.size:
             for k in self._lags():
@@ -304,18 +299,13 @@ class LiftedOutputMap:
         down a path 2-3x slower): [feed_u; feed_w].T and [heat_u; heat_w].T,
         so that one GEMM over the stacked [u, w] rows gives each, and the
         heat kernel as one :class:`LiftedConvolution` (a GEMM at T=24 and
-        T=48 in the reference, 1.2 and 4.7 MB; an rFFT from T=96 on).  The
-        memory rows become a slice when they form one range, as in the
-        reference: supply then return temperatures, adjacent kinds of the
-        manifest (y rows 67-82)."""
+        T=48 in the reference, 1.2 and 4.7 MB; an rFFT from T=96 on)."""
         c = np.ascontiguousarray
         feed = c(np.vstack([self.feed_u.T, self.feed_w.T]))
-        if not self._has_memory:
-            return _RolloutOperands(feed)
         heat = c(np.vstack([self.heat_u.T, self.heat_w.T]))
         # (T, n_ch, n_mem): heat inputs in, memory rows out
         memory = LiftedConvolution.of(self.temps.kernel.transpose(0, 2, 1))
-        return _RolloutOperands(feed, heat, memory, _as_range(self.memory_rows))
+        return _RolloutOperands(feed, heat, memory)
 
     def evaluate(self, u_seq: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
         """All y(t) for sequences shaped (..., T, n_u) and (..., T, n_w) with
@@ -325,10 +315,10 @@ class LiftedOutputMap:
         [u, w] rows against the operands of :attr:`_rollout_operands`, in
         blocks of ``_GEMM_BLOCK_ROWS`` rows that stay in cache, written into
         one preallocated output.  The heat memory is then one product with
-        the lifted convolution operator over the whole batch.  Sums run in
-        another order than the formula's, so results agree with a per-lag
-        loop to rounding (about 1e-15 relative), not bit for bit; the Monte
-        Carlo verdicts built on them are the same.
+        the lifted convolution operator over the whole batch, added to the
+        slice ``memory_rows`` of y.  Sums run in another order than the
+        formula's, so results agree with a per-lag loop to rounding (about
+        1e-15 relative), not bit for bit; the Monte Carlo verdicts are the same.
         """
         ops = self._rollout_operands
         u_seq = np.atleast_2d(u_seq)
@@ -339,18 +329,17 @@ class LiftedOutputMap:
         u_rows = u_seq.reshape(n_rows, u_seq.shape[-1])
         w_rows = w_seq.reshape(n_rows, w_seq.shape[-1])
         out = np.empty((n_rows, self.n_y))
-        inputs = None if ops.heat is None else np.empty((n_rows, ops.heat.shape[1]))
+        inputs = np.empty((n_rows, ops.heat.shape[1]))
         for start in range(0, n_rows, _GEMM_BLOCK_ROWS):
             block = slice(start, start + _GEMM_BLOCK_ROWS)
             uw = np.concatenate([u_rows[block], w_rows[block]], axis=1)
             np.matmul(uw, ops.feed, out=out[block])
-            if inputs is not None:
-                np.matmul(uw, ops.heat, out=inputs[block])
+            np.matmul(uw, ops.heat, out=inputs[block])
         out = out.reshape(lead + (T, self.n_y))
         out += self.const
-        if inputs is not None:
-            mem = ops.memory.apply(inputs.reshape(-1, T, inputs.shape[1]))
-            out[..., ops.memory_rows] += mem.reshape(lead + mem.shape[1:])
+        # explicit sizes: a -1 cannot be resolved for zero heat channels
+        mem = ops.memory.apply(inputs.reshape(n_rows // T, T, inputs.shape[1]))
+        out[..., self.memory_rows] += mem.reshape(lead + mem.shape[1:])
         return out
 
 
@@ -406,22 +395,12 @@ class LiftedConvolution:
 
 @dataclass(frozen=True)
 class _RolloutOperands:
-    """The contiguous operands of :meth:`LiftedOutputMap.evaluate`; ``heat``,
-    ``memory`` and ``memory_rows`` are None for a map without heat memory."""
+    """The contiguous operands of :meth:`LiftedOutputMap.evaluate`; without
+    heat memory ``heat`` has no columns and ``memory`` a (T, 0, 0) kernel."""
 
-    feed: np.ndarray                          # (n_u + n_w, n_y)
-    heat: np.ndarray | None = None            # (n_u + n_w, n_ch)
-    memory: LiftedConvolution | None = None   # kernel (T, n_ch, n_mem)
-    memory_rows: slice | np.ndarray | None = None   # of y, a slice if one range
-
-
-def _as_range(index: np.ndarray) -> slice | np.ndarray:
-    """``index`` as a slice if it is one ascending run of consecutive
-    integers (then indexing y with it is a strided view, not a gather and
-    a scatter), else unchanged."""
-    if len(index) and np.array_equal(index, np.arange(index[0], index[0] + len(index))):
-        return slice(int(index[0]), int(index[0]) + len(index))
-    return index
+    feed: np.ndarray                # (n_u + n_w, n_y)
+    heat: np.ndarray                # (n_u + n_w, n_ch)
+    memory: LiftedConvolution       # kernel (T, n_ch, n_mem)
 
 
 @dataclass(frozen=True)
@@ -663,9 +642,6 @@ def _heat_rows(model, man, const, share_s, bal):
     n = heat.n_node
     heat_u = np.zeros((2 * n, n_u))
     heat_w = np.zeros((2 * n, n_w))
-    if n == 0:
-        return heat_u, heat_w, np.zeros(0, dtype=int), None
-
     into = {"u": heat_u, "w": heat_w}
     for vector, i, q in _inputs(model, man):
         if q.node is not None:
@@ -678,9 +654,9 @@ def _heat_rows(model, man, const, share_s, bal):
     delays = compute_delays(heat, model.step_seconds, model.horizon)
     temps = temperature_maps(heat, delays, model.horizon, model.step_seconds)
 
-    supply_rows = man.indices("y", "supply_temp")
-    return_rows = man.indices("y", "return_temp")
-    memory_rows = np.asarray(supply_rows + return_rows, dtype=int)
+    # supply then return temperatures are adjacent kinds (y rows 67-82 in the reference)
+    rows = man.indices("y", "supply_temp") + man.indices("y", "return_temp")
+    memory_rows = slice(rows[0], rows[-1] + 1) if rows else slice(0, 0)
     const[:, memory_rows] += temps.offset
     return heat_u, heat_w, memory_rows, temps
 

@@ -81,10 +81,12 @@ class TemperatureMaps:
     earlier: flows are constant, so the response depends on the lag only.
     """
 
-    n_node: int
-    horizon: int
     offset: np.ndarray                     # (T, 2N) temps with zero heat input
     kernel: np.ndarray                     # (T, 2N, 2N)
+
+
+_HISTORY = np.dtype([("row", np.intp), ("delay", np.intp), ("weight", float), ("slot", np.intp)])
+_GROUND = np.dtype([("row", np.intp), ("weight", float)])
 
 
 class _StepStructure:
@@ -93,6 +95,9 @@ class _StepStructure:
     Unknowns z = [T_s, T_r]; equations are supply and return nodal energy
     balances with same-step couplings (zero-delay arrivals) on the left and
     delayed arrivals, ground pickup, and heat injections on the right.
+    ``history`` (equation ``row`` reads unknown ``slot`` ``delay`` steps
+    back, times ``weight``) and ``ground`` (``row`` gains ``weight`` times
+    the ground temperature) are structured arrays, in equation order.
     """
 
     def __init__(
@@ -106,10 +111,7 @@ class _StepStructure:
         n = net.n_node
         self.n = n
         mat = np.zeros((2 * n, 2 * n))
-        # (row, delay, weight, read-slot) entries referencing history
-        self.history_terms: list[tuple[int, int, float, int]] = []
-        # (row, weight) ground pickup entries
-        self.ground_terms: list[tuple[int, float]] = []
+        history, ground = [], []
 
         for i in range(n):
             row = i
@@ -130,8 +132,8 @@ class _StepStructure:
                 if tau == 0:
                     mat[row, src] -= w
                 else:
-                    self.history_terms.append((row, tau, w, src))
-                self.ground_terms.append((row, m_arr * (1.0 - psi[pj])))
+                    history.append((row, tau, w, src))
+                ground.append((row, m_arr * (1.0 - psi[pj])))
 
             rrow = n + i
             m_ret = net.outflow[i] + sum(net.pipes[c].mass_flow for c in children[i])
@@ -149,8 +151,8 @@ class _StepStructure:
                 if tau == 0:
                     mat[rrow, child_slot] -= w
                 else:
-                    self.history_terms.append((rrow, tau, w, child_slot))
-                self.ground_terms.append((rrow, m_c * (1.0 - psi[c])))
+                    history.append((rrow, tau, w, child_slot))
+                ground.append((rrow, m_c * (1.0 - psi[c])))
         cond = np.linalg.cond(mat)
         if not np.isfinite(cond) or cond > 1e12:
             raise HeatTopologyError(
@@ -158,22 +160,8 @@ class _StepStructure:
                 "leaves no anchor); add losses, delays, or check the topology"
             )
         self.inv = np.linalg.inv(mat)
-        self.history_ranks = _ranked(self.history_terms)
-        self.ground_ranks = _ranked(self.ground_terms)
-
-
-def _ranked(terms: list[tuple]) -> list[tuple[np.ndarray, ...]]:
-    """(row, ...) terms grouped by their rank among their row's terms, in
-    rank order: group r holds the r-th term of every row that has one, as
-    one array per tuple field, so each group touches a row at most once."""
-    rank: dict[int, int] = {}
-    groups: list[list[tuple]] = []
-    for term in terms:
-        r = rank[term[0]] = rank.get(term[0], -1) + 1
-        if r == len(groups):
-            groups.append([])
-        groups[r].append(term)
-    return [tuple(np.array(field) for field in zip(*group)) for group in groups]
+        self.history = np.array(history, dtype=_HISTORY)
+        self.ground = np.array(ground, dtype=_GROUND)
 
 
 def _simulate(
@@ -188,32 +176,30 @@ def _simulate(
 
     A step reads no frame nearer than the shortest delay, so the steps run
     in blocks that long (12 steps at 288 x 300 s, 1 at 24 x 3600 s) whose
-    right-hand sides are gathered at once, one term rank at a time.  Every
-    row still adds its history terms, then its ground terms, in the order
-    the step structure lists them, so the frames are bit for bit those of a
-    per-step, per-term loop.
+    right-hand sides are gathered at once, with one ``np.add.at`` per term
+    list.  That adds a row's terms in list order, history then ground, so
+    the frames are bit for bit those of a per-step, per-term loop.
     """
     n = st.n
     horizon = len(ground)
     width = 1 if impulse is None else impulse.shape[1]
-    delays = [tau for _, tau, _, _ in st.history_terms]
-    depth = max(delays, default=0)
+    depth = int(st.history["delay"].max(initial=0))
     # the frames behind ``depth`` frames of history before t = 0: the
     # initial temperatures, or zero, which adds nothing to a right-hand side
     padded = np.zeros((depth + horizon, 2 * n, width))
     if initial is not None:
         padded[:depth] = initial
     frames = padded[depth:]
-    block = min(delays, default=horizon)
+    block = int(st.history["delay"].min(initial=horizon))
     for start in range(0, horizon, block):
         steps = np.arange(start, min(start + block, horizon))
         rhs = np.zeros((len(steps), 2 * n, width))
         here = depth + steps[:, np.newaxis]        # the steps' indices into padded
-        for rows, taus, weights, slots in st.history_ranks:
-            rhs[:, rows] += weights[:, np.newaxis] * padded[here - taus, slots]
+        past = padded[here - st.history["delay"], st.history["slot"]]
+        np.add.at(rhs, (slice(None), st.history["row"]), st.history["weight"][:, np.newaxis] * past)
         if ground[steps].any():
-            for rows, weights in st.ground_ranks:
-                rhs[:, rows] += (weights * ground[steps, np.newaxis])[:, :, np.newaxis]
+            picked = st.ground["weight"] * ground[steps, np.newaxis]
+            np.add.at(rhs, (slice(None), st.ground["row"]), picked[:, :, np.newaxis])
         if start == 0 and impulse is not None:
             rhs[0, :n] += impulse[:n] * scale       # source heat adds enthalpy
             rhs[0, n:] -= impulse[n:] * scale       # demand removes it on the return
@@ -226,7 +212,7 @@ def temperature_maps(
 ) -> TemperatureMaps:
     """Compose pipe propagation and nodal mixing into horizon-lifted affine maps."""
     if net.n_node == 0:
-        return TemperatureMaps(0, horizon, np.zeros((horizon, 0)), np.zeros((horizon, 0, 0)))
+        return TemperatureMaps(np.zeros((horizon, 0)), np.zeros((horizon, 0, 0)))
     if not net.is_tree():
         raise HeatTopologyError("supply network must be a tree (cycle or multiple roots found)")
     psi = attenuation_factors(net, delays, step_seconds)
@@ -243,4 +229,4 @@ def temperature_maps(
     ground = np.array([net.ground_at(t) for t in range(horizon)])
     offset = _simulate(st, ground, init, None, scale)[:, :, 0]
     kernel = _simulate(st, np.zeros(horizon), None, np.eye(2 * n), scale)
-    return TemperatureMaps(n, horizon, offset, kernel)
+    return TemperatureMaps(offset, kernel)

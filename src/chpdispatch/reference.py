@@ -104,6 +104,10 @@ def price_profile(hours: np.ndarray) -> np.ndarray:
 
 def reference_document(horizon: int = 288, step_seconds: float = 300.0) -> dict:
     """The reference system as a plain config document."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not step_seconds > 0:        # NaN too
+        raise ValueError(f"step_seconds must be > 0, got {step_seconds}")
     hours = _hours(horizon, step_seconds)
     dt_h = step_seconds / 3600.0
 
@@ -250,8 +254,4 @@ def _interval(center: np.ndarray, width: np.ndarray) -> dict:
 
 def build_reference_system(horizon: int = 288, step_seconds: float = 300.0) -> SystemModel:
     """Load the bundled reference system at the requested resolution."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if step_seconds <= 0:
-        raise ValueError(f"step_seconds must be > 0, got {step_seconds}")
     return load_system(reference_document(horizon, step_seconds))

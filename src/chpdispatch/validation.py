@@ -369,12 +369,19 @@ def parse_method(spec: str) -> tuple[str, float | None]:
     spec = spec.strip().lower()
     if spec in ("do", "erd-box", "erd-iterative-box"):
         return spec, None
-    if spec.startswith("erd-budget"):
-        _, _, raw = spec.partition(":")
-        if not raw:
-            raise ValueError("erd-budget requires a budget, e.g. erd-budget:10")
-        return "erd-budget", float(raw)
-    raise ValueError(f"unknown method {spec!r}")
+    head, _, raw = spec.partition(":")
+    if head != "erd-budget":
+        raise ValueError(f"unknown method {spec!r}")
+    if not raw:
+        raise ValueError("erd-budget requires a budget, e.g. erd-budget:10")
+    try:
+        return head, float(raw)
+    except ValueError:
+        raise ValueError(f"method {spec!r}: budget {raw!r} is not a number") from None
+
+
+def _label(kind: str, gamma: float | None) -> str:
+    return kind if gamma is None else f"{kind}:{gamma:g}"
 
 
 @dataclass(frozen=True)
@@ -387,7 +394,7 @@ class MethodResult:
 
     @property
     def label(self) -> str:
-        return self.method if self.gamma is None else f"{self.method}:{self.gamma:g}"
+        return _label(self.method, self.gamma)
 
     def to_dict(self) -> dict:
         """Deterministic part only; wall-clock timings live elsewhere."""
@@ -446,13 +453,18 @@ def compare_methods(
     seed: int = 0,
 ) -> ComparisonReport:
     """Tighten + dispatch + evaluate each method on the same scenarios: one
-    seeded stream that each ``evaluate`` draws afresh, chunk by chunk."""
+    seeded stream that each ``evaluate`` draws afresh, chunk by chunk.
+    Every method's label must be its own: the timings are keyed by it."""
     if not methods:
         raise ValueError("no methods given")
+    parsed = [parse_method(spec) for spec in methods]
+    labels = [_label(kind, gamma_value) for kind, gamma_value in parsed]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"method {label} given twice")
     batch = sample_disturbances(tube, sample_count, seed, mode="uniform")
     results: list[MethodResult] = []
-    for spec in methods:
-        kind, gamma_value = parse_method(spec)
+    for spec, (kind, gamma_value) in zip(methods, parsed):
         t0 = time.perf_counter()
         schedule = _schedule_for(kind, gamma_value, ssm, constraints, tube, gain)
         t_tighten = time.perf_counter() - t0

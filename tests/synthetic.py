@@ -28,6 +28,11 @@ def synthetic_manifest(n_x: int, n_u: int, n_y: int, n_w: int) -> VariableManife
     )
 
 
+def empty_maps(horizon: int) -> TemperatureMaps:
+    """The heat maps of a system without a heat network."""
+    return TemperatureMaps(offset=np.zeros((horizon, 0)), kernel=np.zeros((horizon, 0, 0)))
+
+
 def random_system(
     rng: np.random.Generator,
     n_x: int = 2,
@@ -50,24 +55,19 @@ def random_system(
 
     if with_memory and n_y >= 2:
         n_mem = min(2, n_y)
-        mem_rows = np.arange(n_y - n_mem, n_y)
+        mem_rows = slice(n_y - n_mem, n_y)
         n_ch = n_mem
         base = rng.normal(size=(n_ch, n_ch)) * 0.5
         decay = rng.uniform(0.3, 0.8)
         kernel = np.stack([base * decay**k for k in range(horizon)])
-        temps = TemperatureMaps(
-            n_node=n_ch // 2 if n_ch % 2 == 0 else n_ch,
-            horizon=horizon,
-            offset=np.zeros((horizon, n_ch)),
-            kernel=kernel,
-        )
+        temps = TemperatureMaps(offset=np.zeros((horizon, n_ch)), kernel=kernel)
         heat_u = rng.normal(size=(n_ch, n_u)) * 0.3
         heat_w = rng.normal(size=(n_ch, n_w)) * 0.3
         feed_u[mem_rows] = 0.0
         feed_w[mem_rows] = 0.0
     else:
-        mem_rows = np.zeros(0, dtype=int)
-        temps = None
+        mem_rows = slice(0, 0)
+        temps = empty_maps(horizon)
         heat_u = np.zeros((0, n_u))
         heat_w = np.zeros((0, n_w))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import chpdispatch.cli as cli_module
+import chpdispatch.validation as validation_module
 from chpdispatch.cli import run
 from chpdispatch.compile import unit_of
 from chpdispatch.lp import LinearProgram
@@ -355,6 +356,41 @@ def test_bad_flags_exit_usage():
 def test_unknown_method_is_domain_error(tmp_path):
     code = run(["compare", *HORIZON, "--methods", "nonsense", "--out", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "methods, label",
+    [("do,do", "do"), ("do,erd-budget:2,erd-budget:2.0", "erd-budget:2")],
+    ids=["do", "budget"],
+)
+def test_repeated_method_is_domain_error(tmp_path, capsys, monkeypatch, methods, label):
+    """Two methods with one label would share one timings entry: the
+    comparison is refused before any method is tightened."""
+    def no_schedule(*args):
+        raise AssertionError("a method was tightened")
+
+    monkeypatch.setattr(validation_module, "_schedule_for", no_schedule)
+    code = run(["compare", "--horizon", "4", "--dt", "3600", "--methods", methods,
+                "--samples", "20", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: method {label} given twice\n"
+    assert not (tmp_path / "comparison_timings.json").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (["--horizon", "0"], "horizon must be >= 1, got 0"),
+        (["--horizon", "4", "--dt", "-5"], "step_seconds must be > 0, got -5.0"),
+        (["--horizon", "4", "--dt", "nan"], "step_seconds must be > 0, got nan"),
+    ],
+    ids=["horizon-0", "dt-negative", "dt-nan"],
+)
+def test_reference_refuses_what_it_could_not_load(tmp_path, capsys, override, message):
+    code = run(["reference", *override, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "reference.yaml").exists()
 
 
 def test_empty_method_list_is_domain_error(tmp_path, capsys):

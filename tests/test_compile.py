@@ -144,7 +144,7 @@ def lag_loop(out, u_seq, w_seq):
     T = out.horizon
     y = out.const + u_seq @ out.feed_u.T + w_seq @ out.feed_w.T
     inputs = u_seq @ out.heat_u.T + w_seq @ out.heat_w.T
-    mem = np.zeros(inputs.shape[:-1] + (len(out.memory_rows),))
+    mem = np.zeros(inputs.shape[:-1] + (out.temps.kernel.shape[1],))
     for lag in range(T):
         mem[..., lag:, :] += inputs[..., : T - lag, :] @ out.temps.kernel[lag].T
     y[..., out.memory_rows] += mem
@@ -171,9 +171,10 @@ def assert_matches_lag_loop(out, lead):
     got = out.evaluate(u_seq, w_seq)
     want = lag_loop(out, u_seq, w_seq)
     assert got.shape == want.shape == lead + (out.horizon, out.n_y)
-    memoryless = np.setdiff1d(np.arange(out.n_y), out.memory_rows)
-    assert len(out.memory_rows) > 0 and len(memoryless) > 0
-    for rows in (memoryless, out.memory_rows):
+    memory = np.arange(out.n_y)[out.memory_rows]
+    memoryless = np.setdiff1d(np.arange(out.n_y), memory)
+    assert len(memory) > 0 and len(memoryless) > 0
+    for rows in (memoryless, memory):
         np.testing.assert_allclose(
             got[..., rows], want[..., rows], rtol=0, atol=1e-13 * np.max(np.abs(want[..., rows]))
         )
@@ -186,9 +187,30 @@ def lead_shape(out, lead: str) -> tuple[int, ...]:
     return {"single": (), "grid": (4, 10)}.get(lead, (chunk,))
 
 
-@pytest.mark.parametrize(
-    "lead", ["single", "grid", "chunk", "chunk-without-u", "chunk-scattered-rows"]
-)
+def test_memory_rows_are_one_range_of_temperatures(ref24):
+    out, man = ref24.ssm.output, ref24.ssm.manifest
+    assert isinstance(out.memory_rows, slice)
+    temperatures = man.indices("y", "supply_temp") + man.indices("y", "return_temp")
+    assert list(range(out.n_y)[out.memory_rows]) == temperatures
+
+
+def test_system_without_heat_network_has_empty_memory():
+    """Empty maps and an empty range, read as full ones: evaluate runs a
+    batch through zero heat channels."""
+    doc = minimal_document()
+    doc["horizon"]["steps"] = T = 3
+    out = compile_state_space(load_system(doc)).output
+    assert out.temps.kernel.shape == (T, 0, 0) and out.temps.offset.shape == (T, 0)
+    assert out.memory_rows == slice(0, 0) and out.heat_w.shape == (0, out.feed_w.shape[1])
+    rng = np.random.default_rng(3)
+    u_seq = rng.normal(size=(5, T, out.feed_u.shape[1]))
+    w_seq = rng.normal(size=(5, T, out.feed_w.shape[1]))
+    got = out.evaluate(u_seq, w_seq)
+    assert got.shape == (5, T, out.n_y)
+    np.testing.assert_allclose(got, lag_loop(out, u_seq, w_seq), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("lead", ["single", "grid", "chunk", "chunk-without-u"])
 def test_lifted_map_matches_lag_loop(reference_output, lead):
     out = reference_output
     # the Toeplitz operator up to its byte budget (T=48: 4.7 MB), the rFFT
@@ -197,15 +219,6 @@ def test_lifted_map_matches_lag_loop(reference_output, lead):
     if lead == "chunk-without-u":
         # a map without control columns: only w drives the outputs
         out = dataclasses.replace(out, feed_u=out.feed_u[:, :0], heat_u=out.heat_u[:, :0])
-    elif lead == "chunk-scattered-rows":
-        # the y rows reversed: the memory rows run backwards, not as one range
-        order = np.arange(out.n_y)[::-1]
-        out = dataclasses.replace(
-            out, feed_u=out.feed_u[order], feed_w=out.feed_w[order], const=out.const[:, order],
-            memory_rows=out.n_y - 1 - out.memory_rows,
-        )
-    # one range of y rows is added through a slice, other rows by index
-    assert isinstance(out._rollout_operands.memory_rows, slice) == (lead != "chunk-scattered-rows")
     assert_matches_lag_loop(out, lead_shape(out, lead))
 
 
@@ -214,7 +227,8 @@ def test_lifted_map_matches_lag_loop(reference_output, lead):
 @pytest.mark.parametrize("lead", ["single", "chunk"])
 def test_both_convolution_methods_match_lag_loop(reference_output, method, lead, monkeypatch):
     out = reference_output
-    toeplitz_bytes = (out.horizon * out.heat_w.shape[0]) * (out.horizon * len(out.memory_rows)) * 8
+    n_mem, n_ch = out.temps.kernel.shape[1:]
+    toeplitz_bytes = (out.horizon * n_ch) * (out.horizon * n_mem) * 8
     monkeypatch.setattr(
         compile_module, "_TOEPLITZ_MAX_BYTES", toeplitz_bytes if method == "toeplitz" else 0
     )

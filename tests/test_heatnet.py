@@ -59,7 +59,7 @@ def temperatures(maps, source: np.ndarray, demand: np.ndarray) -> np.ndarray:
     the maps' own definition, kept apart from the lifted-map rollout."""
     heat = np.concatenate([source, demand], axis=1)
     temps = maps.offset.copy()
-    for t in range(maps.horizon):
+    for t in range(len(maps.offset)):
         for k in range(t + 1):
             temps[t] += maps.kernel[k] @ heat[t - k]
     return temps
@@ -269,14 +269,14 @@ def step_loop(st, ground, initial, impulse, scale):
     frames = np.zeros((len(ground), 2 * n, width))
     for t in range(len(ground)):
         rhs = np.zeros((2 * n, width))
-        for row, tau, weight, slot in st.history_terms:
+        for row, tau, weight, slot in st.history:
             if t >= tau:
                 rhs[row] += weight * frames[t - tau, slot]
             elif initial is not None:
                 rhs[row] += weight * initial[slot]
         g = float(ground[t])
         if g != 0.0:
-            for row, weight in st.ground_terms:
+            for row, weight in st.ground:
                 rhs[row] += weight * g
         if t == 0 and impulse is not None:
             rhs[:n] += impulse[:n] * scale

@@ -40,7 +40,7 @@ from chpdispatch.tighten import (
     tighten_iterative_lp,
 )
 
-from synthetic import random_system, synthetic_manifest
+from synthetic import empty_maps, random_system, synthetic_manifest
 
 
 def scalar_system(phi: float, d: float, horizon: int, widths) -> tuple:
@@ -52,10 +52,10 @@ def scalar_system(phi: float, d: float, horizon: int, widths) -> tuple:
         feed_u=np.zeros((1, 1)),
         feed_w=np.zeros((1, 1)),
         const=np.zeros((horizon, 1)),
-        memory_rows=np.zeros(0, dtype=int),
+        memory_rows=slice(0, 0),
         heat_u=np.zeros((0, 1)),
         heat_w=np.zeros((0, 1)),
-        temps=None,
+        temps=empty_maps(horizon),
     )
     ssm = StateSpaceModel(
         A=A, B=B, D=D, output=out,

@@ -30,7 +30,7 @@ from chpdispatch.validation import (
     simulate,
 )
 
-from synthetic import synthetic_manifest
+from synthetic import empty_maps, synthetic_manifest
 from test_compile import lag_loop
 
 
@@ -181,7 +181,7 @@ class TestScenarioStream:
         count = validation._chunk_size(ssm, 10_000)
         w = np.broadcast_to(tube.w_center, (count,) + tube.w_center.shape).copy()
         u = np.zeros((count, ssm.horizon, ssm.n_u))
-        n_ch, n_mem = out.heat_w.shape[0], len(out.memory_rows)
+        n_mem, n_ch = out.temps.kernel.shape[1:]
         toeplitz = (ssm.horizon * n_ch) * (ssm.horizon * n_mem) * 8   # 170 MB
         tracemalloc.start()
         try:
@@ -202,10 +202,10 @@ def scalar_policy(phi: float, horizon: int):
         feed_u=np.zeros((1, 1)),
         feed_w=np.zeros((1, 1)),
         const=np.zeros((horizon, 1)),
-        memory_rows=np.zeros(0, dtype=int),
+        memory_rows=slice(0, 0),
         heat_u=np.zeros((0, 1)),
         heat_w=np.zeros((0, 1)),
-        temps=None,
+        temps=empty_maps(horizon),
     )
     ssm = StateSpaceModel(
         A=A, B=B, D=D, output=out,
@@ -665,3 +665,8 @@ def test_parse_method():
         parse_method("erd-budget")
     with pytest.raises(ValueError):
         parse_method("lorem")
+    # the head must be exactly erd-budget, and the budget a number
+    with pytest.raises(ValueError, match="unknown method 'erd-budgetxyz:2'"):
+        parse_method("erd-budgetXYZ:2")
+    with pytest.raises(ValueError, match="method 'erd-budget:abc': budget 'abc' is not a number"):
+        parse_method("erd-budget:abc")
