@@ -148,14 +148,11 @@ def _schedule(args, ssm, constraints, tube, gain):
     return tighten(ssm, constraints, tube, gain, mode=mode, budget=gamma), mode
 
 
-def _ensure_out(args) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _write(path: str, text: str | Iterable[str]) -> None:
-    """Write a text, or the parts of one in turn (never joined in memory)."""
+    """Write a text, or the parts of one in turn (never joined in memory),
+    making the output directory first: a command that fails before it
+    writes leaves no directory behind."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines([text] if isinstance(text, str) else text)
 
@@ -181,7 +178,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _dispatch_command(args) -> int:
-    out = _ensure_out(args)
+    out = args.out
 
     if args.command == "reference":
         doc = reference_document(args.horizon, args.dt)

@@ -7,7 +7,7 @@ disturbance w stacks PV power, electric loads, and heat loads.  Battery and
 tank flows are eliminated through the instantaneous balances, which yields
 the storage dynamics and makes every y row an affine function of the control
 and disturbance sequences (node temperatures keep their transport-delay
-memory through the heat kernel).
+memory through the heat kernel, or the step recursion it comes from).
 """
 
 from __future__ import annotations
@@ -241,11 +241,13 @@ class LiftedOutputMap:
     where K embeds the heat-network lag kernel into the temperature rows
     ``memory_rows``, one range of y (all other rows are memoryless; a system
     without a heat network has empty ``temps`` and an empty range).  This
-    class is the only reader of the kernel.  A row selector's response to
-    u and to w comes as raw sparse lags (:meth:`StateSpaceModel.row_blocks`),
-    from which :meth:`Lags.of` builds the :class:`Lags` that the LP rows and
-    the tightening read.  The LP right-hand side and the closed-loop
-    rollout come from ``evaluate``, which applies the whole
+    class is the only reader of the kernel, and the tightening its only
+    user outside: a row selector's response to u and to w comes as raw
+    sparse lags (:meth:`StateSpaceModel.row_blocks`), from which
+    :meth:`Lags.of` builds the :class:`Lags` whose closed form the
+    tightening reads.  The dispatch LP reads no lag: it holds the
+    temperatures as variables tied by ``temps.recursion``.  The closed-loop
+    rollout comes from ``evaluate``, which applies the whole
     sum over tau as one lifted convolution operator (a block-Toeplitz GEMM
     at short horizons, an rFFT at long ones) instead of one product per lag.
     """
@@ -276,7 +278,8 @@ class LiftedOutputMap:
         one input's feed and heat matrices, as raw lags: lag 0 (the kernel's
         included) as a dense (M, n_in) matrix, and lags 1..T-1 over only the
         rows of S that read a memory row and the channels the heat inputs
-        read (32 x 8 of 166 x 76 for the full-day reference's y rows over w)."""
+        read (32 x 8 of 166 x 76 for the full-day reference's y rows over w).
+        The tightening reads these; the dispatch LP does not."""
         lag0 = s_rows @ feed
         sel = s_rows[:, self.memory_rows]
         rows = np.flatnonzero(sel.any(axis=1))
@@ -436,8 +439,8 @@ class StateSpaceModel:
 
     def row_blocks(self, vector: str, s_rows: np.ndarray, over_w: bool = False) -> tuple:
         """The raw lags (:meth:`Lags.of` arguments) of the rows ``s_rows``
-        over ``vector``, over the vector the LP decides (x for rows over x,
-        u otherwise) or, with ``over_w``, over w: rows over x or u read lag
+        over ``vector``, over the decided vector (x for rows over x, u
+        otherwise) or, with ``over_w``, over w: rows over x or u read lag
         0 of their vector and no w, rows over y the lifted map."""
         if vector == "y":
             out = self.output

@@ -1,28 +1,31 @@
 """Nominal dispatch problem and the affine feedback policy.
 
 The decision variables are the states over the horizon, the control
-sequence, and epigraph auxiliaries for the storage throughput terms of
-the cost; dynamics and the reactive balance enter as equalities, and every
-row of the (tightened) constraint families enters as an inequality with
-the analysis expressions substituted through the lifted output maps.
+sequence, epigraph auxiliaries for the storage throughput terms of the
+cost, and the heat network's node temperatures at each step.  The
+dynamics, the reactive balance and the heat network's step recursion
+enter as equalities.  Every row of the (tightened) constraint families
+enters as an inequality that reads x, u and the node temperatures at its
+own step, and at the step before for a step difference, so the LP grows
+linearly with the horizon.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .compile import Lags, StateSpaceModel, family_form
+from .compile import StateSpaceModel, family_form
 from .lp import KktReport, LinearProgram, check_kkt, solve_lp
 from .model import SystemModel
 from .sets import UncertaintyTube
 from .tighten import FeedbackGain, TightenedSchedule, tighten
 
-# Largest CSR of the inequality matrix G that ``build_nominal_problem``
-# builds: 64 MiB.  The bundled reference's G takes 8 MB at 288 steps of
-# 300 s and 41 MB at 1152 steps of 75 s, where one ``dispatch`` peaks at
-# 244 MB and 855 MB of RSS.
+# Largest CSR of the inequality matrix G or the equality matrix A that
+# ``build_nominal_problem`` builds: 64 MiB.  The bundled reference's G takes
+# 2.3 MB at 288 steps of 300 s and 9.4 MB at 1152 steps of 75 s.
 MAX_LP_BYTES = 1 << 26
 
 __all__ = [
@@ -69,25 +72,25 @@ class CostModel:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Index layout of the LP variables [x(0..T), u(0..T-1), epigraph]."""
+    """Index layout of the LP variables [x(0..T), u(0..T-1), epigraph,
+    node temperatures theta(0..T-1)]."""
 
     horizon: int
     n_x: int
     n_u: int
     n_epi: int
+    n_theta: int
     reactive: bool           # one reactive balance equality per step
 
     @classmethod
     def of(cls, ssm: StateSpaceModel) -> "_Layout":
         reactive = ssm.reactive_u is not None and bool(np.any(ssm.reactive_u))
-        return cls(ssm.horizon, ssm.n_x, ssm.n_u, len(_priced_rows(ssm)), reactive)
+        n_theta = len(ssm.output.temps.recursion.mat)
+        return cls(ssm.horizon, ssm.n_x, ssm.n_u, len(_priced_rows(ssm)), n_theta, reactive)
 
     @property
     def n_vars(self) -> int:
-        return (self.horizon + 1) * self.n_x + self.horizon * (self.n_u + self.n_epi)
-
-    def x_slice(self, t: int) -> slice:
-        return slice(t * self.n_x, (t + 1) * self.n_x)
+        return (self.horizon + 1) * self.n_x + self.horizon * (self.n_u + self.n_epi + self.n_theta)
 
     def u_slice(self, t: int) -> slice:
         base = (self.horizon + 1) * self.n_x
@@ -97,9 +100,39 @@ class _Layout:
         base = (self.horizon + 1) * self.n_x + self.horizon * self.n_u
         return slice(base + t * self.n_epi, base + (t + 1) * self.n_epi)
 
+    def theta_slice(self, t: int) -> slice:
+        base = self.epi_slice(self.horizon).start
+        return slice(base + t * self.n_theta, base + (t + 1) * self.n_theta)
+
     def decode(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         T, u0 = self.horizon, self.u_slice(0).start
         return z[:u0].reshape(T + 1, self.n_x), z[u0 : self.epi_slice(0).start].reshape(T, self.n_u)
+
+
+class _StepLabels(Sequence):
+    """Row labels "prefix[t=step]suffix", formatted only when read.
+    ``blocks`` lists (pairs, steps) in row order, one row per step and
+    (prefix, suffix) pair, step by step; a block whose ``steps`` is None
+    has one row per pair, labelled prefix + suffix."""
+
+    def __init__(self, blocks: list) -> None:
+        self._blocks = [(pairs, [None] if steps is None else steps.tolist()) for pairs, steps in blocks]
+        self._ends = np.cumsum([len(pairs) * len(steps) for pairs, steps in self._blocks])
+
+    def __len__(self) -> int:
+        return int(self._ends[-1]) if len(self._ends) else 0
+
+    def __getitem__(self, i: int) -> str:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        b = int(np.searchsorted(self._ends, i, side="right"))
+        pairs, steps = self._blocks[b]
+        k = i - (int(self._ends[b - 1]) if b else 0)
+        (prefix, suffix), t = pairs[k % len(pairs)], steps[k // len(pairs)]
+        return prefix + suffix if t is None else f"{prefix}[t={t}]{suffix}"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -155,112 +188,128 @@ def build_nominal_problem(
     costs: CostModel,
     w_center: np.ndarray,
 ) -> NominalProblem:
-    """Assemble the nominal LP over x(0..T), u(0..T-1), and epigraph terms.
+    """Assemble the nominal LP over x(0..T), u(0..T-1), epigraph terms and
+    the node temperatures theta(0..T-1).
 
     G and A are collected as COO triplets and built as one CSR each; no
-    dense matrix of the LP's size is made.  Every family, and the epigraph
-    rows as rows over y, takes its coefficients from the
-    :class:`~chpdispatch.compile.Lags` of its row selector over the vector
-    it is decided by (``StateSpaceModel.row_blocks``): each step's rows
-    read the lags that fall inside the horizon.  Before any triplet is
-    made, a G whose CSR would exceed ``MAX_LP_BYTES`` is refused with
-    :class:`LpTooLargeError`.
+    dense matrix of the LP's size is made.  Each family's rows read its
+    vector at their own step, and at the step before for a step difference:
+    S x(t), S u(t), or, for rows over y, S feed_u u(t) plus S theta(t) on
+    the temperature rows, with y's w and constant parts on the right-hand
+    side.  The temperatures are tied to u by the heat network's step
+    recursion (:class:`~chpdispatch.heatnet.HeatRecursion`), 2N equality
+    rows per step, so no row reads u through the heat kernel's lags.
+    Before any triplet is made, a G or an A whose CSR would exceed
+    ``MAX_LP_BYTES`` is refused with :class:`LpTooLargeError`.
     """
     T = ssm.horizon
     n_x, n_u = ssm.n_x, ssm.n_u
-    man = ssm.manifest
+    man, out = ssm.manifest, ssm.output
     w_center = np.atleast_2d(np.asarray(w_center, dtype=float))
     if w_center.shape != (T, ssm.n_w):
         raise ValueError(f"w_center shape {w_center.shape} != ({T}, {ssm.n_w})")
 
     u_costs, epi_rows, epi_costs = _cost_weights(ssm, costs)
-    n_epi = len(epi_rows)
-
     prob = _Layout.of(ssm)
-    n_vars = prob.n_vars
-    blocks = _ineq_blocks(ssm, schedule, epi_rows)
-    # one inequality per tightened row and step, the epigraph rows included;
-    # the initial state, the dynamics and any reactive balance as equalities
-    n_ineq = sum(block[2].size for block in blocks)
-    n_eq = (T + 1) * n_x + (T if prob.reactive else 0)
-    _check_size(n_ineq, blocks, T)
-    u0 = prob.u_slice(0).start
-    e0 = prob.epi_slice(0).start
-    y_base = ssm.output.evaluate(np.zeros((T, n_u)), w_center)   # w and constant parts
+    n_epi, n_th = prob.n_epi, prob.n_theta
+    u0, e0, th0 = prob.u_slice(0).start, prob.epi_slice(0).start, prob.theta_slice(0).start
+    # y's w and constant parts; the temperature rows read theta, offset included
+    y_base = w_center @ out.feed_w.T + out.const
+    y_base[:, out.memory_rows] -= out.temps.offset
 
     # objective
-    c = np.zeros(n_vars)
+    c = np.zeros(prob.n_vars)
     c[u0:e0] = u_costs.ravel()
-    c[e0:] = np.tile(epi_costs, T)
+    c[e0:th0] = np.tile(epi_costs, T)
 
-    # equalities: initial state, dynamics, reactive balance
+    # inequalities: per step t, a block of rows for each family and then the
+    # epigraph rows |storage flow| <= auxiliary, a pos and a neg row each;
+    # a step difference reads [-M, M] over the vector at steps t - 1 and t
+    ineq, h, g_labels = [], [], []
+    row = 0
+    for name, s, rhs, labels, aux in _ineq_blocks(ssm, schedule, epi_rows):
+        vector, diff, steps = family_form(name, T)
+        reads = [(s, 0, n_x)] if vector == "x" else [(s, u0, n_u)]
+        if vector == "y":
+            rhs = rhs - (y_base[steps] - y_base[steps - 1] if diff else y_base[steps]) @ s.T
+            reads = [(s @ out.feed_u, u0, n_u), (s[:, out.memory_rows], th0, n_th)]
+        row_at = row + np.arange(len(steps)) * len(s)
+        for block, start, width in reads:
+            ineq.append((np.hstack([-block, block]) if diff else block, row_at, start + (steps - diff) * width))
+        if aux is not None:
+            ineq.append((aux, row_at, e0 + steps * n_epi))
+        h.append(rhs.ravel())
+        g_labels.append((labels, steps))
+        row += rhs.size
+
+    # equalities: initial state, dynamics, reactive balance, heat recursion
     x_names = [man.name("x", i)[1] for i in range(n_x)]
     x_at, u_at = np.arange(T + 1) * n_x, u0 + np.arange(T) * n_u
     eq = [
-        _placed(np.eye(n_x), x_at, x_at),
-        _placed(-ssm.A, x_at[1:], x_at[:-1]),
-        _placed(-ssm.B, x_at[1:], u_at),
+        (np.eye(n_x), x_at, x_at),
+        (-ssm.A, x_at[1:], x_at[:-1]),
+        (-ssm.B, x_at[1:], u_at),
     ]
-    b_eq = np.zeros(n_eq)
-    b_eq[:n_x] = ssm.x0
-    eq_labels = [f"initial_state[{name}]" for name in x_names]
     # row by row, D[i] . w(t): a matrix product rounds the last bit differently
-    b_eq[n_x : (T + 1) * n_x] = np.ravel([[d_row @ w for d_row in ssm.D] for w in w_center])
-    eq_labels += [f"dynamics[{name}][t={t}]" for t in range(T) for name in x_names]
+    b_eq = [ssm.x0, np.ravel([[d_row @ w for d_row in ssm.D] for w in w_center])]
+    eq_labels = [
+        ([(f"initial_state[{name}]", "") for name in x_names], None),
+        ([(f"dynamics[{name}]", "") for name in x_names], np.arange(T)),
+    ]
     if prob.reactive:
-        eq.append(_placed(ssm.reactive_u[np.newaxis], (T + 1) * n_x + np.arange(T), u_at))
-        b_eq[(T + 1) * n_x :] = [-ssm.reactive_w @ w for w in w_center]
-        eq_labels += [f"reactive_balance[t={t}]" for t in range(T)]
+        eq.append((ssm.reactive_u[np.newaxis], (T + 1) * n_x + np.arange(T), u_at))
+        b_eq.append([-ssm.reactive_w @ w for w in w_center])
+        eq_labels.append(([("reactive_balance", "")], np.arange(T)))
+    eq_rows = sum(len(b) for b in b_eq) + np.arange(T) * n_th
+    blocks, rhs = _recursion_rows(out, w_center, eq_rows, th0 + np.arange(T) * n_th, u_at)
+    eq += blocks
+    b_eq.append(rhs.ravel())
+    eq_labels.append(([(f"heat_recursion[{k}[{name}]]", "") for k, name in man.y[out.memory_rows]], np.arange(T)))
 
-    # inequalities: per step t, a block of rows for each family and then the
-    # epigraph rows |storage flow| <= auxiliary, a pos and a neg row each.
-    # Every family reads x or u through the lags of its row selector, from
-    # step t - latest lag, or step 0, to step t - earliest lag, and the w and
-    # constant parts of y move to the right-hand side
-    ineq = []
-    h = np.zeros(n_ineq)
-    g_labels: list[str] = []
-    row = 0
-    for name, s, rhs, labels, aux, lags in blocks:
-        vector, diff, steps = family_form(name, T)
-        if vector == "y":
-            rhs = rhs - (y_base[steps] - y_base[steps - 1] if diff else y_base[steps]) @ s.T
-        h[row : row + rhs.size] = rhs.ravel()
-        width, at = (n_x, prob.x_slice) if vector == "x" else (n_u, prob.u_slice)
-        n = lags.stop
-        # (M, n width): lag n - 1 over the first width columns, lag 0 over the
-        # last; step t places it from step t - n + 1 on and drops the lags
-        # that reach before step 0
-        rev = lags.dense(n)[::-1].transpose(1, 0, 2).reshape(len(s), n * width)
-        row_at = row + np.arange(len(steps)) * len(s)
-        ineq.append(_placed(
-            rev, row_at, at(0).start + (steps - n + 1) * width, np.maximum(n - 1 - steps, 0) * width
-        ))
-        if aux is not None:
-            ineq.append(_placed(aux, row_at, e0 + steps * n_epi))
-        g_labels += [f"{prefix}[t={t}]{suffix}" for t in steps.tolist() for prefix, suffix in labels]
-        row += rhs.size
-
+    h, b_eq = np.concatenate(h), np.concatenate(b_eq)
+    _check_size(ineq, len(h), eq, len(b_eq))
     lp = LinearProgram(
         c=c,
-        g=_csr(ineq, (n_ineq, n_vars)) if n_ineq else None,
-        h=h if n_ineq else None,
-        a_eq=_csr(eq, (n_eq, n_vars)) if n_eq else None,
-        b_eq=b_eq if n_eq else None,
-        row_labels=tuple(g_labels),
-        eq_labels=tuple(eq_labels),
+        g=_csr([_placed(*piece) for piece in ineq], (len(h), len(c))) if len(h) else None,
+        h=h if len(h) else None,
+        a_eq=_csr([_placed(*piece) for piece in eq], (len(b_eq), len(c))),
+        b_eq=b_eq,
+        row_labels=_StepLabels(g_labels),
+        eq_labels=_StepLabels(eq_labels),
     )
     return NominalProblem(lp=lp, layout=prob)
 
 
+def _recursion_rows(out, w_center: np.ndarray, rows: np.ndarray, theta_at: np.ndarray, u_at: np.ndarray):
+    """The heat recursion at every step: its left-hand side as (block,
+    row_at, col_at), mat over theta(t) less the history terms over
+    theta(t - delay) inside the horizon (a block per delay) and scale sign
+    heat_u over u(t); and its (T, 2N) right-hand side, the history terms
+    before t = 0 at the initial temperatures, the ground terms and scale
+    sign heat_w w(t)."""
+    rec = out.temps.recursion
+    hist = rec.history
+    blocks = [(rec.mat, rows, theta_at), (-rec.scale * rec.sign[:, np.newaxis] * out.heat_u, rows, u_at)]
+    for delay in np.unique(hist["delay"]).tolist():
+        terms = hist[hist["delay"] == delay]
+        block = np.zeros_like(rec.mat)
+        np.subtract.at(block, (terms["row"], terms["slot"]), terms["weight"])
+        blocks.append((block, rows[delay:], theta_at[: max(len(rows) - delay, 0)]))
+    rhs = (w_center @ out.heat_w.T) * (rec.scale * rec.sign)
+    before = np.arange(len(w_center))[:, np.newaxis] < hist["delay"]
+    np.add.at(rhs, (slice(None), hist["row"]), before * (hist["weight"] * rec.initial[hist["slot"]]))
+    np.add.at(rhs, (slice(None), rec.ground["row"]), rec.ground_temps[:, np.newaxis] * rec.ground["weight"])
+    return blocks, rhs
+
+
 class LpTooLargeError(ValueError):
-    """The dispatch LP's G would not fit ``MAX_LP_BYTES`` as CSR."""
+    """The dispatch LP's G or A would not fit ``MAX_LP_BYTES`` as CSR."""
 
 
 def _ineq_blocks(ssm: StateSpaceModel, schedule: TightenedSchedule, epi_rows: np.ndarray) -> list:
-    """(family, selector, right-hand side, labels, epigraph auxiliary block,
-    lags) for each row block of G, in row order: the families, then the
-    epigraph rows as rows over y."""
+    """(family, selector, right-hand side, labels, epigraph auxiliary block)
+    for each row block of G, in row order: the families, then the epigraph
+    rows as rows over y."""
     T, man = ssm.horizon, ssm.manifest
     n_epi = len(epi_rows)
     epi_s = np.zeros((2 * n_epi, ssm.n_y))
@@ -273,45 +322,34 @@ def _ineq_blocks(ssm: StateSpaceModel, schedule: TightenedSchedule, epi_rows: np
         for name, fam in schedule.families.items()
     ]
     blocks.append(("y", epi_s, np.zeros((T, 2 * n_epi)), epi_labels, epi_aux))
-    out = []
-    for block in blocks:
-        vector, diff, _ = family_form(block[0], T)
-        out.append((*block, Lags.of(*ssm.row_blocks(vector, block[1]), diff=diff)))
-    return out
+    return blocks
 
 
-def _check_size(n_ineq: int, blocks: list, horizon: int) -> None:
-    """Raise :class:`LpTooLargeError` if G's CSR (float64 values, int32
-    indices) would exceed ``MAX_LP_BYTES``.  G's nonzeros are counted
-    exactly: a row block at step t holds its lags 0..t, and each epigraph
-    row one auxiliary entry."""
-    nnz = 0
-    for name, _, _, _, aux, lags in blocks:
-        steps = family_form(name, horizon)[2]
-        per_lag = np.zeros(lags.stop + 1, dtype=np.int64)
-        for b in lags.blocks:
-            per_lag[b.first + 1 : b.first + 1 + len(b.values)] = np.count_nonzero(b.values, axis=(1, 2))
-        nnz += int(np.cumsum(per_lag)[np.minimum(steps + 1, lags.stop)].sum())
-        nnz += 0 if aux is None else int(np.count_nonzero(aux)) * len(steps)
-    size = 12 * nnz + 4 * (n_ineq + 1)
-    if size > MAX_LP_BYTES:
+def _check_size(ineq: list, n_ineq: int, eq: list, n_eq: int) -> None:
+    """Raise :class:`LpTooLargeError` if the CSR (float64 values, int32
+    indices) of G or of A would exceed ``MAX_LP_BYTES``.  The nonzeros are
+    counted exactly, as those of each (block, row_at, col_at) times its
+    placements: no two placements share an entry."""
+    shapes = []
+    for pieces, n_rows in ((ineq, n_ineq), (eq, n_eq)):
+        nnz = sum(np.count_nonzero(block) * len(row_at) for block, row_at, _ in pieces)
+        shapes.append((n_rows, nnz, 12 * nnz + 4 * (n_rows + 1)))
+    (g_rows, g_nnz, g_size), (a_rows, a_nnz, a_size) = shapes
+    if max(g_size, a_size) > MAX_LP_BYTES:
         raise LpTooLargeError(
-            f"dispatch LP of {n_ineq} inequality rows with {nnz} nonzeros needs"
-            f" {size} bytes as CSR, more than the limit of {MAX_LP_BYTES}"
+            f"dispatch LP of {g_rows} inequality rows with {g_nnz} nonzeros needs {g_size} bytes"
+            f" as CSR, and of {a_rows} equality rows with {a_nnz} nonzeros needs {a_size} bytes;"
+            f" the limit is {MAX_LP_BYTES} each"
         )
 
 
-def _placed(block: np.ndarray, row_at: np.ndarray, col_at: np.ndarray, skip=None):
+def _placed(block: np.ndarray, row_at: np.ndarray, col_at: np.ndarray):
     """COO triplets of the nonzeros of ``block`` placed with its top-left
-    corner at (row_at[i], col_at[i]) for each i, without its first
-    ``skip[i]`` columns (none if ``skip`` is None)."""
-    cols, rows = np.nonzero(block.T)       # sorted by column: a skip drops a prefix
-    first = np.zeros(len(row_at), np.intp) if skip is None else np.searchsorted(cols, skip)
-    counts = len(cols) - first
-    i = np.repeat(np.arange(len(row_at)), counts)
-    k = np.arange(i.size) + np.repeat(first + counts - np.cumsum(counts), counts)
-    rows, cols = rows[k], cols[k]
-    return row_at[i] + rows, col_at[i] + cols, block[rows, cols]
+    corner at (row_at[i], col_at[i]) for each i."""
+    rows, cols = np.nonzero(block)
+    i = np.repeat(np.arange(len(row_at)), len(rows))
+    k = np.tile(np.arange(len(rows)), len(row_at))
+    return row_at[i] + rows[k], col_at[i] + cols[k], block[rows, cols][k]
 
 
 def _csr(triplets: list, shape: tuple[int, int]):

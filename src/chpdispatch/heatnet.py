@@ -18,6 +18,7 @@ import numpy as np
 from .model import HeatNetwork
 
 __all__ = [
+    "HeatRecursion",
     "TemperatureMaps",
     "HeatTopologyError",
     "DelayError",
@@ -71,6 +72,33 @@ def attenuation_factors(net: HeatNetwork, delays: np.ndarray, step_seconds: floa
     return psi
 
 
+_HISTORY = np.dtype([("row", np.intp), ("delay", np.intp), ("weight", float), ("slot", np.intp)])
+_GROUND = np.dtype([("row", np.intp), ("weight", float)])
+
+
+@dataclass(frozen=True)
+class HeatRecursion:
+    """The nodal energy balances as a step recursion, the same at every step:
+
+        mat theta(t) = sum_history weight theta(t - delay)[slot]
+                       + sum_ground weight ground_temps[t] + scale sign h(t)
+
+    for temperatures theta = [T_s, T_r] and heat h per channel in MW (source,
+    then demand heat per node); a history term that reaches before t = 0
+    reads ``initial``.  ``history`` and ``ground`` are structured arrays in
+    equation order, and ``sign`` is +1 on source channels and -1 on demand
+    channels, whose heat leaves the return water.
+    """
+
+    mat: np.ndarray              # (2N, 2N), zero-delay arrivals included
+    history: np.ndarray          # _HISTORY records
+    ground: np.ndarray           # _GROUND records
+    scale: float                 # mass flow times K per MW: 1e6 / c_w
+    sign: np.ndarray             # (2N,)
+    initial: np.ndarray          # (2N,)
+    ground_temps: np.ndarray     # (T,)
+
+
 @dataclass(frozen=True)
 class TemperatureMaps:
     """Affine maps from node heat to supply/return temperatures over the horizon.
@@ -79,97 +107,79 @@ class TemperatureMaps:
     channels stack as [source heat per node (MW), demand heat per node (MW)].
     ``kernel[k]`` is the response of the temperatures to heat input k steps
     earlier: flows are constant, so the response depends on the lag only.
+    Both come from ``recursion`` by a forward solve.
     """
 
     offset: np.ndarray                     # (T, 2N) temps with zero heat input
     kernel: np.ndarray                     # (T, 2N, 2N)
+    recursion: HeatRecursion
 
 
-_HISTORY = np.dtype([("row", np.intp), ("delay", np.intp), ("weight", float), ("slot", np.intp)])
-_GROUND = np.dtype([("row", np.intp), ("weight", float)])
+def _recursion(net: HeatNetwork, delays: np.ndarray, psi: np.ndarray, horizon: int) -> HeatRecursion:
+    """The step recursion of a tree network with constant flows."""
+    n = net.n_node
+    parent, children = net.parent_pipe(), net.children()
+    mat = np.zeros((2 * n, 2 * n))
+    history, ground = [], []
 
+    for i in range(n):
+        row = i
+        m_in = net.inflow[i]
+        pj = parent[i]
+        m_arr = net.pipes[pj].mass_flow if pj is not None else 0.0
+        total = m_arr + m_in
+        if total <= 0:
+            raise HeatTopologyError(f"heat node {i}: no supply mass (parent + inflow = 0)")
+        mat[row, i] = total
+        mat[row, n + i] = -m_in
+        if pj is not None:
+            tau = int(delays[pj])
+            w = m_arr * psi[pj]
+            src = net.pipes[pj].from_node
+            if tau == 0:
+                mat[row, src] -= w
+            else:
+                history.append((row, tau, w, src))
+            ground.append((row, m_arr * (1.0 - psi[pj])))
 
-class _StepStructure:
-    """Factorized linear system of one schedule step, the same at every step.
-
-    Unknowns z = [T_s, T_r]; equations are supply and return nodal energy
-    balances with same-step couplings (zero-delay arrivals) on the left and
-    delayed arrivals, ground pickup, and heat injections on the right.
-    ``history`` (equation ``row`` reads unknown ``slot`` ``delay`` steps
-    back, times ``weight``) and ``ground`` (``row`` gains ``weight`` times
-    the ground temperature) are structured arrays, in equation order.
-    """
-
-    def __init__(
-        self,
-        net: HeatNetwork,
-        delays: np.ndarray,
-        psi: np.ndarray,
-        parent: dict[int, int | None],
-        children: dict[int, list[int]],
-    ):
-        n = net.n_node
-        self.n = n
-        mat = np.zeros((2 * n, 2 * n))
-        history, ground = [], []
-
-        for i in range(n):
-            row = i
-            m_in = net.inflow[i]
-            pj = parent[i]
-            m_arr = net.pipes[pj].mass_flow if pj is not None else 0.0
-            total = m_arr + m_in
-            if total <= 0:
-                raise HeatTopologyError(
-                    f"heat node {i}: no supply mass (parent + inflow = 0)"
-                )
-            mat[row, i] = total
-            mat[row, n + i] = -m_in
-            if pj is not None:
-                tau = int(delays[pj])
-                w = m_arr * psi[pj]
-                src = net.pipes[pj].from_node
-                if tau == 0:
-                    mat[row, src] -= w
-                else:
-                    history.append((row, tau, w, src))
-                ground.append((row, m_arr * (1.0 - psi[pj])))
-
-            rrow = n + i
-            m_ret = net.outflow[i] + sum(net.pipes[c].mass_flow for c in children[i])
-            if m_ret <= 0:
-                raise HeatTopologyError(
-                    f"heat node {i}: no return mass (children + outflow = 0)"
-                )
-            mat[rrow, n + i] = m_ret
-            mat[rrow, i] = -net.outflow[i]
-            for c in children[i]:
-                tau = int(delays[c])
-                m_c = net.pipes[c].mass_flow
-                w = m_c * psi[c]
-                child_slot = n + net.pipes[c].to_node
-                if tau == 0:
-                    mat[rrow, child_slot] -= w
-                else:
-                    history.append((rrow, tau, w, child_slot))
-                ground.append((rrow, m_c * (1.0 - psi[c])))
-        cond = np.linalg.cond(mat)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise HeatTopologyError(
-                "temperature level is indeterminate (lossless zero-delay loop "
-                "leaves no anchor); add losses, delays, or check the topology"
-            )
-        self.inv = np.linalg.inv(mat)
-        self.history = np.array(history, dtype=_HISTORY)
-        self.ground = np.array(ground, dtype=_GROUND)
+        rrow = n + i
+        m_ret = net.outflow[i] + sum(net.pipes[c].mass_flow for c in children[i])
+        if m_ret <= 0:
+            raise HeatTopologyError(f"heat node {i}: no return mass (children + outflow = 0)")
+        mat[rrow, n + i] = m_ret
+        mat[rrow, i] = -net.outflow[i]
+        for c in children[i]:
+            tau = int(delays[c])
+            m_c = net.pipes[c].mass_flow
+            w = m_c * psi[c]
+            child_slot = n + net.pipes[c].to_node
+            if tau == 0:
+                mat[rrow, child_slot] -= w
+            else:
+                history.append((rrow, tau, w, child_slot))
+            ground.append((rrow, m_c * (1.0 - psi[c])))
+    cond = np.linalg.cond(mat) if n else 1.0
+    if not np.isfinite(cond) or cond > 1e12:
+        raise HeatTopologyError(
+            "temperature level is indeterminate (lossless zero-delay loop "
+            "leaves no anchor); add losses, delays, or check the topology"
+        )
+    return HeatRecursion(
+        mat=mat,
+        history=np.array(history, dtype=_HISTORY),
+        ground=np.array(ground, dtype=_GROUND),
+        scale=MW_TO_W / net.water_heat_capacity,
+        sign=np.repeat([1.0, -1.0], n),
+        initial=np.repeat([net.initial_supply_temperature, net.initial_return_temperature], n),
+        ground_temps=np.array([net.ground_at(t) for t in range(horizon)]),
+    )
 
 
 def _simulate(
-    st: _StepStructure,
+    st: HeatRecursion,
     ground: np.ndarray,
     initial: np.ndarray | None,
     impulse: np.ndarray | None,
-    scale: float,
 ) -> np.ndarray:
     """Forward solve over the steps of ``ground``; ``impulse`` (2N, width),
     heat in MW, enters at t = 0 only.  Returns temperatures (T, 2N, width).
@@ -180,20 +190,20 @@ def _simulate(
     list.  That adds a row's terms in list order, history then ground, so
     the frames are bit for bit those of a per-step, per-term loop.
     """
-    n = st.n
+    n_th, inv = len(st.mat), np.linalg.inv(st.mat)
     horizon = len(ground)
     width = 1 if impulse is None else impulse.shape[1]
     depth = int(st.history["delay"].max(initial=0))
     # the frames behind ``depth`` frames of history before t = 0: the
     # initial temperatures, or zero, which adds nothing to a right-hand side
-    padded = np.zeros((depth + horizon, 2 * n, width))
+    padded = np.zeros((depth + horizon, n_th, width))
     if initial is not None:
         padded[:depth] = initial
     frames = padded[depth:]
     block = int(st.history["delay"].min(initial=horizon))
     for start in range(0, horizon, block):
         steps = np.arange(start, min(start + block, horizon))
-        rhs = np.zeros((len(steps), 2 * n, width))
+        rhs = np.zeros((len(steps), n_th, width))
         here = depth + steps[:, np.newaxis]        # the steps' indices into padded
         past = padded[here - st.history["delay"], st.history["slot"]]
         np.add.at(rhs, (slice(None), st.history["row"]), st.history["weight"][:, np.newaxis] * past)
@@ -201,32 +211,18 @@ def _simulate(
             picked = st.ground["weight"] * ground[steps, np.newaxis]
             np.add.at(rhs, (slice(None), st.ground["row"]), picked[:, :, np.newaxis])
         if start == 0 and impulse is not None:
-            rhs[0, :n] += impulse[:n] * scale       # source heat adds enthalpy
-            rhs[0, n:] -= impulse[n:] * scale       # demand removes it on the return
-        frames[steps] = np.matmul(st.inv, rhs)
+            rhs[0] += impulse * (st.sign[:, np.newaxis] * st.scale)
+        frames[steps] = np.matmul(inv, rhs)
     return frames
 
 
 def temperature_maps(
     net: HeatNetwork, delays: np.ndarray, horizon: int, step_seconds: float
 ) -> TemperatureMaps:
-    """Compose pipe propagation and nodal mixing into horizon-lifted affine maps."""
-    if net.n_node == 0:
-        return TemperatureMaps(np.zeros((horizon, 0)), np.zeros((horizon, 0, 0)))
+    """The network's step recursion and the horizon-lifted affine maps it gives."""
     if not net.is_tree():
         raise HeatTopologyError("supply network must be a tree (cycle or multiple roots found)")
-    psi = attenuation_factors(net, delays, step_seconds)
-    n = net.n_node
-    st = _StepStructure(net, delays, psi, net.parent_pipe(), net.children())
-    scale = MW_TO_W / net.water_heat_capacity
-
-    init = np.concatenate(
-        [
-            np.full(n, net.initial_supply_temperature),
-            np.full(n, net.initial_return_temperature),
-        ]
-    )[:, np.newaxis]
-    ground = np.array([net.ground_at(t) for t in range(horizon)])
-    offset = _simulate(st, ground, init, None, scale)[:, :, 0]
-    kernel = _simulate(st, np.zeros(horizon), None, np.eye(2 * n), scale)
-    return TemperatureMaps(offset, kernel)
+    rec = _recursion(net, delays, attenuation_factors(net, delays, step_seconds), horizon)
+    offset = _simulate(rec, rec.ground_temps, rec.initial[:, np.newaxis], None)[:, :, 0]
+    kernel = _simulate(rec, np.zeros(horizon), None, np.eye(len(rec.mat)))
+    return TemperatureMaps(offset, kernel, rec)

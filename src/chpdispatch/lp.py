@@ -16,6 +16,7 @@ is made on first use and kept.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +44,9 @@ class LinearProgram:
     """min c^T z  s.t.  G z <= h,  A z = b,  lower <= z <= upper.
 
     G (``g``) and A (``a_eq``) may each be given dense or as a
-    ``scipy.sparse`` matrix, and each is stored once, as given.
+    ``scipy.sparse`` matrix, and each is stored once, as given.  The row
+    labels may be any sequence of strings; the dispatch LP's are formatted
+    only when read.
     """
 
     def __init__(
@@ -55,8 +58,8 @@ class LinearProgram:
         b_eq: np.ndarray | None = None,
         lower: np.ndarray | None = None,
         upper: np.ndarray | None = None,
-        row_labels: tuple[str, ...] = (),
-        eq_labels: tuple[str, ...] = (),
+        row_labels: Sequence[str] = (),
+        eq_labels: Sequence[str] = (),
     ) -> None:
         c = np.asarray(c, dtype=float)
         n = c.shape[0]
@@ -80,7 +83,7 @@ class LinearProgram:
             raise ValueError("some lower bound exceeds its upper bound")
         self.c, self.h, self.b_eq, self.lower, self.upper = c, h, b, lo, up
         self._g, self._a_eq = g, a
-        self.row_labels, self.eq_labels = tuple(row_labels), tuple(eq_labels)
+        self.row_labels, self.eq_labels = row_labels, eq_labels
 
     @property
     def n_vars(self) -> int:

@@ -14,7 +14,8 @@ from chpdispatch.compile import (
     StateSpaceModel,
     VariableManifest,
 )
-from chpdispatch.heatnet import TemperatureMaps
+from chpdispatch.heatnet import _GROUND, _HISTORY, HeatRecursion, TemperatureMaps, temperature_maps
+from chpdispatch.model import HeatNetwork
 from chpdispatch.sets import PolyhedronH, UncertaintyTube
 from chpdispatch.tighten import FeedbackGain
 
@@ -30,7 +31,22 @@ def synthetic_manifest(n_x: int, n_u: int, n_y: int, n_w: int) -> VariableManife
 
 def empty_maps(horizon: int) -> TemperatureMaps:
     """The heat maps of a system without a heat network."""
-    return TemperatureMaps(offset=np.zeros((horizon, 0)), kernel=np.zeros((horizon, 0, 0)))
+    empty = HeatNetwork(0, (), *[np.zeros(0)] * 6, np.array([10.0]), 80.0, 50.0)
+    return temperature_maps(empty, np.zeros(0, dtype=int), horizon, 3600.0)
+
+
+def decaying_maps(base: np.ndarray, decay: float, horizon: int) -> TemperatureMaps:
+    """Maps whose kernel[k] is base decay^k, with the recursion that gives
+    them: base^-1 theta(t) = decay base^-1 theta(t - 1) + h(t)."""
+    mat = np.linalg.inv(base)
+    n = len(mat)
+    history = [(i, 1, decay * mat[i, j], j) for i in range(n) for j in range(n)]
+    recursion = HeatRecursion(
+        mat=mat, history=np.array(history, dtype=_HISTORY), ground=np.zeros(0, dtype=_GROUND),
+        scale=1.0, sign=np.ones(n), initial=np.zeros(n), ground_temps=np.zeros(horizon),
+    )
+    kernel = np.stack([base * decay**k for k in range(horizon)])
+    return TemperatureMaps(offset=np.zeros((horizon, n)), kernel=kernel, recursion=recursion)
 
 
 def random_system(
@@ -59,8 +75,7 @@ def random_system(
         n_ch = n_mem
         base = rng.normal(size=(n_ch, n_ch)) * 0.5
         decay = rng.uniform(0.3, 0.8)
-        kernel = np.stack([base * decay**k for k in range(horizon)])
-        temps = TemperatureMaps(offset=np.zeros((horizon, n_ch)), kernel=kernel)
+        temps = decaying_maps(base, decay, horizon)
         heat_u = rng.normal(size=(n_ch, n_u)) * 0.3
         heat_w = rng.normal(size=(n_ch, n_w)) * 0.3
         feed_u[mem_rows] = 0.0

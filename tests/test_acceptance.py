@@ -176,18 +176,28 @@ def test_criterion_7_problem_size_equals_deterministic(ref24, ref24_box_solution
     sched_do = deterministic_schedule(ref24.ssm, ref24.constraints, ref24.tube, ref24.gain)
     lp_erd = build_nominal_problem(ref24.ssm, sched_box, ref24.costs, ref24.tube.w_center).lp
     lp_do = build_nominal_problem(ref24.ssm, sched_do, ref24.costs, ref24.tube.w_center).lp
+    # the same matrices, entry for entry: only h, the tightened bounds, differs
+    same_matrices = all(
+        np.array_equal(getattr(m_erd, part), getattr(m_do, part))
+        for m_erd, m_do in zip(lp_erd.csr, lp_do.csr)
+        for part in ("data", "indices", "indptr")
+    )
     same = (
         lp_erd.n_vars == lp_do.n_vars
         and lp_erd.n_ineq == lp_do.n_ineq
         and lp_erd.n_eq == lp_do.n_eq
         and lp_erd.row_labels == lp_do.row_labels
         and lp_erd.eq_labels == lp_do.eq_labels
+        and np.array_equal(lp_erd.c, lp_do.c)
+        and same_matrices
+        and np.array_equal(lp_erd.b_eq, lp_do.b_eq)
     )
     verdict(
         7,
         same,
         f"robust LP == deterministic LP: {lp_erd.n_vars} vars, "
-        f"{lp_erd.n_ineq} inequalities, {lp_erd.n_eq} equalities",
+        f"{lp_erd.n_ineq} inequalities, {lp_erd.n_eq} equalities, "
+        f"{sum(m.nnz for m in lp_erd.csr)} nonzeros, the same c, G, A and b",
     )
 
 

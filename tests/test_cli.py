@@ -393,6 +393,21 @@ def test_reference_refuses_what_it_could_not_load(tmp_path, capsys, override, me
     assert not (tmp_path / "reference.yaml").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reference", "--horizon", "0"],
+        ["dispatch", "--horizon", "4", "--dt", "-5"],
+        ["tighten", *HORIZON, "--mode", "budget"],
+    ],
+    ids=["reference", "dispatch", "tighten"],
+)
+def test_refused_command_makes_no_output_directory(tmp_path, argv):
+    out = tmp_path / "deep"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_empty_method_list_is_domain_error(tmp_path, capsys):
     code = run(["compare", *HORIZON, "--methods", ",", "--out", str(tmp_path)])
     assert code == 1
@@ -479,8 +494,11 @@ def test_lp_size_guard_hint_fits_the_input(tmp_path, capsys, monkeypatch, with_c
     assert run(["dispatch", *source, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert not placed   # refused before any triplet of G or A was made
-    # the T=12 reference's G: 12 B per nonzero and 4 B per row pointer
-    assert "dispatch LP of 2318 inequality rows with 10372 nonzeros needs 133740 bytes" in err
+    # the T=12 reference's G and A: 12 B per nonzero and 4 B per row pointer
+    assert (
+        "dispatch LP of 2318 inequality rows with 7336 nonzeros needs 97308 bytes as CSR,"
+        " and of 230 equality rows with 612 nonzeros needs 8268 bytes" in err
+    )
     if with_config:
         assert "fewer, longer steps in the config" in err and "--horizon" not in err
         code = run(["dispatch", *source, "--horizon", "24", "--dt", "3600", "--out", str(tmp_path)])

@@ -13,6 +13,7 @@ from chpdispatch.compile import (
     compile_state_space,
     compile_uncertainty_tube,
 )
+from chpdispatch.config_io import load_system
 from chpdispatch.dispatch import (
     CostModel,
     DispatchError,
@@ -22,10 +23,12 @@ from chpdispatch.dispatch import (
     deterministic_schedule,
     solve_dispatch,
 )
+from chpdispatch.lp import solve_lp
 from chpdispatch.reference import build_reference_system
 from chpdispatch.sets import UncertaintyTube
 from chpdispatch.tighten import choose_gain, tighten
 from chpdispatch.validation import simulate
+from test_model import minimal_document
 
 
 @pytest.fixture(scope="module")
@@ -33,15 +36,29 @@ def ref_sched(ref24):
     return tighten(ref24.ssm, ref24.constraints, ref24.tube, ref24.gain, mode="box")
 
 
+def kernel_temperatures(ssm, u, w):
+    """The node temperatures theta(t) under u and w from the lifted map's
+    heat kernel (``evaluate``), not from the heat recursion: the memory rows
+    of y less their memoryless part, y = feed_u u + feed_w w + const - offset
+    + theta."""
+    out = ssm.output
+    y = out.evaluate(u, w)
+    memoryless = u @ out.feed_u.T + w @ out.feed_w.T + out.const
+    return (y - memoryless)[:, out.memory_rows] + out.temps.offset
+
+
 def test_output_rows_reproduce_lifted_map(ref24, ref_sched):
-    """At any point z, each family row's g.z - h plus its tightened bound is
-    S x(t), S u(t), S (u(t) - u(t-1)), S y(t) or S (y(t) - y(t-1)), with x
-    and u from decode and y from evaluate, and each epigraph row's g.z - h
-    is +y_r(t) - aux_r(t) (pos) or -y_r(t) - aux_r(t) (neg)."""
+    """At any point z whose temperatures are those u gives, each family
+    row's g.z - h plus its tightened bound is S x(t), S u(t),
+    S (u(t) - u(t-1)), S y(t) or S (y(t) - y(t-1)), with x and u from decode
+    and y from evaluate, and each epigraph row's g.z - h is
+    +y_r(t) - aux_r(t) (pos) or -y_r(t) - aux_r(t) (neg)."""
     prob = build_nominal_problem(ref24.ssm, ref_sched, ref24.costs, ref24.tube.w_center)
     lp = prob.lp
     z = np.random.default_rng(11).normal(size=lp.n_vars)
     x, u = prob.layout.decode(z)
+    theta0 = prob.layout.theta_slice(0).start
+    z[theta0:] = kernel_temperatures(ref24.ssm, u, ref24.tube.w_center).ravel()
     y = ref24.ssm.output.evaluate(u, ref24.tube.w_center)
     residual = lp.g @ z - lp.h
 
@@ -83,18 +100,24 @@ def test_epigraph_rows_counted(ref24, ref_sched):
 
 @pytest.mark.parametrize("method", ["do", "erd-box", "erd-budget:10"])
 def test_assembled_lp_matches_the_dynamics_and_lifted_map(reference_day, method):
-    """G z and A z at a random x and u with a zero epigraph, against values
-    computed without the build's code: each family's selector applied to x,
-    u, y = evaluate(u, w_center) - evaluate(0, w_center), or their step
-    differences, then +-y on the priced rows; and the dynamics."""
+    """G z and A z at a random x and u with a zero epigraph and the
+    temperatures that u and w_center give, against values computed without
+    the build's code: each family's selector applied to x, u, y less its w
+    and constant parts (from evaluate and the heat kernel), or their step
+    differences, then +-y on the priced rows; the dynamics; and the heat
+    recursion rows, which those temperatures meet."""
     ssm, tube = reference_day.ssm, reference_day.tube
+    out = ssm.output
     lp, schedule = reference_day.lps[method], reference_day.schedules[method]
     T, n_x, n_u = ssm.horizon, ssm.n_x, ssm.n_u
     rng = np.random.default_rng(23)
     x = rng.normal(size=(T + 1, n_x))
     u = rng.normal(size=(T, n_u))
-    z = np.concatenate([x.ravel(), u.ravel(), np.zeros(lp.n_vars - x.size - u.size)])
-    y = ssm.output.evaluate(u, tube.w_center) - ssm.output.evaluate(np.zeros_like(u), tube.w_center)
+    theta = kernel_temperatures(ssm, u, tube.w_center)
+    epigraph = np.zeros(lp.n_vars - x.size - u.size - theta.size)
+    z = np.concatenate([x.ravel(), u.ravel(), epigraph, theta.ravel()])
+    y = out.evaluate(u, tube.w_center) - tube.w_center @ out.feed_w.T - out.const
+    y[:, out.memory_rows] += out.temps.offset
     series = {"x": x[1:], "u": u, "du": np.diff(u, axis=0), "y": y, "dy": np.diff(y, axis=0)}
     man = ssm.manifest
     priced = man.indices("y", "battery_power") + man.indices("y", "tank_flow")
@@ -105,11 +128,13 @@ def test_assembled_lp_matches_the_dynamics_and_lifted_map(reference_day, method)
     g, a = lp.csr
     assert np.max(np.abs(g @ z - want_g)) <= 1e-12 * np.max(np.abs(want_g))
 
-    want_a = [x[0], (x[1:] - x[:-1] @ ssm.A.T - u @ ssm.B.T).ravel()]
-    if lp.n_eq > (T + 1) * n_x:
-        want_a.append(u @ ssm.reactive_u)
+    want_a = [x[0], (x[1:] - x[:-1] @ ssm.A.T - u @ ssm.B.T).ravel(), u @ ssm.reactive_u]
     want_a = np.concatenate(want_a)
-    assert np.max(np.abs(a @ z - want_a)) <= 1e-12 * np.max(np.abs(want_a))
+    n_dyn = len(want_a)
+    assert np.max(np.abs(a[:n_dyn] @ z - want_a)) <= 1e-12 * np.max(np.abs(want_a))
+    assert lp.n_eq == n_dyn + theta.size
+    recursion = a[n_dyn:] @ z
+    assert np.max(np.abs(recursion - lp.b_eq[n_dyn:])) <= 1e-12 * np.max(np.abs(recursion))
 
 
 @pytest.mark.parametrize("method", ["do", "erd-box", "erd-budget:10"])
@@ -125,6 +150,78 @@ def test_size_guard_counts_the_nonzeros_of_g_exactly(reference_day, method, monk
     monkeypatch.setattr(dispatch_module, "MAX_LP_BYTES", size - 1)
     with pytest.raises(LpTooLargeError, match=f"with {g.nnz} nonzeros needs {size} bytes"):
         build_nominal_problem(day.ssm, day.schedules[method], day.costs, day.tube.w_center)
+
+
+@pytest.mark.parametrize("method", ["do", "erd-box", "erd-budget:10"])
+def test_size_guard_counts_the_nonzeros_of_a_exactly(reference_day, method, monkeypatch):
+    """The guard counts A's nonzeros exactly too, and refuses A when its
+    CSR is over the limit."""
+    day = reference_day
+    g, a = day.lps[method].csr
+    size = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    assert size == 12 * a.nnz + 4 * (a.shape[0] + 1)
+    monkeypatch.setattr(dispatch_module, "MAX_LP_BYTES", max(size, 12 * g.nnz + 4 * (g.shape[0] + 1)))
+    build_nominal_problem(day.ssm, day.schedules[method], day.costs, day.tube.w_center)
+    monkeypatch.setattr(dispatch_module, "MAX_LP_BYTES", size - 1)
+    with pytest.raises(LpTooLargeError, match=f"{a.shape[0]} equality rows with {a.nnz} nonzeros needs {size} bytes"):
+        build_nominal_problem(day.ssm, day.schedules[method], day.costs, day.tube.w_center)
+
+
+@pytest.mark.parametrize("method", ["do", "erd-box", "erd-budget:10"])
+def test_solved_temperatures_follow_the_heat_kernel(reference_day, method):
+    """The node temperatures of the solved LP, which the heat recursion
+    ties to u, are those the heat kernel gives for the solved u."""
+    day = reference_day
+    prob = build_nominal_problem(day.ssm, day.schedules[method], day.costs, day.tube.w_center)
+    sol = solve_lp(prob.lp)
+    assert sol.is_optimal
+    _, u = prob.layout.decode(sol.z)
+    theta = sol.z[prob.layout.theta_slice(0).start :].reshape(day.ssm.horizon, -1)
+    assert np.max(np.abs(theta - kernel_temperatures(day.ssm, u, day.tube.w_center))) <= 1e-9
+
+
+def test_row_labels_are_formatted_when_read(ref24, ref_sched):
+    """One label per row, made when read; a heat recursion row names its
+    temperature and step."""
+    prob = build_nominal_problem(ref24.ssm, ref_sched, ref24.costs, ref24.tube.w_center)
+    lp, n_th = prob.lp, prob.layout.n_theta
+    assert (len(lp.row_labels), len(lp.eq_labels)) == (lp.n_ineq, lp.n_eq)
+    assert lp.row_labels[0] == "x[t=1] battery_energy[bat_10] upper"
+    assert (lp.eq_labels[0], lp.eq_labels[8]) == ("initial_state[bat_10]", "dynamics[bat_10][t=3]")
+    first = lp.n_eq - ref24.ssm.horizon * n_th
+    assert lp.eq_labels[first - 1] == "reactive_balance[t=23]"
+    assert lp.eq_labels[first + 5 * n_th + 3] == "heat_recursion[supply_temp[3]][t=5]"
+    assert lp.eq_labels[lp.n_eq - 1] == "heat_recursion[return_temp[7]][t=23]"
+    with pytest.raises(IndexError):
+        lp.row_labels[lp.n_ineq]
+
+
+def test_system_without_heat_network_has_no_temperature_variables():
+    doc = minimal_document()
+    doc["horizon"]["steps"] = 3
+    model = load_system(doc)
+    ssm = compile_state_space(model)
+    tube = compile_uncertainty_tube(model)
+    schedule = tighten(ssm, compile_constraints(model, ssm), tube, choose_gain(ssm), mode="box")
+    costs = CostModel.from_model(model)
+    prob = build_nominal_problem(ssm, schedule, costs, tube.w_center)
+    assert prob.layout.n_theta == 0
+    assert not any(label.startswith("heat_recursion") for label in prob.lp.eq_labels)
+    assert solve_dispatch(ssm, schedule, costs, tube.w_center, problem=prob).kkt.gap <= 1e-9
+
+
+def test_lp_nonzeros_grow_linearly_with_the_horizon():
+    """Doubling the steps of a day at most doubles the LP's nonzeros (and a
+    tenth): no row reads u through the heat kernel's lags."""
+    nnz = []
+    for horizon in (48, 96):
+        model = build_reference_system(horizon, 86400.0 / horizon)
+        ssm = compile_state_space(model)
+        tube = compile_uncertainty_tube(model)
+        schedule = tighten(ssm, compile_constraints(model, ssm), tube, choose_gain(ssm), mode="box")
+        lp = build_nominal_problem(ssm, schedule, CostModel.from_model(model), tube.w_center).lp
+        nnz.append(sum(m.nnz for m in lp.csr))
+    assert nnz[1] <= 2.1 * nnz[0]
 
 
 def test_box_dispatch_at_the_headline_size():

@@ -262,9 +262,9 @@ class TestTemperatureMaps:
             temperature_maps(net, delays, 2, 300.0)
 
 
-def step_loop(st, ground, initial, impulse, scale):
+def step_loop(st, ground, initial, impulse):
     """The forward solve one step and one history or ground term at a time."""
-    n = st.n
+    n, scale = len(st.mat) // 2, st.scale
     width = 1 if impulse is None else impulse.shape[1]
     frames = np.zeros((len(ground), 2 * n, width))
     for t in range(len(ground)):
@@ -281,7 +281,7 @@ def step_loop(st, ground, initial, impulse, scale):
         if t == 0 and impulse is not None:
             rhs[:n] += impulse[:n] * scale
             rhs[n:] -= impulse[n:] * scale
-        frames[t] = st.inv @ rhs
+        frames[t] = np.linalg.inv(st.mat) @ rhs
     return frames
 
 
